@@ -14,6 +14,7 @@ __version__ = "0.1.0"
 from .cuts import CutRecord
 from .errors import (
     AtspError,
+    CostSandwichError,
     DisconnectedError,
     ImbalanceSumError,
     InfeasibleError,
@@ -34,6 +35,7 @@ from .rounding import RoundingConfig
 
 __all__ = [
     "AtspError",
+    "CostSandwichError",
     "CostMatrix",
     "CutRecord",
     "Demands",

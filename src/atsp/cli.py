@@ -19,6 +19,7 @@ from . import __version__, flows, heldkarp, instance, oracle, patchup, rounding
 from .cuts import all_cut_values, cut_weights
 from .errors import (
     AtspError,
+    CostSandwichError,
     IterationLimitError,
     RetriesExhaustedError,
     TooLargeError,
@@ -141,10 +142,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     degree = max(abs(x.out_weight(v) - 1.0) for v in range(n))
     check("lp vertex balance within 1e-7", balance <= 1e-7)
     check("lp out-degree one within 1e-7", degree <= 1e-7)
-    check(
-        "lp separation finds no violated cut",
-        heldkarp.separate(n, x.arcs) is None,
-    )
+    check("lp separation finds no violated cut", not heldkarp.separate(n, x.arcs))
 
     if n <= VERIFY_ENUMERATION_LIMIT:
         _, out_w, in_w = all_cut_values(n, x.arcs)
@@ -166,9 +164,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
 
     cfg = _config(args)
+    sandwich = "pipeline sandwich lp <= tour <= costZ + costW <= 2 costZ"
     try:
         tour, run_report = patchup.solve(m, cfg)
-        check("pipeline sandwich lp <= tour <= 2 costZ", True)
+    except RetriesExhaustedError:
+        check("pipeline produced a tour", False)
+    except CostSandwichError:
+        check(sandwich, False)
+    else:
+        check(sandwich, run_report.sandwich_failure() is None)
         check(
             "tour cost at least lp objective",
             tour.cost >= run_report.lp_objective - 1e-6,
@@ -177,8 +181,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "tour cost at most twice sample cost",
             run_report.tour_cost <= 2.0 * run_report.cost_z + 1e-9,
         )
-    except RetriesExhaustedError:
-        check("pipeline produced a tour", False)
 
     if all(ok for _, ok in checks):
         sys.stdout.write(f"verify passed ({len(checks)} checks)\n")

@@ -65,5 +65,16 @@ class DisconnectedError(AtspError):
     """Multigraph is not weakly connected where connectivity is required."""
 
 
+class CostSandwichError(AtspError):
+    """A pipeline run broke lp - 1e-6 <= tour <= cost_z + cost_w <= 2 cost_z.
+
+    ``report`` carries the PipelineReport whose costs break it.
+    """
+
+    def __init__(self, message: str, report=None):
+        super().__init__(message)
+        self.report = report
+
+
 class ImbalanceSumError(AtspError):
     """Transshipment imbalances do not sum to zero."""

@@ -3,9 +3,11 @@ max-flow separation oracle.
 
 The master imposes out-degree-1 and vertex-balance equalities plus the
 0 <= x <= 1 bounds directly, so the returned point is already normalized
-the way the rounding step expects. Violated cut constraints
-x(delta_out(U)) >= 1 are discovered by 2(n-1) max-flow calls per round and
-added until none is violated by more than tol.
+the way the rounding step expects. Each round, 2(n-1) max-flow calls find
+the violated cut constraints x(delta_out(U)) >= 1; every distinct one is
+appended to the master as a row with its own surplus column, and the
+master is re-optimized from the previous round's optimal basis. The loop
+ends when no cut is violated by more than tol.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from . import simplex
-from .cuts import CutRecord, cut_record
+from .cuts import CutRecord
 from .errors import InfeasibleError, IterationLimitError
 from .flows import max_flow
 from .instance import CostMatrix
@@ -45,83 +47,58 @@ class FractionalCirculation:
         return sum(x for (_, b), x in self.arcs.items() if b == v)
 
 
-def _arc_index(n: int) -> dict[tuple[int, int], int]:
-    index = {}
-    for v in range(n):
-        for w in range(n):
-            if v != w:
-                index[(v, w)] = len(index)
-    return index
-
-
-def _master_matrix(n: int, index: Mapping[tuple[int, int], int], cut_sets):
-    """Equality system: out-degree rows, balance rows (one dropped as
-    redundant), and one row with surplus column per pooled cut."""
-    n_arcs = len(index)
-    n_cuts = len(cut_sets)
-    rows = n + (n - 1) + n_cuts
-    a = np.zeros((rows, n_arcs + n_cuts))
-    b = np.zeros(rows)
-    for (v, w), j in index.items():
-        a[v, j] = 1.0
-        if w > 0:
-            a[n + w - 1, j] += 1.0
-        if v > 0:
-            a[n + v - 1, j] -= 1.0
-    b[:n] = 1.0
-    for k, members in enumerate(cut_sets):
-        inside = set(members)
-        row = n + (n - 1) + k
-        for (v, w), j in index.items():
-            if v in inside and w not in inside:
-                a[row, j] = 1.0
-        a[row, n_arcs + k] = -1.0
-        b[row] = 1.0
+def _degree_rows(n: int, tails: np.ndarray, heads: np.ndarray):
+    """Out-degree rows, then balance rows for vertices 1..n-1 (vertex 0's
+    is implied by the others)."""
+    cols = np.arange(tails.size)
+    a = np.zeros((2 * n - 1, tails.size))
+    a[tails, cols] = 1.0
+    into = heads > 0
+    a[n + heads[into] - 1, cols[into]] = 1.0
+    out_of = tails > 0
+    a[n + tails[out_of] - 1, cols[out_of]] = -1.0
+    b = np.concatenate([np.ones(n), np.zeros(n - 1)])
     return a, b
 
 
-def _solve_master(m: CostMatrix, index, cut_sets) -> tuple[np.ndarray, float]:
-    n = m.n
-    n_arcs = len(index)
-    a, b = _master_matrix(n, index, cut_sets)
-    cost = np.zeros(n_arcs + len(cut_sets))
-    for (v, w), j in index.items():
-        cost[j] = m.c[v, w]
-    upper = np.concatenate([np.ones(n_arcs), np.full(len(cut_sets), np.inf)])
-    result = simplex.minimize(cost, a, b, upper)
+def _cut_rows(n: int, tails: np.ndarray, heads: np.ndarray, cut_sets) -> np.ndarray:
+    """Coefficients of x(delta_out(U)) over the arc columns, one row per U."""
+    inside = np.zeros((len(cut_sets), n), dtype=bool)
+    for i, members in enumerate(cut_sets):
+        inside[i, list(members)] = True
+    return (inside[:, tails] & ~inside[:, heads]).astype(np.float64)
+
+
+def _solve_master(cost, a, b, upper, start) -> simplex.SimplexResult:
+    result = simplex.minimize(cost, a, b, upper, start=start)
     if result.status == simplex.INFEASIBLE:
         raise InfeasibleError(
             "master LP infeasible; this cannot happen on a valid instance"
         )
     if result.status != simplex.OPTIMAL:
         raise IterationLimitError(f"simplex stopped with status {result.status}")
-    return result.x[:n_arcs], result.objective
+    return result
 
 
 def separate(
     n: int, arcs: Mapping[tuple[int, int], float], tol: float = SEPARATION_TOL
-) -> CutRecord | None:
-    """Most violated subtour cut, or None when all cuts weigh >= 1 - tol.
+) -> list[CutRecord]:
+    """Every distinct violated subtour cut the 2(n-1) max-flows find,
+    sorted by (out_weight, members); empty when all cuts weigh >= 1 - tol.
 
-    Fixes vertex 0 and takes the minimum over min-cut(0 -> t) and
-    min-cut(t -> 0) for every t != 0; every proper nonempty subset either
-    contains vertex 0 or excludes it, so this covers all cuts. Ties are
-    broken toward the lexicographically smallest vertex set.
+    Fixes vertex 0 and takes min-cut(0 -> t) and min-cut(t -> 0) for every
+    t != 0; every proper nonempty subset either contains vertex 0 or
+    excludes it, so the first element is a most violated cut, ties broken
+    toward the lexicographically smallest vertex set.
     """
     capacities = {arc: x for arc, x in arcs.items() if x > 0.0}
-    best: CutRecord | None = None
+    found: dict[tuple[int, ...], CutRecord] = {}
     for t in range(1, n):
         for s, dest in ((0, t), (t, 0)):
             _, cut = max_flow(n, capacities, s, dest)
-            record = cut_record(n, arcs, cut.members)
-            if best is None or (record.out_weight, record.members) < (
-                best.out_weight,
-                best.members,
-            ):
-                best = record
-    if best is not None and best.out_weight < 1.0 - tol:
-        return best
-    return None
+            if cut.out_weight < 1.0 - tol:
+                found[cut.members] = cut
+    return sorted(found.values(), key=lambda r: (r.out_weight, r.members))
 
 
 def solve_lp(
@@ -131,30 +108,47 @@ def solve_lp(
 
     The master objective per round is appended to ``trace`` when given
     (it is non-decreasing as cuts accumulate). Raises IterationLimitError
-    if the loop exceeds 50 rounds per vertex.
+    if the loop exceeds 50 rounds per vertex, or if a round's violated
+    cuts are all in the master already (a numerical stall).
     """
     n = m.n
-    index = _arc_index(n)
-    cut_sets: list[tuple[int, ...]] = []
+    tails, heads = np.nonzero(~np.eye(n, dtype=bool))
+    arc_list = list(zip(tails.tolist(), heads.tolist()))
+    a, b = _degree_rows(n, tails, heads)
+    cost = m.c[tails, heads]
+    upper = np.ones(tails.size)
     pooled: set[tuple[int, ...]] = set()
+    basis = None
     for _ in range(ROUNDS_PER_VERTEX * n):
-        x, objective = _solve_master(m, index, cut_sets)
+        result = _solve_master(cost, a, b, upper, basis)
+        basis = result.basis
         if trace is not None:
-            trace.append(objective)
-        arcs = {arc: float(x[j]) for arc, j in index.items()}
+            trace.append(result.objective)
+        arcs = dict(zip(arc_list, result.x[: tails.size].tolist()))
         violated = separate(n, arcs, tol)
-        if violated is None:
-            support = {
-                arc: value for arc, value in arcs.items() if value > 0.0
-            }
-            return FractionalCirculation(n, support, objective)
-        if violated.members in pooled:
+        if not violated:
+            support = {arc: value for arc, value in arcs.items() if value > 0.0}
+            return FractionalCirculation(n, support, result.objective)
+        new = [cut.members for cut in violated if cut.members not in pooled]
+        if not new:
             raise IterationLimitError(
-                f"separation returned pooled cut {violated.members} again; "
-                "numerical stall"
+                f"every violated cut is pooled already, the most violated "
+                f"{violated[0].members}; numerical stall"
             )
-        pooled.add(violated.members)
-        cut_sets.append(violated.members)
+        pooled.update(new)
+        # one row x(delta_out(U)) - s_U = 1 and one surplus column s_U per cut
+        k = len(new)
+        a = np.block([
+            [a, np.zeros((a.shape[0], k))],
+            [
+                _cut_rows(n, tails, heads, new),
+                np.zeros((k, a.shape[1] - tails.size)),
+                -np.eye(k),
+            ],
+        ])
+        b = np.concatenate([b, np.ones(k)])
+        cost = np.concatenate([cost, np.zeros(k)])
+        upper = np.concatenate([upper, np.full(k, np.inf)])
     raise IterationLimitError(
         f"cutting-plane loop exceeded {ROUNDS_PER_VERTEX * n} rounds"
     )

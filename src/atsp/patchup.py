@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import heldkarp, rounding
-from .errors import DisconnectedError
+from .errors import CostSandwichError, DisconnectedError
 from .flows import (
     IntegerMultiDigraph,
     euler_circuit,
@@ -118,6 +118,17 @@ class PipelineReport:
     def tour_over_lp(self) -> float:
         return self.tour_cost / self.lp_objective
 
+    def sandwich_failure(self) -> str | None:
+        """The first broken link of
+        lp - 1e-6 <= tour <= cost_z + cost_w <= 2 cost_z, or None."""
+        if self.tour_cost < self.lp_objective - 1e-6:
+            return "tour beat the LP lower bound"
+        if self.tour_cost > self.cost_z + self.cost_w + 1e-9:
+            return "tour exceeded the walk cost"
+        if self.cost_w > self.cost_z + 1e-9:
+            return "patch cost exceeded sample cost"
+        return None
+
     def key_value_lines(self) -> list[str]:
         return [
             f"n={self.n}",
@@ -151,7 +162,7 @@ def run_pipeline(
 
     Propagates RetriesExhaustedError and IterationLimitError. The report
     satisfies lp - 1e-6 <= tour_cost <= cost_z + cost_w <= 2 cost_z, which
-    is asserted on every run.
+    is checked on every run; CostSandwichError is raised if it fails.
     """
     if cfg is None:
         cfg = rounding.RoundingConfig()
@@ -170,9 +181,9 @@ def run_pipeline(
         cost_w=cost_w,
         tour_cost=tour.cost,
     )
-    assert tour.cost >= x.objective - 1e-6, "tour beat the LP lower bound"
-    assert cost_w <= cost_z + 1e-9, "patch cost exceeded sample cost"
-    assert tour.cost <= cost_z + cost_w + 1e-9, "tour exceeded the walk cost"
+    failure = report.sandwich_failure()
+    if failure is not None:
+        raise CostSandwichError(failure, report)
     return PipelineRun(x=x, z=z, w=w, tour=tour, report=report)
 
 

@@ -1,6 +1,11 @@
 """Dense two-phase primal simplex for equality-constrained LPs with
 variable bounds 0 <= x <= u (u may be infinite).
 
+A solve can start from the optimal basis of an earlier LP whose rows and
+columns lead the new one, as in a cutting-plane loop: the appended rows
+get artificial variables that start at the rows' violation, so phase 1
+only drives those out and phase 2 continues from the old vertex.
+
 Pricing uses Dantzig's rule for speed and permanently switches to Bland's
 rule once a long degenerate streak is detected, which guarantees
 termination. The basis inverse is maintained by rank-one pivot updates and
@@ -31,31 +36,51 @@ _UPPER = 1
 _BASIC = 2
 
 
+@dataclass(frozen=True)
+class Basis:
+    """Where an optimal solve ended: the basic structural column of each
+    row, and which structural columns sit nonbasic at their upper bound."""
+
+    basic: np.ndarray
+    at_upper: np.ndarray
+
+
 @dataclass
 class SimplexResult:
     status: str
     x: np.ndarray | None
     objective: float | None
     iterations: int
+    # set when optimal and no row was dropped as redundant
+    basis: Basis | None = None
 
 
 class _Tableau:
     """Mutable solver state over columns [structural | artificial]."""
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, upper: np.ndarray):
+    def __init__(
+        self, a: np.ndarray, b: np.ndarray, upper: np.ndarray, start: Basis | None
+    ):
         m, nv = a.shape
-        sign = np.where(b < 0.0, -1.0, 1.0)
-        self.a = np.hstack([a * sign[:, None], np.eye(m)])
-        self.b = b * sign
+        self.a = np.hstack([a, np.eye(m)])
+        self.b = b
         self.upper = np.concatenate([upper, np.full(m, np.inf)])
         self.n_struct = nv
         self.m = m
         self.basis = np.arange(nv, nv + m)
         self.state = np.full(nv + m, _LOWER, dtype=np.int8)
+        if start is not None:
+            self.basis[: start.basic.size] = start.basic
+            self.state[: start.at_upper.size][start.at_upper] = _UPPER
         self.state[self.basis] = _BASIC
         self.iterations = 0
         self._pivots_since_refresh = 0
         self.refresh_inverse()
+        # each basic artificial takes its row's residual; negate the
+        # columns of those that would start below zero
+        negative = (self.basis >= nv) & (self.basic_values() < 0.0)
+        self.a[:, self.basis[negative]] *= -1.0
+        self.binv[negative] *= -1.0
 
     def refresh_inverse(self) -> None:
         self.binv = np.linalg.inv(self.a[:, self.basis])
@@ -187,14 +212,21 @@ def minimize(
     b_eq: np.ndarray,
     upper: np.ndarray,
     max_iterations: int = 100_000,
+    start: Basis | None = None,
 ) -> SimplexResult:
-    """Minimize c @ x subject to a_eq @ x = b_eq and 0 <= x <= upper."""
+    """Minimize c @ x subject to a_eq @ x = b_eq and 0 <= x <= upper.
+
+    ``start`` is the basis of an earlier optimal solve whose constraint
+    rows and columns are the leading rows and columns of this LP. The
+    appended rows get artificial variables, and the appended columns start
+    nonbasic at zero. Without ``start`` every row gets an artificial.
+    """
     c = np.asarray(c, dtype=np.float64)
     a_eq = np.asarray(a_eq, dtype=np.float64)
     b_eq = np.asarray(b_eq, dtype=np.float64)
     upper = np.asarray(upper, dtype=np.float64)
     m, nv = a_eq.shape
-    tab = _Tableau(a_eq, b_eq, upper)
+    tab = _Tableau(a_eq, b_eq, upper, start)
 
     phase1_cost = np.concatenate([np.zeros(nv), np.ones(m)])
     status = tab.run(phase1_cost, allowed=nv + m, max_iterations=max_iterations)
@@ -210,4 +242,7 @@ def minimize(
     if status != OPTIMAL:
         return SimplexResult(status, None, None, tab.iterations)
     x = tab.solution()
-    return SimplexResult(OPTIMAL, x, float(c @ x), tab.iterations)
+    basis = None
+    if tab.m == m:
+        basis = Basis(tab.basis.copy(), tab.state[:nv] == _UPPER)
+    return SimplexResult(OPTIMAL, x, float(c @ x), tab.iterations, basis)

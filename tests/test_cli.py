@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,23 @@ def test_verify_gates_exhaustive_checks_on_large_instance(tmp_path, capsys):
     assert "skipped" in out
     assert "lp separation finds no violated cut" in out
     assert "verify passed" in out
+
+
+def test_verify_fails_a_run_that_breaks_the_sandwich(tmp_path, capsys, monkeypatch):
+    # a doctored report whose patch costs more than its sample
+    solve = patchup.solve
+
+    def doctored(m, cfg):
+        tour, report = solve(m, cfg)
+        return tour, dataclasses.replace(report, cost_w=3.0 * report.cost_z)
+
+    monkeypatch.setattr(patchup, "solve", doctored)
+    path = tmp_path / "v8.txt"
+    instance.save(instance.generate("asymmetric-uniform", 8, 2), path)
+    assert cli.main(["verify", str(path)]) == 3
+    out = capsys.readouterr().out
+    assert "FAIL pipeline sandwich" in out
+    assert "verify FAILED" in out
 
 
 def test_verify_corrupted_instance_exits_3(tmp_path):

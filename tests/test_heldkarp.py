@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from atsp import heldkarp, instance, oracle
-from atsp.cuts import all_cut_values
+from atsp.cuts import CutRecord, all_cut_values
+from atsp.errors import IterationLimitError
 from atsp.instance import planted_cycle_cost
 
 
@@ -83,6 +84,14 @@ def test_master_objective_is_monotone_in_cut_rounds():
         assert b >= a - 1e-9
 
 
+def test_stall_when_every_violated_cut_is_pooled(monkeypatch):
+    # separation keeps reporting the one cut the master already holds
+    stuck = CutRecord((0, 1), 0.5, 0.5)
+    monkeypatch.setattr(heldkarp, "separate", lambda n, arcs, tol: [stuck])
+    with pytest.raises(IterationLimitError, match="pooled"):
+        heldkarp.solve_lp(instance.generate("cycle-heavy", 6, 1))
+
+
 # ------------------------------------------------------------------ separate
 
 
@@ -91,16 +100,15 @@ def test_separate_finds_disjoint_cycles():
     for cycle in ([0, 1, 2], [3, 4, 5]):
         for i in range(3):
             arcs[(cycle[i], cycle[(i + 1) % 3])] = 1.0
-    cut = heldkarp.separate(6, arcs)
-    assert cut is not None
-    assert cut.members == (0, 1, 2)
-    assert cut.out_weight == pytest.approx(0.0)
+    cuts = heldkarp.separate(6, arcs)
+    assert [cut.members for cut in cuts] == [(0, 1, 2), (3, 4, 5)]
+    assert [cut.out_weight for cut in cuts] == pytest.approx([0.0, 0.0])
 
 
 def test_separate_accepts_single_cycle():
     n = 7
     arcs = {(i, (i + 1) % n): 1.0 for i in range(n)}
-    assert heldkarp.separate(n, arcs) is None
+    assert heldkarp.separate(n, arcs) == []
 
 
 def test_separate_agrees_with_exhaustive_enumeration():
@@ -108,14 +116,17 @@ def test_separate_agrees_with_exhaustive_enumeration():
     tol = 1e-6
     for _ in range(20):
         arcs = random_circulation(8, rng)
-        cut = heldkarp.separate(8, arcs, tol)
+        cuts = heldkarp.separate(8, arcs, tol)
         _, out_w, _ = all_cut_values(8, arcs)
         exhaustive_min = float(out_w.min())
-        if cut is None:
+        if not cuts:
             assert exhaustive_min >= 1.0 - tol
-        else:
-            assert cut.out_weight < 1.0 - tol
-            assert cut.out_weight == pytest.approx(exhaustive_min, abs=1e-9)
+            continue
+        keys = [(cut.out_weight, cut.members) for cut in cuts]
+        assert keys == sorted(keys)
+        assert len({cut.members for cut in cuts}) == len(cuts)
+        assert all(cut.out_weight < 1.0 - tol for cut in cuts)
+        assert cuts[0].out_weight == pytest.approx(exhaustive_min, abs=1e-9)
 
 
 def full_subtour_lp_objective(m: instance.CostMatrix) -> float:
@@ -160,6 +171,50 @@ def test_cutting_planes_match_full_lp_reference(kind, n, seed):
     x = heldkarp.solve_lp(m)
     reference = full_subtour_lp_objective(m)
     assert x.objective == pytest.approx(reference, abs=1e-6 * n)
+
+
+def highs_cutting_plane_objective(m: instance.CostMatrix) -> float:
+    """Independent reference for larger n: HiGHS on the degree equalities,
+    adding every cut that a dense enumeration of all subsets finds
+    violated, until none is."""
+    from scipy.optimize import linprog
+
+    n = m.n
+    tails, heads = np.nonzero(~np.eye(n, dtype=bool))
+    a_eq = np.zeros((2 * n, tails.size))
+    a_eq[tails, np.arange(tails.size)] = 1.0
+    a_eq[n + heads, np.arange(tails.size)] = 1.0
+    masks = np.arange(1, (1 << n) - 1)
+    inside = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
+    cut_rows: list[np.ndarray] = []
+    while True:
+        res = linprog(
+            m.c[tails, heads],
+            A_ub=np.array(cut_rows) if cut_rows else None,
+            b_ub=-np.ones(len(cut_rows)) if cut_rows else None,
+            A_eq=a_eq, b_eq=np.ones(2 * n), bounds=(0.0, 1.0), method="highs",
+        )
+        assert res.status == 0
+        weights = np.zeros((n, n))
+        weights[tails, heads] = res.x
+        out_w = np.sum((inside @ weights) * ~inside, axis=1)
+        violated = np.nonzero(out_w < 1.0 - 1e-9)[0]
+        if violated.size == 0:
+            return float(res.fun)
+        for i in violated:
+            cut_rows.append(-(inside[i, tails] & ~inside[i, heads]).astype(float))
+
+
+@pytest.mark.parametrize("n", [10, 15])
+@pytest.mark.parametrize("kind", instance.KINDS)
+def test_warm_started_rounds_match_highs(kind, n):
+    m = instance.generate(kind, n, 1)
+    trace: list[float] = []
+    x = heldkarp.solve_lp(m, trace=trace)
+    assert x.objective == pytest.approx(highs_cutting_plane_objective(m), rel=1e-9)
+    assert trace[-1] == x.objective
+    for a, b in zip(trace, trace[1:]):
+        assert b >= a - 1e-9
 
 
 # ------------------------------------------------------------- serialization

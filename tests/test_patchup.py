@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from atsp import flows, instance, oracle, patchup, rounding
+from atsp import flows, heldkarp, instance, oracle, patchup, rounding
 from atsp.cuts import all_cut_values
-from atsp.errors import DisconnectedError, InfeasibleError
+from atsp.errors import CostSandwichError, DisconnectedError, InfeasibleError
 from atsp.flows import IntegerMultiDigraph
 
 
@@ -178,6 +180,20 @@ def test_solve_sandwich_and_ratio_against_exact():
     assert report.lp_objective - 1e-6 <= report.tour_cost
     assert report.tour_cost <= 2.0 * report.cost_z + 1e-9
     assert np.isfinite(report.tour_over_lp)
+
+
+def test_broken_sandwich_raises_a_typed_error(monkeypatch):
+    # a doctored LP bound above every tour breaks lp - 1e-6 <= tour
+    solve_lp = heldkarp.solve_lp
+
+    def inflated(m, tol):
+        x = solve_lp(m, tol)
+        return dataclasses.replace(x, objective=10.0 * x.objective)
+
+    monkeypatch.setattr(heldkarp, "solve_lp", inflated)
+    with pytest.raises(CostSandwichError, match="LP lower bound") as caught:
+        patchup.run_pipeline(instance.generate("cycle-heavy", 8, 1))
+    assert caught.value.report.sandwich_failure() == "tour beat the LP lower bound"
 
 
 @pytest.mark.parametrize("kind", instance.KINDS)

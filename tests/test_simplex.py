@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from scipy.optimize import linprog
 
 from atsp import simplex
@@ -100,3 +101,97 @@ def test_agrees_with_scipy_on_random_lps():
         assert np.max(np.abs(a @ res.x - b)) <= 1e-7, trial
         assert np.all(res.x >= -1e-9), trial
         assert np.all(res.x <= upper + 1e-9), trial
+
+
+def _highs(c, a, b, upper):
+    bounds = [(0.0, u if np.isfinite(u) else None) for u in upper]
+    ref = linprog(c, A_eq=a, b_eq=b, bounds=bounds, method="highs")
+    assert ref.status == 0
+    return ref.fun
+
+
+def _append_rows(c, a, b, upper, g, h, surplus):
+    """The LP with rows g @ x - s = h appended, s >= 0 a new column per row
+    when ``surplus``, else the rows g @ x = h."""
+    k = g.shape[0]
+    if not surplus:
+        return c, np.vstack([a, g]), np.concatenate([b, h]), upper
+    a = np.block([[a, np.zeros((a.shape[0], k))], [g, -np.eye(k)]])
+    return (
+        np.concatenate([c, np.zeros(k)]),
+        a,
+        np.concatenate([b, h]),
+        np.concatenate([upper, np.full(k, np.inf)]),
+    )
+
+
+def _assert_matches_highs(res, c, a, b, upper):
+    assert res.status == simplex.OPTIMAL
+    ref = _highs(c, a, b, upper)
+    assert abs(res.objective - ref) <= 1e-9 * max(1.0, abs(ref))
+    assert np.max(np.abs(a @ res.x - b)) <= 1e-9
+    assert np.all(res.x >= -1e-9) and np.all(res.x <= upper + 1e-9)
+
+
+def _warm_start_trials(rng, degenerate: bool, surplus: bool) -> int:
+    """Solve random bounded LPs, append rows the optimum violates but a
+    known point satisfies, and re-solve from the old basis."""
+    checked = 0
+    for _ in range(40):
+        m = int(rng.integers(1, 5))
+        nv = int(rng.integers(m + 4, m + 9))
+        upper = np.where(rng.random(nv) < 0.3, np.inf, rng.uniform(0.5, 3.0, nv))
+        box = np.minimum(np.where(np.isfinite(upper), upper, 2.0), 2.0)
+        if degenerate:
+            # 0/1 rows and a point at its bounds: many tied vertices
+            a = rng.integers(0, 2, size=(m, nv)).astype(float)
+            x_known = np.where(rng.random(nv) < 0.5, 0.0, box)
+        else:
+            a = rng.normal(size=(m, nv))
+            x_known = rng.uniform(0.0, 1.0, nv) * box
+        b = a @ x_known
+        c = rng.uniform(0.1, 2.0, nv) if degenerate else rng.normal(size=nv)
+        first = simplex.minimize(c, a, b, upper)
+        if first.status != simplex.OPTIMAL:
+            continue
+        g = rng.integers(-1, 2, size=(3, nv)).astype(float) if degenerate else rng.normal(size=(3, nv))
+        gap = g @ x_known - g @ first.x
+        g[gap < 0] *= -1.0
+        g = g[np.abs(gap) > 1e-3][: int(rng.integers(1, 4))]
+        if g.shape[0] == 0:
+            continue
+        h = g @ x_known if degenerate else (g @ first.x + g @ x_known) / 2
+        lp = _append_rows(c, a, b, upper, g, h, surplus)
+        warm = simplex.minimize(*lp, start=first.basis)
+        _assert_matches_highs(warm, *lp)
+        # a basis comes back exactly when no row was redundant
+        rows = lp[1].shape[0]
+        assert (warm.basis is None) == (np.linalg.matrix_rank(lp[1]) < rows)
+        checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("surplus", [True, False])
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_warm_start_with_appended_violated_rows_matches_highs(degenerate, surplus):
+    rng = np.random.default_rng(17 + 2 * degenerate + surplus)
+    assert _warm_start_trials(rng, degenerate, surplus) >= 20
+
+
+def test_warm_start_after_a_redundant_row_falls_back_to_cold():
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(3, 8))
+    b = a @ rng.uniform(0.0, 1.0, 8)
+    c = rng.normal(size=8)
+    upper = np.ones(8)
+    first = simplex.minimize(c, a, b, upper)
+    # a copy of row 0 is redundant: phase 1 drops it, so no basis comes back
+    lp = (c, np.vstack([a, a[:1]]), np.concatenate([b, b[:1]]), upper)
+    warm = simplex.minimize(*lp, start=first.basis)
+    _assert_matches_highs(warm, *lp)
+    assert warm.basis is None
+    # the next LP of the sequence then starts cold
+    g = -np.ones((1, 8))
+    lp = _append_rows(*lp, g, g @ warm.x + 0.5, surplus=True)
+    cold = simplex.minimize(*lp, start=warm.basis)
+    _assert_matches_highs(cold, *lp)
