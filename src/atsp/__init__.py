@@ -22,7 +22,10 @@ from .errors import (
     NegativeEntryError,
     NotBalancedError,
     NotEulerianError,
+    PatchExceedsSampleError,
     RetriesExhaustedError,
+    ShortcutCostError,
+    SlacknessError,
     TooLargeError,
     UnsupportedKindError,
     WeightOutOfRangeError,
@@ -48,9 +51,12 @@ __all__ = [
     "NegativeEntryError",
     "NotBalancedError",
     "NotEulerianError",
+    "PatchExceedsSampleError",
     "PipelineReport",
     "RetriesExhaustedError",
     "RoundingConfig",
+    "ShortcutCostError",
+    "SlacknessError",
     "SymmetrizedWeights",
     "TooLargeError",
     "Tour",

@@ -5,7 +5,8 @@ seed, and the parameters, and all randomness flows from the single
 ``--seed`` flag, so identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 2 algorithmic failure (retries exhausted),
-3 input error, 4 size limit exceeded for a requested oracle.
+3 input error, 4 size limit exceeded for a requested oracle, 5 a check
+of ``verify`` failed.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_ALGORITHMIC = 2
 EXIT_INPUT = 3
 EXIT_TOO_LARGE = 4
+EXIT_VERIFY_FAILED = 5
 
 # exhaustive cut checks in `verify` stay fast up to this size
 VERIFY_ENUMERATION_LIMIT = 14
@@ -138,8 +140,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     check("instance is a metric", report.ok)
 
     x = heldkarp.solve_lp(m)
-    balance = max(abs(x.out_weight(v) - x.in_weight(v)) for v in range(n))
-    degree = max(abs(x.out_weight(v) - 1.0) for v in range(n))
+    outflow = np.zeros(n)
+    inflow = np.zeros(n)
+    for (v, w), value in x.arcs.items():
+        outflow[v] += value
+        inflow[w] += value
+    balance = float(np.max(np.abs(outflow - inflow)))
+    degree = float(np.max(np.abs(outflow - 1.0)))
     check("lp vertex balance within 1e-7", balance <= 1e-7)
     check("lp out-degree one within 1e-7", degree <= 1e-7)
     check("lp separation finds no violated cut", not heldkarp.separate(n, x.arcs))
@@ -186,7 +193,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         sys.stdout.write(f"verify passed ({len(checks)} checks)\n")
         return EXIT_OK
     sys.stdout.write("verify FAILED\n")
-    return EXIT_INPUT
+    return EXIT_VERIFY_FAILED
 
 
 def _singleton_and_sample_subsets(n: int):

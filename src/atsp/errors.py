@@ -76,5 +76,47 @@ class CostSandwichError(AtspError):
         self.report = report
 
 
+class PatchExceedsSampleError(AtspError):
+    """A patch w put more copies on an arc than the sample z holds.
+
+    ``arc`` is the offending arc; ``w_mult`` and ``z_mult`` are its
+    multiplicities in w and z.
+    """
+
+    def __init__(self, message: str, arc=None, w_mult: int = 0, z_mult: int = 0):
+        super().__init__(message)
+        self.arc = arc
+        self.w_mult = w_mult
+        self.z_mult = z_mult
+
+
+class ShortcutCostError(AtspError):
+    """Shortcutting an Euler walk gave a tour that costs more than the walk,
+    which the triangle inequality rules out.
+
+    ``tour_cost`` and ``walk_cost`` carry both costs.
+    """
+
+    def __init__(self, message: str, tour_cost: float = 0.0, walk_cost: float = 0.0):
+        super().__init__(message)
+        self.tour_cost = tour_cost
+        self.walk_cost = walk_cost
+
+
+class SlacknessError(AtspError):
+    """A min-cost flow left a residual arc with negative reduced cost, so
+    the flow is not optimal.
+
+    ``arc`` is the residual arc ``(u, v)`` of the successive-shortest-path
+    network (vertices n and n + 1 are its super source and sink), and
+    ``reduced_cost`` its reduced cost.
+    """
+
+    def __init__(self, message: str, arc=None, reduced_cost: float = 0.0):
+        super().__init__(message)
+        self.arc = arc
+        self.reduced_cost = reduced_cost
+
+
 class ImbalanceSumError(AtspError):
     """Transshipment imbalances do not sum to zero."""

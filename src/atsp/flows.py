@@ -19,6 +19,7 @@ from .errors import (
     InfeasibleError,
     NotBalancedError,
     NotEulerianError,
+    SlacknessError,
 )
 from .instance import CostMatrix
 
@@ -48,12 +49,6 @@ class IntegerMultiDigraph:
 
     def arcs(self) -> list[tuple[int, int, int]]:
         return [(v, w, k) for (v, w), k in sorted(self.mult.items())]
-
-    def out_degree(self, v: int) -> int:
-        return sum(k for (a, _), k in self.mult.items() if a == v)
-
-    def in_degree(self, v: int) -> int:
-        return sum(k for (_, b), k in self.mult.items() if b == v)
 
     def total_arcs(self) -> int:
         return sum(self.mult.values())
@@ -321,7 +316,12 @@ def _check_slackness(heads, to, cap, cost, potential) -> None:
         for e in heads[u]:
             if cap[e] > 0:
                 reduced = cost[e] + potential[u] - potential[to[e]]
-                assert reduced > -1e-9, f"complementary slackness violated: {reduced}"
+                if reduced <= -1e-9:
+                    raise SlacknessError(
+                        f"complementary slackness violated on residual arc "
+                        f"({u}, {to[e]}): reduced cost {reduced!r}",
+                        (u, to[e]), reduced,
+                    )
 
 
 def transshipment_certificate(
@@ -373,12 +373,9 @@ def euler_circuit(g: IntegerMultiDigraph) -> list[tuple[int, int]]:
         raise DisconnectedError("empty multigraph has no circuit")
     if not _support_connected(g, support_vertices):
         raise DisconnectedError("multigraph support is not weakly connected")
-    remaining: dict[int, list[list[int]]] = {}
-    for v in support_vertices:
-        outs = sorted(
-            (w, k) for (a, w), k in g.mult.items() if a == v
-        )
-        remaining[v] = [[w, k] for w, k in outs]
+    remaining: dict[int, list[list[int]]] = {v: [] for v in support_vertices}
+    for (v, w), k in sorted(g.mult.items()):
+        remaining[v].append([w, k])
     pointer = {v: 0 for v in support_vertices}
     start = support_vertices[0]
     stack = [start]

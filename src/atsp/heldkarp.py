@@ -7,7 +7,9 @@ the way the rounding step expects. Each round, 2(n-1) max-flow calls find
 the violated cut constraints x(delta_out(U)) >= 1; every distinct one is
 appended to the master as a row with its own surplus column, and the
 master is re-optimized from the previous round's optimal basis. The loop
-ends when no cut is violated by more than tol.
+ends when no cut is violated by more than tol. The first master starts
+from the basis of a nearest-neighbour tour, which is feasible, so its
+phase 1 has nothing to do.
 """
 
 from __future__ import annotations
@@ -69,6 +71,58 @@ def _cut_rows(n: int, tails: np.ndarray, heads: np.ndarray, cut_sets) -> np.ndar
     return (inside[:, tails] & ~inside[:, heads]).astype(np.float64)
 
 
+def _nearest_neighbour_tour(c: np.ndarray) -> list[int]:
+    """Greedy tour from vertex 0, ties broken toward the lowest index."""
+    n = c.shape[0]
+    order = [0]
+    unvisited = np.ones(n, dtype=bool)
+    unvisited[0] = False
+    for _ in range(n - 1):
+        v = int(np.argmin(np.where(unvisited, c[order[-1]], np.inf)))
+        unvisited[v] = False
+        order.append(v)
+    return order
+
+
+def _tour_basis(c: np.ndarray, tails: np.ndarray, heads: np.ndarray) -> simplex.Basis:
+    """A feasible basis of the degree rows: the nearest-neighbour tour's n
+    arcs, basic at 1, and the n-1 cheapest arcs (ties to the lowest
+    column), basic at 0, that join them into a spanning tree of the
+    bipartite out-vertex/in-vertex graph.
+
+    Each tour arc (v, w) starts a component {out v, in w}; arc (u, w)
+    joins the components of out u and of in w, which are the tour arcs
+    leaving u and entering w. A spanning tree is nonsingular for the
+    degree and balance rows, and for n >= 3 the tour has no 2-cycle, so
+    the arcs u != w connect every pair of components.
+    """
+    n = c.shape[0]
+    vertices = np.arange(n)
+    order = _nearest_neighbour_tour(c)
+    succ = np.empty(n, dtype=np.intp)
+    succ[order] = np.roll(order, -1)
+    pred = np.empty(n, dtype=np.intp)
+    pred[succ] = vertices
+    # column of arc (v, w) in the row-major order of the off-diagonal arcs
+    basic = (vertices * (n - 1) + succ - (succ > vertices)).tolist()
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for j in np.argsort(c[tails, heads], kind="stable").tolist():
+        root_out, root_in = find(int(tails[j])), find(int(pred[heads[j]]))
+        if root_out != root_in:
+            parent[root_out] = root_in
+            basic.append(j)
+            if len(basic) == 2 * n - 1:
+                break
+    return simplex.Basis(np.sort(basic), np.zeros(tails.size, dtype=bool))
+
+
 def _solve_master(cost, a, b, upper, start) -> simplex.SimplexResult:
     result = simplex.minimize(cost, a, b, upper, start=start)
     if result.status == simplex.INFEASIBLE:
@@ -118,7 +172,7 @@ def solve_lp(
     cost = m.c[tails, heads]
     upper = np.ones(tails.size)
     pooled: set[tuple[int, ...]] = set()
-    basis = None
+    basis = _tour_basis(m.c, tails, heads)
     for _ in range(ROUNDS_PER_VERTEX * n):
         result = _solve_master(cost, a, b, upper, basis)
         basis = result.basis
@@ -152,11 +206,6 @@ def solve_lp(
     raise IterationLimitError(
         f"cutting-plane loop exceeded {ROUNDS_PER_VERTEX * n} rounds"
     )
-
-
-def lp_lower_bound(m: CostMatrix) -> float:
-    """LP optimum; a valid lower bound on the optimal tour cost."""
-    return solve_lp(m).objective
 
 
 def to_text(x: FractionalCirculation) -> str:

@@ -13,7 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import heldkarp, rounding
-from .errors import CostSandwichError, DisconnectedError
+from .errors import (
+    CostSandwichError,
+    DisconnectedError,
+    PatchExceedsSampleError,
+    ShortcutCostError,
+)
 from .flows import (
     IntegerMultiDigraph,
     euler_circuit,
@@ -70,10 +75,17 @@ def patch(z: IntegerMultiDigraph, m: CostMatrix) -> IntegerMultiDigraph:
     """Min-cost integral w with 0 <= w <= z making z + w balanced.
 
     Raises InfeasibleError with a cut whose incoming multiplicity is less
-    than its demand exactly when no such w exists.
+    than its demand exactly when no such w exists, and
+    PatchExceedsSampleError naming an arc if w ever exceeds z.
     """
     w = min_cost_flow(z, m, demands(z).values)
-    assert all(w.mult[arc] <= z.mult.get(arc, 0) for arc in w.mult)
+    for arc, k in sorted(w.mult.items()):
+        held = z.mult.get(arc, 0)
+        if k > held:
+            raise PatchExceedsSampleError(
+                f"patch puts {k} copies on arc {arc}, the sample only {held}",
+                arc, k, held,
+            )
     return w
 
 
@@ -83,8 +95,8 @@ def eulerian_tour(
     """Euler circuit of z + w, shortcut to first occurrences.
 
     Requires z + w balanced and weakly connected over all n vertices. The
-    returned tour costs no more than the Euler walk; this is asserted at
-    runtime since it is exactly the triangle inequality in action.
+    returned tour costs no more than the Euler walk, which is exactly the
+    triangle inequality in action; ShortcutCostError is raised if it does.
     """
     total = z + w
     if not is_weakly_connected(total):
@@ -98,7 +110,11 @@ def eulerian_tour(
             seen.add(v)
             order.append(v)
     tour = make_tour(m, order)
-    assert tour.cost <= walk_cost + 1e-9, "shortcutting increased the cost"
+    if tour.cost > walk_cost + 1e-9:
+        raise ShortcutCostError(
+            f"shortcutting raised the cost from {walk_cost!r} to {tour.cost!r}",
+            tour.cost, walk_cost,
+        )
     return tour
 
 

@@ -140,7 +140,7 @@ def test_verify_fails_a_run_that_breaks_the_sandwich(tmp_path, capsys, monkeypat
     monkeypatch.setattr(patchup, "solve", doctored)
     path = tmp_path / "v8.txt"
     instance.save(instance.generate("asymmetric-uniform", 8, 2), path)
-    assert cli.main(["verify", str(path)]) == 3
+    assert cli.main(["verify", str(path)]) == cli.EXIT_VERIFY_FAILED == 5
     out = capsys.readouterr().out
     assert "FAIL pipeline sandwich" in out
     assert "verify FAILED" in out

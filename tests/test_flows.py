@@ -13,6 +13,7 @@ from atsp.errors import (
     InfeasibleError,
     NotBalancedError,
     NotEulerianError,
+    SlacknessError,
 )
 from atsp.flows import IntegerMultiDigraph
 
@@ -189,6 +190,14 @@ def test_min_cost_flow_single_arc_forced():
 def test_min_cost_flow_rejects_nonzero_sum():
     with pytest.raises(ImbalanceSumError):
         flows.min_cost_flow(triangle(), uniform_costs(3), [1, 0, 0])
+
+
+def test_negative_reduced_cost_raises_with_the_residual_arc():
+    # residual arc 0 -> 1 with capacity left and reduced cost -1
+    heads, to, cap, cost = [[0], [1]], [1, 0], [1, 0], [-1.0, 1.0]
+    with pytest.raises(SlacknessError) as caught:
+        flows._check_slackness(heads, to, cap, cost, [0.0, 0.0])
+    assert (caught.value.arc, caught.value.reduced_cost) == ((0, 1), -1.0)
 
 
 def brute_force_transshipment(g, costs, b):

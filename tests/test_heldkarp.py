@@ -44,13 +44,13 @@ def test_cycle_heavy_objective_bounded_by_planted_cycle():
 def test_lp_is_lower_bound_for_exact_optimum():
     m = instance.generate("asymmetric-uniform", 10, 3)
     exact_cost, _ = oracle.exact_atsp(m)
-    assert heldkarp.lp_lower_bound(m) <= exact_cost + 1e-6
+    assert heldkarp.solve_lp(m).objective <= exact_cost + 1e-6
 
 
 def test_lp_never_exceeds_random_tour_costs():
     rng = np.random.default_rng(9)
     m = instance.generate("euclidean-perturbed", 8, 1)
-    bound = heldkarp.lp_lower_bound(m)
+    bound = heldkarp.solve_lp(m).objective
     for _ in range(50):
         perm = list(rng.permutation(8))
         cost = sum(m.c[perm[i], perm[(i + 1) % 8]] for i in range(8))
@@ -215,6 +215,90 @@ def test_warm_started_rounds_match_highs(kind, n):
     assert trace[-1] == x.objective
     for a, b in zip(trace, trace[1:]):
         assert b >= a - 1e-9
+
+
+# ---------------------------------------------------------------- crash basis
+
+
+def zero_cost_arcs(n: int) -> instance.CostMatrix:
+    """Metric closure of random costs with the path 0 -> 1 -> 2 free, so
+    several arcs (0->1, 1->2, 0->2) cost exactly zero."""
+    raw = np.random.default_rng(5).uniform(1.0, 10.0, size=(n, n))
+    np.fill_diagonal(raw, 0.0)
+    raw[0, 1] = raw[1, 2] = 0.0
+    return instance.metric_closure(raw)
+
+
+def ring_distances(n: int) -> instance.CostMatrix:
+    """c[i, j] = (j - i) mod n: a metric whose LP optimum is the integral
+    ring 0 -> 1 -> ... -> n-1 -> 0, since every arc costs at least 1."""
+    i, j = np.indices((n, n))
+    return instance.CostMatrix(((j - i) % n).astype(np.float64))
+
+
+# adversarial inputs; the three generator kinds are also solved from the
+# crash start by test_warm_started_rounds_match_highs
+EDGE_CASES = {
+    "generated-n3": lambda: instance.generate("asymmetric-uniform", 3, 1),
+    "tied-n3": lambda: all_ones(3),
+    "tied-n9": lambda: all_ones(9),
+    "zero-cost-arcs": lambda: zero_cost_arcs(9),
+    "integral-optimum": lambda: ring_distances(11),
+}
+CRASH_CASES = {
+    **{f"{kind}-{n}": (lambda kind=kind, n=n: instance.generate(kind, n, 2))
+       for kind in instance.KINDS for n in (10, 15)},
+    **EDGE_CASES,
+}
+
+
+def greedy_tour_point(c: np.ndarray) -> np.ndarray:
+    """The 0/1 point of the nearest-neighbour tour from vertex 0, ties to
+    the lowest index, as an n x n arc matrix."""
+    n = c.shape[0]
+    order = [0]
+    while len(order) < n:
+        rest = [w for w in range(n) if w not in order]
+        order.append(min(rest, key=lambda w: (c[order[-1], w], w)))
+    point = np.zeros((n, n))
+    for k in range(n):
+        point[order[k], order[(k + 1) % n]] = 1.0
+    return point
+
+
+@pytest.mark.parametrize("case", sorted(CRASH_CASES))
+def test_tour_basis_is_a_nonsingular_basis_at_the_greedy_tour(case):
+    m = CRASH_CASES[case]()
+    n = m.n
+    tails, heads = np.nonzero(~np.eye(n, dtype=bool))
+    basis = heldkarp._tour_basis(m.c, tails, heads)
+    assert basis.basic.size == len(set(basis.basic.tolist())) == 2 * n - 1
+    assert not basis.at_upper.any() and basis.at_upper.size == tails.size
+    a, b = heldkarp._degree_rows(n, tails, heads)
+    square = a[:, basis.basic]
+    assert np.linalg.matrix_rank(square) == 2 * n - 1
+    x = np.zeros(tails.size)
+    x[basis.basic] = np.linalg.solve(square, b)
+    assert np.array_equal(x, greedy_tour_point(m.c)[tails, heads])
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_crash_started_solve_matches_highs(case):
+    m = EDGE_CASES[case]()
+    trace: list[float] = []
+    x = heldkarp.solve_lp(m, trace=trace)
+    assert x.objective == pytest.approx(highs_cutting_plane_objective(m), rel=1e-9)
+    for a, b in zip(trace, trace[1:]):
+        assert b >= a - 1e-9
+
+
+def test_integral_optimum_is_the_crash_tour():
+    m = ring_distances(11)
+    x = heldkarp.solve_lp(m)
+    assert x.objective == 11.0
+    assert {arc for arc, value in x.arcs.items() if value > 0.5} == {
+        (v, (v + 1) % 11) for v in range(11)
+    }
 
 
 # ------------------------------------------------------------- serialization

@@ -7,7 +7,13 @@ import pytest
 
 from atsp import flows, heldkarp, instance, oracle, patchup, rounding
 from atsp.cuts import all_cut_values
-from atsp.errors import CostSandwichError, DisconnectedError, InfeasibleError
+from atsp.errors import (
+    CostSandwichError,
+    DisconnectedError,
+    InfeasibleError,
+    PatchExceedsSampleError,
+    ShortcutCostError,
+)
 from atsp.flows import IntegerMultiDigraph
 
 
@@ -137,6 +143,29 @@ def test_shortcut_drops_revisits():
     assert tour.order == (0, 1, 2, 3)
     assert tour.cost == pytest.approx(4.0)
     assert tour.cost <= z.total_cost(m)
+
+
+def test_patch_above_the_sample_raises_with_the_arc(monkeypatch):
+    # a doctored flow solver that puts two copies on an arc z holds once
+    monkeypatch.setattr(
+        patchup, "min_cost_flow",
+        lambda z, m, b: IntegerMultiDigraph(3, {(0, 1): 2}),
+    )
+    with pytest.raises(PatchExceedsSampleError) as caught:
+        patchup.patch(triangle(), uniform_costs(3))
+    err = caught.value
+    assert (err.arc, err.w_mult, err.z_mult) == ((0, 1), 2, 1)
+
+
+def test_shortcut_above_the_walk_raises_with_both_costs():
+    # without the triangle inequality the skip 2 -> 3 costs more than the
+    # detour 2 -> 0 -> 3 it replaces
+    c = np.ones((4, 4)) - np.eye(4)
+    c[2, 3] = 100.0
+    z = IntegerMultiDigraph(4, {(0, 1): 1, (1, 2): 1, (2, 0): 1, (0, 3): 1, (3, 0): 1})
+    with pytest.raises(ShortcutCostError) as caught:
+        patchup.eulerian_tour(z, IntegerMultiDigraph(4, {}), instance.CostMatrix(c))
+    assert (caught.value.tour_cost, caught.value.walk_cost) == (103.0, 5.0)
 
 
 def test_eulerian_tour_requires_all_vertices():
