@@ -355,81 +355,120 @@ def transshipment_certificate(
     return cut_record(n, dict(g.mult), members)
 
 
-def euler_circuit(g: IntegerMultiDigraph) -> list[tuple[int, int]]:
+Run = tuple[list[int], int]
+
+
+def euler_circuit(g: IntegerMultiDigraph) -> list[Run]:
     """Hierholzer's algorithm on a balanced, support-connected multigraph.
 
     Starts at the smallest vertex with positive degree and always leaves
-    along the lowest-index head, so the walk is deterministic. Returns the
-    closed walk as a list of arcs, each arc appearing multiplicity times.
+    along the lowest-index head that has copies left, so the walk is
+    deterministic. Returns the closed walk run-length encoded: runs
+    ``(vertices, reps)`` in walk order, each standing for ``vertices``
+    repeated ``reps`` times. Expanded, they are the walk's vertex sequence,
+    which starts and ends at the start vertex and takes each arc as many
+    times as its multiplicity.
+
+    The work is per distinct arc, not per arc copy. When the forward trail
+    closes a cycle whose arcs all have copies left, each of those arcs is
+    still its tail's lowest live arc, so the walk goes round that cycle
+    again until one of them runs out; those laps are taken in one step.
+    The stack and the popped walk hold runs in the same way. Popping
+    checks one repetition of the top run from its end: if no vertex in it
+    has arcs left, nothing changes while the rest pops, so every
+    repetition pops at once; otherwise the run splits at the first such
+    vertex and a new forward trail starts there.
     """
     imbalance = vertex_imbalances(g)
     if any(imbalance):
         bad = next(v for v in range(g.n) if imbalance[v])
         raise NotEulerianError(f"vertex {bad} has imbalance {imbalance[bad]}")
-    support_vertices = sorted(
-        {v for arc in g.mult for v in arc}
-    )
-    if not support_vertices:
+    support = sorted({v for arc in g.mult for v in arc})
+    if not support:
         raise DisconnectedError("empty multigraph has no circuit")
-    if not _support_connected(g, support_vertices):
+    if len(weak_component(g, support[0])) != len(support):
         raise DisconnectedError("multigraph support is not weakly connected")
-    remaining: dict[int, list[list[int]]] = {v: [] for v in support_vertices}
+    outs: list[list[list[int]]] = [[] for _ in range(g.n)]
+    left = [0] * g.n
     for (v, w), k in sorted(g.mult.items()):
-        remaining[v].append([w, k])
-    pointer = {v: 0 for v in support_vertices}
-    start = support_vertices[0]
-    stack = [start]
-    walk_rev: list[int] = []
+        outs[v].append([w, k])
+        left[v] += k
+    pointer = [0] * g.n
+    stack: list[Run] = [([support[0]], 1)]
+    popped: list[Run] = []
     while stack:
-        v = stack[-1]
-        outs = remaining[v]
-        i = pointer[v]
-        while i < len(outs) and outs[i][1] == 0:
-            i += 1
-        pointer[v] = i
-        if i == len(outs):
-            walk_rev.append(stack.pop())
-        else:
-            outs[i][1] -= 1
-            stack.append(outs[i][0])
-    walk = walk_rev[::-1]
-    return [(walk[i], walk[i + 1]) for i in range(len(walk) - 1)]
+        verts, reps = stack.pop()
+        i = len(verts) - 1
+        while i >= 0 and not left[verts[i]]:
+            i -= 1
+        if i < 0:
+            popped.append((verts, reps))
+            continue
+        if i + 1 < len(verts):
+            popped.append((verts[i + 1:], 1))
+        if reps > 1:
+            stack.append((verts, reps - 1))
+        stack.append((verts[: i + 1], 1))
+        # forward trail from verts[i]; trail[0] is already on the stack
+        trail = [verts[i]]
+        taken: list[list[int]] = []
+        seen = {verts[i]: 0}
+        while left[trail[-1]]:
+            u = trail[-1]
+            arcs = outs[u]
+            j = pointer[u]
+            while not arcs[j][1]:
+                j += 1
+            pointer[u] = j
+            arc = arcs[j]
+            arc[1] -= 1
+            left[u] -= 1
+            w = arc[0]
+            trail.append(w)
+            taken.append(arc)
+            if w not in seen:
+                seen[w] = len(trail) - 1
+                continue
+            # trail[p:] is a closed cycle through w with distinct tails
+            p = seen[w]
+            cycle = taken[p:]
+            laps = min(a[1] for a in cycle)
+            stack.append((trail[1:], 1))
+            if laps:
+                for a, tail in zip(cycle, trail[p:-1]):
+                    a[1] -= laps
+                    left[tail] -= laps
+                stack.append((trail[p + 1:], laps))
+            trail = [w]
+            taken = []
+            seen = {w: 0}
+        if len(trail) > 1:
+            stack.append((trail[1:], 1))
+    popped.reverse()
+    return popped
 
 
-def _support_connected(g: IntegerMultiDigraph, support: list[int]) -> bool:
-    adjacency: dict[int, set[int]] = {v: set() for v in support}
+def weak_component(g: IntegerMultiDigraph, start: int) -> set[int]:
+    """The vertices joined to start by arcs of the support, ignoring
+    direction; start itself always belongs."""
+    adjacency: list[list[int]] = [[] for _ in range(g.n)]
     for v, w in g.mult:
-        adjacency[v].add(w)
-        adjacency[w].add(v)
-    seen = {support[0]}
-    stack = [support[0]]
+        adjacency[v].append(w)
+        adjacency[w].append(v)
+    seen = {start}
+    stack = [start]
     while stack:
-        u = stack.pop()
-        for v in adjacency[u]:
+        for v in adjacency[stack.pop()]:
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
-    return len(seen) == len(support)
+    return seen
 
 
 def is_weakly_connected(g: IntegerMultiDigraph) -> bool:
     """True iff all n vertices lie in one weakly connected component of
     the support. An isolated vertex therefore makes this false."""
-    if g.n == 0:
-        return True
-    adjacency: list[set[int]] = [set() for _ in range(g.n)]
-    for v, w in g.mult:
-        adjacency[v].add(w)
-        adjacency[w].add(v)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == g.n
+    return g.n == 0 or len(weak_component(g, 0)) == g.n
 
 
 def to_text(g: IntegerMultiDigraph) -> str:

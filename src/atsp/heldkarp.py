@@ -42,12 +42,6 @@ class FractionalCirculation:
     arcs: dict[tuple[int, int], float]
     objective: float
 
-    def out_weight(self, v: int) -> float:
-        return sum(x for (a, _), x in self.arcs.items() if a == v)
-
-    def in_weight(self, v: int) -> float:
-        return sum(x for (_, b), x in self.arcs.items() if b == v)
-
 
 def _degree_rows(n: int, tails: np.ndarray, heads: np.ndarray):
     """Out-degree rows, then balance rows for vertices 1..n-1 (vertex 0's

@@ -283,8 +283,3 @@ def read_tsplib(path) -> CostMatrix:
     np.fill_diagonal(arr, 0.0)
     return CostMatrix(arr)
 
-
-def planted_cycle_cost(m: CostMatrix, order: list[int]) -> float:
-    """Cost of the cyclic order under m; helper for generator diagnostics."""
-    n = len(order)
-    return float(sum(m.c[order[i], order[(i + 1) % n]] for i in range(n)))

@@ -32,7 +32,9 @@ def exact_atsp(m: CostMatrix) -> tuple[float, Tour]:
 
     States are (visited set containing 0, last vertex); memory is
     2^n * n doubles, so the cap n <= 15 is generous for runtime rather
-    than memory.
+    than memory. dp[S, j] = min_i dp[S - j, i] + c[i, j] is filled one
+    subset size at a time, for every set of that size at once; ties go to
+    the lowest i.
     """
     n = m.n
     if n > EXACT_LIMIT:
@@ -42,22 +44,16 @@ def exact_atsp(m: CostMatrix) -> tuple[float, Tour]:
     dp = np.full((size, n), np.inf)
     parent = np.full((size, n), -1, dtype=np.int8)
     dp[1, 0] = 0.0
-    for mask in range(1, size):
-        if not mask & 1:
-            continue
-        row = dp[mask]
-        alive = np.nonzero(np.isfinite(row))[0]
-        if alive.size == 0:
-            continue
+    with_zero = np.arange(1, size, 2)
+    sizes = sum((with_zero >> v) & 1 for v in range(n))
+    for k in range(2, n + 1):
+        layer = with_zero[sizes == k]
         for j in range(1, n):
-            if mask >> j & 1:
-                continue
-            cand = row[alive] + c[alive, j]
-            best = int(np.argmin(cand))
-            nxt = mask | (1 << j)
-            if cand[best] < dp[nxt, j]:
-                dp[nxt, j] = cand[best]
-                parent[nxt, j] = alive[best]
+            sets = layer[(layer >> j) & 1 == 1]
+            cand = dp[sets ^ (1 << j)] + c[:, j]
+            best = np.argmin(cand, axis=1)
+            dp[sets, j] = cand[np.arange(sets.size), best]
+            parent[sets, j] = best
     full = size - 1
     closing = dp[full] + c[:, 0]
     closing[0] = np.inf

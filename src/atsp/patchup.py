@@ -101,14 +101,15 @@ def eulerian_tour(
     total = z + w
     if not is_weakly_connected(total):
         raise DisconnectedError("z + w does not connect all vertices")
-    walk = euler_circuit(total)
     walk_cost = total.total_cost(m)
     seen = set()
     order = []
-    for v, _ in walk:
-        if v not in seen:
-            seen.add(v)
-            order.append(v)
+    # a repeated run visits nothing new after its first repetition
+    for verts, _ in euler_circuit(total):
+        for v in verts:
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
     tour = make_tour(m, order)
     if tour.cost > walk_cost + 1e-9:
         raise ShortcutCostError(

@@ -11,19 +11,18 @@ exhaustive cut-ratio checking is the desk-scale certification oracle.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cuts import CutRecord, all_cut_values, members_of
+from .cuts import CutRecord, all_cut_values, cut_record, members_of
 from .errors import RetriesExhaustedError, TooLargeError, WeightOutOfRangeError
 from .flows import (
     IntegerMultiDigraph,
-    is_weakly_connected,
     transshipment_certificate,
     vertex_imbalances,
+    weak_component,
 )
 from .heldkarp import FractionalCirculation
 
@@ -69,19 +68,20 @@ def round_once(x: FractionalCirculation, k: int, seed: int) -> IntegerMultiDigra
     """One independent sample: multiplicity Binomial(k, x_e) per arc.
 
     Arcs are sampled in lexicographic order from a generator seeded with
-    ``seed``, so the draw is a pure function of (x, k, seed).
+    ``seed``, so the draw is a pure function of (x, k, seed). One array
+    call draws the same stream as one call per arc in that order.
     """
-    for arc, weight in x.arcs.items():
-        if weight > 1.0 + WEIGHT_TOL:
-            raise WeightOutOfRangeError(f"arc {arc} has weight {weight} > 1")
+    arcs = sorted(x.arcs)
+    weights = np.array([x.arcs[arc] for arc in arcs], dtype=float)
+    above = np.flatnonzero(weights > 1.0 + WEIGHT_TOL)
+    if above.size:
+        arc = arcs[int(above[0])]
+        raise WeightOutOfRangeError(f"arc {arc} has weight {x.arcs[arc]} > 1")
     rng = np.random.default_rng(seed)
-    mult: dict[tuple[int, int], int] = {}
-    for arc in sorted(x.arcs):
-        p = min(max(x.arcs[arc], 0.0), 1.0)
-        count = int(rng.binomial(k, p))
-        if count:
-            mult[arc] = count
-    return IntegerMultiDigraph(x.n, mult)
+    counts = rng.binomial(k, np.clip(weights, 0.0, 1.0))
+    return IntegerMultiDigraph(
+        x.n, {arc: int(c) for arc, c in zip(arcs, counts) if c}
+    )
 
 
 @dataclass(frozen=True)
@@ -122,30 +122,10 @@ def acceptance_certificate(z: IntegerMultiDigraph) -> CutRecord | None:
     witness is a disconnected component or a cut with more demand than
     incoming capacity.
     """
-    if not is_weakly_connected(z):
-        members = _component_of_smallest_vertex(z)
-        out_w = sum(k for (v, w), k in z.mult.items() if (v in members) != (w in members) and v in members)
-        in_w = sum(k for (v, w), k in z.mult.items() if (v in members) != (w in members) and w in members)
-        return CutRecord(tuple(sorted(members)), float(out_w), float(in_w))
+    component = weak_component(z, 0)
+    if len(component) < z.n:
+        return cut_record(z.n, z.mult, component)
     return transshipment_certificate(z, vertex_imbalances(z))
-
-
-def _component_of_smallest_vertex(z: IntegerMultiDigraph) -> set[int]:
-    adjacency: list[set[int]] = [set() for _ in range(z.n)]
-    for v, w in z.mult:
-        adjacency[v].add(w)
-        adjacency[w].add(v)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    if len(seen) == z.n:
-        raise ValueError("graph is connected; no component witness")
-    return seen
 
 
 def round_with_retry(
@@ -170,31 +150,3 @@ def round_with_retry(
         attempts=cfg.max_retries,
     )
 
-
-@dataclass
-class TrialRecord:
-    """One rounding trial for the CSV log."""
-
-    seed: int
-    k: int
-    attempts: int
-    cost_z: float
-    balanced: bool
-    connected: bool
-    worst_cut_ratio: float | None = None
-    extra: dict = field(default_factory=dict)
-
-
-def write_trial_csv(path, records: list[TrialRecord], header_comment: str | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["seed", "K", "attempts", "costZ", "balanced", "connected", "worstCutRatio"]
-        )
-        for r in records:
-            ratio = "" if r.worst_cut_ratio is None else repr(r.worst_cut_ratio)
-            writer.writerow(
-                [r.seed, r.k, r.attempts, repr(r.cost_z), int(r.balanced), int(r.connected), ratio]
-            )

@@ -35,3 +35,27 @@ def instance_n10():
 @pytest.fixture(scope="session")
 def lp_n10(instance_n10):
     return heldkarp.solve_lp(instance_n10)
+
+
+def _per_copy_hierholzer(g) -> list[int]:
+    """Reference Euler walk: Hierholzer one arc copy at a time, from the
+    smallest vertex with arcs, always leaving by the lowest head with copies
+    left. Returns the closed walk's vertex sequence."""
+    remaining: dict[int, list[list[int]]] = {}
+    for (v, w), k in sorted(g.mult.items()):
+        remaining.setdefault(v, []).append([w, k])
+    stack = [min(v for arc in g.mult for v in arc)]
+    popped = []
+    while stack:
+        live = [arc for arc in remaining.get(stack[-1], []) if arc[1]]
+        if live:
+            live[0][1] -= 1
+            stack.append(live[0][0])
+        else:
+            popped.append(stack.pop())
+    return popped[::-1]
+
+
+@pytest.fixture(scope="session")
+def per_copy_walk():
+    return _per_copy_hierholzer

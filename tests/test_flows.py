@@ -285,13 +285,36 @@ def test_transshipment_certificate_reports_violated_cut():
 # -------------------------------------------------------------- euler circuit
 
 
+def expand(runs) -> list[int]:
+    """The vertex sequence that run-length encoded walk stands for."""
+    return [v for verts, reps in runs for _ in range(reps) for v in verts]
+
+
+def walk_arcs(runs) -> list[tuple[int, int]]:
+    walk = expand(runs)
+    return list(zip(walk, walk[1:]))
+
+
+def random_eulerian(n: int, rng, cycles: int, max_mult: int) -> IntegerMultiDigraph:
+    """Directed cycles, each through vertex 0 so the support is connected,
+    each repeated between 1 and max_mult times."""
+    mult: dict[tuple[int, int], int] = {}
+    for _ in range(cycles):
+        size = int(rng.integers(2, n + 1))
+        cycle = [0, *map(int, rng.permutation(range(1, n))[: size - 1])]
+        reps = int(rng.integers(1, max_mult + 1))
+        for i in range(size):
+            arc = (cycle[i], cycle[(i + 1) % size])
+            mult[arc] = mult.get(arc, 0) + reps
+    return IntegerMultiDigraph(n, mult)
+
+
 def test_euler_circuit_triangle():
-    walk = flows.euler_circuit(triangle())
-    assert walk == [(0, 1), (1, 2), (2, 0)]
+    assert walk_arcs(flows.euler_circuit(triangle())) == [(0, 1), (1, 2), (2, 0)]
 
 
 def test_euler_circuit_doubled_triangle():
-    walk = flows.euler_circuit(triangle(mult=2))
+    walk = walk_arcs(flows.euler_circuit(triangle(mult=2)))
     assert len(walk) == 6
     usage = {}
     for arc in walk:
@@ -312,7 +335,7 @@ def test_euler_circuit_counts_match_on_random_eulerian_multigraphs():
                 arc = (cycle[i], cycle[(i + 1) % len(cycle)])
                 mult[arc] = mult.get(arc, 0) + 1
         g = IntegerMultiDigraph(8, mult)
-        walk = flows.euler_circuit(g)
+        walk = walk_arcs(flows.euler_circuit(g))
         assert len(walk) == g.total_arcs()
         assert walk[0][0] == walk[-1][1]
         for (a, b), (c, _) in zip(walk, walk[1:]):
@@ -321,6 +344,39 @@ def test_euler_circuit_counts_match_on_random_eulerian_multigraphs():
         for arc in walk:
             usage[arc] = usage.get(arc, 0) + 1
         assert usage == g.mult
+
+
+@pytest.mark.parametrize(
+    "mult",
+    [
+        {(0, 1): 1, (1, 0): 1},
+        {(3, 5): 400, (5, 3): 400},
+        # 2-cycles hanging off a ring
+        {(0, 1): 5, (1, 2): 5, (2, 0): 5, (1, 3): 7, (3, 1): 7, (2, 4): 1, (4, 2): 1},
+        # nested: a long cycle that shares a shorter one's arcs
+        {(0, 1): 9, (1, 2): 9, (2, 0): 4, (2, 3): 5, (3, 0): 5},
+        # overlapping at a vertex with uneven multiplicities
+        {(0, 1): 3, (1, 0): 3, (0, 2): 400, (2, 3): 400, (3, 0): 400, (1, 2): 2, (2, 1): 2},
+    ],
+)
+def test_euler_circuit_runs_expand_to_the_per_copy_walk_on_small_cases(mult, per_copy_walk):
+    g = IntegerMultiDigraph(6, mult)
+    assert expand(flows.euler_circuit(g)) == per_copy_walk(g)
+
+
+def test_euler_circuit_runs_expand_to_the_per_copy_walk(per_copy_walk):
+    rng = np.random.default_rng(404)
+    runs_total = copies_total = 0
+    for trial in range(300):
+        n = int(rng.integers(2, 10))
+        g = random_eulerian(n, rng, int(rng.integers(1, 7)), (1, 3, 400)[trial % 3])
+        runs = flows.euler_circuit(g)
+        assert expand(runs) == per_copy_walk(g)
+        assert all(verts and reps >= 1 for verts, reps in runs)
+        runs_total += len(runs)
+        copies_total += g.total_arcs()
+    # laps are taken whole: far fewer runs than arc copies
+    assert runs_total * 10 < copies_total
 
 
 def test_euler_circuit_rejects_imbalanced_graph():
@@ -346,6 +402,13 @@ def test_weak_connectivity_triangle_and_isolated_vertex():
     )
 
 
+def test_weak_component_of_a_start_vertex():
+    g = IntegerMultiDigraph(6, {(0, 1): 1, (2, 1): 3, (3, 4): 1, (4, 3): 1})
+    assert flows.weak_component(g, 0) == {0, 1, 2}
+    assert flows.weak_component(g, 4) == {3, 4}
+    assert flows.weak_component(g, 5) == {5}
+
+
 def test_weak_connectivity_agrees_with_union_find():
     rng = np.random.default_rng(77)
     for _ in range(30):
@@ -360,3 +423,6 @@ def test_weak_connectivity_agrees_with_union_find():
             uf.union(v, w)
         roots = {uf.find(v) for v in range(8)}
         assert flows.is_weakly_connected(g) == (len(roots) == 1)
+        for v in range(8):
+            same = {u for u in range(8) if uf.find(u) == uf.find(v)}
+            assert flows.weak_component(g, v) == same

@@ -6,7 +6,7 @@ import pytest
 from atsp import heldkarp, instance, oracle
 from atsp.cuts import CutRecord, all_cut_values
 from atsp.errors import IterationLimitError
-from atsp.instance import planted_cycle_cost
+from atsp.patchup import tour_cost
 
 
 def all_ones(n: int) -> instance.CostMatrix:
@@ -38,7 +38,7 @@ def test_cycle_heavy_objective_bounded_by_planted_cycle():
     raw, order = instance._raw_cycle_heavy(6, rng)
     m = instance.metric_closure(raw)
     x = heldkarp.solve_lp(m)
-    assert x.objective <= planted_cycle_cost(m, order) + 1e-9
+    assert x.objective <= tour_cost(m, order) + 1e-9
 
 
 def test_lp_is_lower_bound_for_exact_optimum():
@@ -61,8 +61,10 @@ def test_lp_never_exceeds_random_tour_costs():
 def test_solution_satisfies_circulation_invariants(kind, lp_cache):
     x = lp_cache(kind, 9, 13)
     for v in range(x.n):
-        assert abs(x.out_weight(v) - x.in_weight(v)) <= 1e-7
-        assert abs(x.out_weight(v) - 1.0) <= 1e-7
+        out_weight = sum(value for (a, _), value in x.arcs.items() if a == v)
+        in_weight = sum(value for (_, b), value in x.arcs.items() if b == v)
+        assert abs(out_weight - in_weight) <= 1e-7
+        assert abs(out_weight - 1.0) <= 1e-7
     for value in x.arcs.values():
         assert -1e-9 <= value <= 1.0 + 1e-9
 

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from atsp import heldkarp, instance, oracle, rounding
+from atsp import heldkarp, instance, oracle, patchup, rounding
 from atsp.errors import TooLargeError
 from atsp.heldkarp import FractionalCirculation
 
@@ -65,6 +65,61 @@ def test_exact_dominates_lp_bound(lp_cache):
         x = lp_cache(kind, 9, 13)
         cost, _ = oracle.exact_atsp(m)
         assert cost >= x.objective - 1e-6
+
+
+def push_dp(c: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """Reference subset DP: masks in increasing order, each pushing to
+    every unvisited j from its lowest-index best predecessor."""
+    n = c.shape[0]
+    size = 1 << n
+    dp = np.full((size, n), np.inf)
+    parent = np.full((size, n), -1)
+    dp[1, 0] = 0.0
+    for mask in range(1, size, 2):
+        alive = np.nonzero(np.isfinite(dp[mask]))[0]
+        if alive.size == 0:
+            continue
+        for j in range(1, n):
+            if mask >> j & 1:
+                continue
+            cand = dp[mask, alive] + c[alive, j]
+            best = int(np.argmin(cand))
+            if cand[best] < dp[mask | 1 << j, j]:
+                dp[mask | 1 << j, j] = cand[best]
+                parent[mask | 1 << j, j] = alive[best]
+    closing = dp[size - 1] + c[:, 0]
+    closing[0] = np.inf
+    last = int(np.argmin(closing))
+    order, mask, v = [], size - 1, last
+    while v != -1:
+        order.append(v)
+        mask, v = mask ^ 1 << v, int(parent[mask, v])
+    return float(closing[last]), tuple(reversed(order))
+
+
+def zero_cost_arcs(n: int) -> instance.CostMatrix:
+    c = np.ones((n, n)) - np.eye(n)
+    c[0, 2] = c[2, 1] = c[1, 0] = 0.0
+    return instance.CostMatrix(c)
+
+
+DP_CASES = {
+    "all-tied-n3": uniform_costs(3),
+    "all-tied-n7": uniform_costs(7),
+    "all-zero-n6": instance.CostMatrix(np.zeros((6, 6))),
+    "zero-cost-arcs-n6": zero_cost_arcs(6),
+    **{f"{kind}-n{n}": instance.generate(kind, n, n)
+       for kind in instance.KINDS for n in (3, 5, 8)},
+    "cycle-heavy-n12": instance.generate("cycle-heavy", 12, 4),
+}
+
+
+@pytest.mark.parametrize("m", DP_CASES.values(), ids=DP_CASES.keys())
+def test_exact_matches_the_push_dp_in_cost_and_order(m):
+    cost, tour = oracle.exact_atsp(m)
+    ref_cost, ref_order = push_dp(m.c)
+    assert cost == ref_cost
+    assert tour.order == patchup.make_tour(m, ref_order).order
 
 
 def test_exact_size_gate():

@@ -145,6 +145,24 @@ def test_shortcut_drops_revisits():
     assert tour.cost <= z.total_cost(m)
 
 
+@pytest.mark.parametrize("kind", instance.KINDS)
+def test_eulerian_tour_is_the_first_visit_shortcut_of_the_per_copy_walk(
+    kind, lp_cache, per_copy_walk
+):
+    m = instance.generate(kind, 9, 13)
+    x = lp_cache(kind, 9, 13)
+    for k_constant in (100.0, 2.0):
+        for seed in range(3):
+            cfg = rounding.RoundingConfig(k_constant=k_constant, seed=seed)
+            z, _ = rounding.round_with_retry(x, cfg)
+            w = patchup.patch(z, m)
+            order = []
+            for v in per_copy_walk(z + w):
+                if v not in order:
+                    order.append(v)
+            assert patchup.eulerian_tour(z, w, m) == patchup.make_tour(m, order)
+
+
 def test_patch_above_the_sample_raises_with_the_arc(monkeypatch):
     # a doctored flow solver that puts two copies on an arc z holds once
     monkeypatch.setattr(

@@ -74,6 +74,34 @@ def test_round_once_rejects_weight_above_one():
         rounding.round_once(x, 5, seed=0)
 
 
+def scalar_round_once(x: FractionalCirculation, k: int, seed: int) -> dict:
+    """Reference: one binomial draw per arc, in lexicographic arc order."""
+    rng = np.random.default_rng(seed)
+    mult = {}
+    for arc in sorted(x.arcs):
+        count = int(rng.binomial(k, min(max(x.arcs[arc], 0.0), 1.0)))
+        if count:
+            mult[arc] = count
+    return mult
+
+
+def test_round_once_draws_the_scalar_per_arc_stream(fractional_x):
+    # weights at exactly 0 and 1 and a hair outside [0, 1] are clamped
+    edge = FractionalCirculation(
+        4, {(0, 1): 1.0, (1, 2): 0.0, (2, 3): 0.25, (3, 0): 1.0 + 1e-12, (1, 0): -1e-12}, 0.0
+    )
+    for x in (fractional_x, edge, cycle_circulation(7, 0.3)):
+        for k in (1, 2, 7, 231):
+            for seed in (0, 1, 17, 999, 2**31 + 5):
+                assert rounding.round_once(x, k, seed).mult == scalar_round_once(x, k, seed)
+
+
+def test_round_once_names_the_first_arc_above_one():
+    x = FractionalCirculation(4, {(2, 3): 1.5, (0, 1): 0.5, (1, 2): 1.2}, 0.0)
+    with pytest.raises(WeightOutOfRangeError, match=r"arc \(1, 2\) has weight 1.2 > 1"):
+        rounding.round_once(x, 5, seed=0)
+
+
 def test_round_once_is_deterministic_given_seed():
     x = cycle_circulation(6, 0.5)
     a = rounding.round_once(x, 40, seed=123)
@@ -258,20 +286,3 @@ def test_acceptance_certificate_for_disconnected_sample():
     assert cert is not None
     assert cert.members == (0, 1)
     assert cert.out_weight == 0.0 and cert.in_weight == 0.0
-
-
-# ----------------------------------------------------------------- trial csv
-
-
-def test_trial_csv_writer(tmp_path):
-    records = [
-        rounding.TrialRecord(seed=1, k=231, attempts=1, cost_z=10.5, balanced=True, connected=True, worst_cut_ratio=1.25),
-        rounding.TrialRecord(seed=2, k=231, attempts=2, cost_z=11.0, balanced=False, connected=True),
-    ]
-    path = tmp_path / "trials.csv"
-    rounding.write_trial_csv(path, records, header_comment="unit test")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# unit test"
-    assert lines[1] == "seed,K,attempts,costZ,balanced,connected,worstCutRatio"
-    assert lines[2] == "1,231,1,10.5,1,1,1.25"
-    assert lines[3] == "2,231,2,11.0,0,1,"
