@@ -54,7 +54,16 @@ class RetriesExhaustedError(AtspError):
 
 
 class NotBalancedError(AtspError):
-    """Arc weights are not balanced at every vertex."""
+    """Arc weights are not balanced at every vertex.
+
+    ``vertex`` is the vertex with the largest absolute imbalance and
+    ``imbalance`` its outgoing minus incoming weight.
+    """
+
+    def __init__(self, message: str, vertex: int = -1, imbalance: float = 0.0):
+        super().__init__(message)
+        self.vertex = vertex
+        self.imbalance = imbalance
 
 
 class NotEulerianError(AtspError):

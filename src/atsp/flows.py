@@ -1,6 +1,7 @@
-"""Graph engine: multigraphs, max-flow/min-cut, integral min-cost flow
-with node imbalances, Eulerian circuits, connectivity, and the cut-value
-preserving symmetrization of balanced arc weights.
+"""Graph engine: multigraphs, max-flow/min-cut (for one source and sink,
+or for every sink of one root over a single residual network), integral
+min-cost flow with node imbalances, Eulerian circuits, connectivity, and
+the cut-value preserving symmetrization of balanced arc weights.
 
 All operations are pure functions with documented lowest-index-first
 tie-breaking, so identical inputs give identical outputs.
@@ -91,18 +92,28 @@ class SymmetrizedWeights:
         return total
 
 
+def require_balanced(n: int, arcs: Mapping[tuple[int, int], float], tol: float) -> None:
+    """Raise NotBalancedError, naming the vertex with the largest absolute
+    out-minus-in weight (ties to the lowest index) and that imbalance,
+    when it exceeds tol."""
+    net = [0.0] * n
+    for (v, w), weight in arcs.items():
+        net[v] += weight
+        net[w] -= weight
+    worst = max(range(n), key=lambda v: abs(net[v]), default=0)
+    if n and abs(net[worst]) > tol:
+        raise NotBalancedError(
+            f"vertex {worst} has imbalance {net[worst]:.3g}, beyond {tol:.3g}",
+            worst, net[worst],
+        )
+
+
 def symmetrize(
     n: int, arcs: Mapping[tuple[int, int], float], tol: float = 1e-6
 ) -> SymmetrizedWeights:
     """Average each arc with its reverse. Requires vertex balance within
     tol, since only balanced weights have direction-free cut values."""
-    net = [0.0] * n
-    for (v, w), weight in arcs.items():
-        net[v] += weight
-        net[w] -= weight
-    worst = max((abs(d) for d in net), default=0.0)
-    if worst > tol:
-        raise NotBalancedError(f"vertex imbalance {worst:.3g} exceeds {tol:.3g}")
+    require_balanced(n, arcs, tol)
     y: dict[frozenset[int], float] = {}
     for (v, w), weight in arcs.items():
         if weight == 0.0:
@@ -110,6 +121,109 @@ def symmetrize(
         key = frozenset((v, w))
         y[key] = y.get(key, 0.0) + weight / 2.0
     return SymmetrizedWeights(n, y)
+
+
+def _residual_network(n: int, capacities: Mapping[tuple[int, int], float]):
+    """Merged positive capacities and their residual network: arc e and
+    its reverse e ^ 1 in sorted arc order, with heads[u] listing the
+    arcs that leave u."""
+    merged: dict[tuple[int, int], float] = {}
+    for (u, v), c in capacities.items():
+        if u == v or c <= 0.0:
+            continue
+        merged[(u, v)] = merged.get((u, v), 0.0) + c
+    heads: list[list[int]] = [[] for _ in range(n)]
+    to: list[int] = []
+    cap: list[float] = []
+    for (u, v), c in sorted(merged.items()):
+        heads[u].append(len(to))
+        to.append(v)
+        cap.append(c)
+        heads[v].append(len(to))
+        to.append(u)
+        cap.append(0.0)
+    return merged, heads, to, cap
+
+
+def _dinic(heads: list[list[int]], to: list[int], cap: list[float], s: int, t: int) -> float:
+    """Dinic's blocking flows from s to t; leaves the residual capacities
+    in cap and returns the flow value.
+
+    Each phase searches depth first for augmenting paths in the level
+    graph, always taking the lowest-index usable arc of the current
+    vertex. The search keeps the path as an explicit arc stack, so its
+    depth is not bounded by the recursion limit; after a push it resumes
+    at the tail of the first arc the push emptied, which is where a
+    fresh search from s would get to.
+    """
+    n = len(heads)
+    value = 0.0
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            # vertices at t's level or deeper lead to no augmenting path
+            if 0 <= level[t] <= level[u]:
+                break
+            below = level[u] + 1
+            for e in heads[u]:
+                v = to[e]
+                if cap[e] > _EPS and level[v] < 0:
+                    level[v] = below
+                    queue.append(v)
+        if level[t] < 0:
+            return value
+        it = [0] * n
+        path: list[int] = []
+        u = s
+        while True:
+            if u == t:
+                pushed = min([cap[e] for e in path])
+                for e in path:
+                    cap[e] -= pushed
+                    cap[e ^ 1] += pushed
+                value += pushed
+                first = 0
+                while cap[path[first]] > _EPS:
+                    first += 1
+                u = to[path[first] ^ 1]
+                del path[first:]
+                continue
+            arcs = heads[u]
+            below = level[u] + 1
+            i = it[u]
+            end = len(arcs)
+            while i < end:
+                e = arcs[i]
+                if cap[e] > _EPS and level[to[e]] == below:
+                    break
+                i += 1
+            it[u] = i
+            if i < end:
+                path.append(arcs[i])
+                u = to[arcs[i]]
+            elif path:
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+            else:
+                break
+
+
+def _residual_reach(heads, to, cap, start: int, forward: bool) -> tuple[int, ...]:
+    """Sorted vertices that start reaches over residual arcs (forward) or
+    that reach start over them (not forward)."""
+    flip = 0 if forward else 1
+    seen = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for e in heads[u]:
+            v = to[e]
+            if cap[e ^ flip] > _EPS and v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return tuple(sorted(seen))
 
 
 def max_flow(
@@ -122,79 +236,43 @@ def max_flow(
 
     Returns the flow value and a minimum s-t cut U with s in U, whose
     outgoing capacity equals the value (exactly for integral capacities).
+    U is the minimal one: the vertices s reaches in the final residual
+    network.
     """
     if s == t:
         raise ValueError("source equals sink")
-    heads: list[list[int]] = [[] for _ in range(n)]
-    cap: list[float] = []
-    to: list[int] = []
-    rev_of: list[int] = []
+    merged, heads, to, cap = _residual_network(n, capacities)
+    value = _dinic(heads, to, cap, s, t)
+    return value, cut_record(n, merged, _residual_reach(heads, to, cap, s, True))
 
-    def add_edge(u: int, v: int, c: float) -> None:
-        heads[u].append(len(to))
-        to.append(v)
-        cap.append(c)
-        heads[v].append(len(to))
-        to.append(u)
-        cap.append(0.0)
 
-    merged: dict[tuple[int, int], float] = {}
-    for (u, v), c in capacities.items():
-        if u == v or c <= 0.0:
+def rooted_min_cuts(
+    n: int, capacities: Mapping[tuple[int, int], float], root: int
+) -> list[tuple[CutRecord, CutRecord]]:
+    """For every t != root in increasing order, both sides of one maximum
+    root -> t flow: the minimal source side U (what root reaches in the
+    residual network) and the minimal sink side W (what reaches t in it).
+
+    U is the cut ``max_flow(n, capacities, root, t)`` returns. When the
+    capacities are balanced at every vertex, every vertex set has equal
+    outgoing and incoming capacity, so the minimum t -> root cuts are
+    exactly the sink sides of the minimum root -> t cuts, and W is the cut
+    ``max_flow(n, capacities, t, root)`` returns. The residual network is
+    built once and each flow starts from a copy of its capacities.
+    """
+    merged, heads, to, fresh = _residual_network(n, capacities)
+    cuts = []
+    for t in range(n):
+        if t == root:
             continue
-        merged[(u, v)] = merged.get((u, v), 0.0) + c
-    for (u, v), c in sorted(merged.items()):
-        add_edge(u, v, c)
-
-    def bfs_levels() -> list[int]:
-        level = [-1] * n
-        level[s] = 0
-        queue = [s]
-        for u in queue:
-            for e in heads[u]:
-                v = to[e]
-                if cap[e] > _EPS and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level
-
-    def dfs_push(u: int, limit: float, level: list[int], it: list[int]) -> float:
-        if u == t:
-            return limit
-        while it[u] < len(heads[u]):
-            e = heads[u][it[u]]
-            v = to[e]
-            if cap[e] > _EPS and level[v] == level[u] + 1:
-                pushed = dfs_push(v, min(limit, cap[e]), level, it)
-                if pushed > _EPS:
-                    cap[e] -= pushed
-                    cap[e ^ 1] += pushed
-                    return pushed
-            it[u] += 1
-        return 0.0
-
-    value = 0.0
-    while True:
-        level = bfs_levels()
-        if level[t] < 0:
-            break
-        it = [0] * n
-        while True:
-            pushed = dfs_push(s, float("inf"), level, it)
-            if pushed <= _EPS:
-                break
-            value += pushed
-    reachable = {s}
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        for e in heads[u]:
-            v = to[e]
-            if cap[e] > _EPS and v not in reachable:
-                reachable.add(v)
-                stack.append(v)
-    members = tuple(sorted(reachable))
-    return value, cut_record(n, merged, members)
+        cap = fresh.copy()
+        _dinic(heads, to, cap, root, t)
+        source_side = _residual_reach(heads, to, cap, root, True)
+        sink_side = _residual_reach(heads, to, cap, t, False)
+        cuts.append(
+            (cut_record(n, merged, source_side), cut_record(n, merged, sink_side))
+        )
+    return cuts
 
 
 def _ssp_network(g: IntegerMultiDigraph, costs, b: Sequence[int]):

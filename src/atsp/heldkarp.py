@@ -3,13 +3,14 @@ max-flow separation oracle.
 
 The master imposes out-degree-1 and vertex-balance equalities plus the
 0 <= x <= 1 bounds directly, so the returned point is already normalized
-the way the rounding step expects. Each round, 2(n-1) max-flow calls find
-the violated cut constraints x(delta_out(U)) >= 1; every distinct one is
-appended to the master as a row with its own surplus column, and the
-master is re-optimized from the previous round's optimal basis. The loop
-ends when no cut is violated by more than tol. The first master starts
-from the basis of a nearest-neighbour tour, which is feasible, so its
-phase 1 has nothing to do.
+the way the rounding step expects. Each round, n-1 max-flows from vertex
+0 find the violated cut constraints x(delta_out(U)) >= 1, reading both
+sides of each minimum cut; every distinct one is appended to the master
+as a row with its own surplus column, and the master is re-optimized from
+the previous round's optimal basis. The loop ends when no cut is violated
+by more than tol. The first master starts from the basis of a
+nearest-neighbour tour, which is feasible, so its phase 1 has nothing to
+do.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from . import simplex
 from .cuts import CutRecord
 from .errors import InfeasibleError, IterationLimitError
-from .flows import max_flow
+from .flows import require_balanced, rooted_min_cuts
 from .instance import CostMatrix
 
 BALANCE_TOL = 1e-7
@@ -131,19 +132,29 @@ def _solve_master(cost, a, b, upper, start) -> simplex.SimplexResult:
 def separate(
     n: int, arcs: Mapping[tuple[int, int], float], tol: float = SEPARATION_TOL
 ) -> list[CutRecord]:
-    """Every distinct violated subtour cut the 2(n-1) max-flows find,
-    sorted by (out_weight, members); empty when all cuts weigh >= 1 - tol.
+    """Every distinct violated subtour cut that n-1 max-flows find, sorted
+    by (out_weight, members); empty when all cuts weigh >= 1 - tol.
 
-    Fixes vertex 0 and takes min-cut(0 -> t) and min-cut(t -> 0) for every
-    t != 0; every proper nonempty subset either contains vertex 0 or
-    excludes it, so the first element is a most violated cut, ties broken
-    toward the lexicographically smallest vertex set.
+    Fixes vertex 0 and runs one max-flow 0 -> t for every t != 0. Its
+    minimal source side is a minimum cut among the sets that hold 0 and
+    not t. Its minimal sink side W has the flow value as incoming weight;
+    since the weights are balanced, every set's outgoing weight equals its
+    incoming weight, so W is a minimum cut among the sets that hold t and
+    not 0, the very cut max_flow from t to 0 would return. Every proper
+    nonempty subset either contains vertex 0 or excludes it, so the first
+    element is a most violated cut, ties broken toward the
+    lexicographically smallest vertex set.
+
+    Balance is checked, not assumed: NotBalancedError names the worst
+    vertex when its imbalance exceeds BALANCE_TOL. LP points meet their
+    balance rows to rounding error, and within BALANCE_TOL a set's two
+    weights differ by at most n * BALANCE_TOL.
     """
     capacities = {arc: x for arc, x in arcs.items() if x > 0.0}
+    require_balanced(n, capacities, BALANCE_TOL)
     found: dict[tuple[int, ...], CutRecord] = {}
-    for t in range(1, n):
-        for s, dest in ((0, t), (t, 0)):
-            _, cut = max_flow(n, capacities, s, dest)
+    for sides in rooted_min_cuts(n, capacities, 0):
+        for cut in sides:
             if cut.out_weight < 1.0 - tol:
                 found[cut.members] = cut
     return sorted(found.values(), key=lambda r: (r.out_weight, r.members))

@@ -1,6 +1,6 @@
 """Exact and brute-force references: exact tours by subset dynamic
-programming, exhaustive cut enumeration, small-cut counting, and the
-empirical connectivity sweep over scaling factors.
+programming, small-cut counting over every cut, and the empirical
+connectivity sweep over scaling factors.
 
 These are the independent oracles the probabilistic pipeline is tested
 against; none of them shares code with the algorithms they check beyond
@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rounding
-from .cuts import CutRecord, all_cut_values, members_of
+from .cuts import all_cut_values
 from .errors import TooLargeError
 from .flows import is_weakly_connected, transshipment_certificate, vertex_imbalances
 from .heldkarp import FractionalCirculation, solve_lp
@@ -70,17 +70,6 @@ def exact_atsp(m: CostMatrix) -> tuple[float, Tour]:
     order.reverse()
     tour = make_tour(m, order)
     return best_cost, tour
-
-
-def enumerate_cuts(n: int, arcs) -> list[CutRecord]:
-    """Every proper nonempty cut with its weights, ascending by bitmask."""
-    if n > ENUMERATION_LIMIT:
-        raise TooLargeError(f"cut enumeration capped at n = {ENUMERATION_LIMIT}")
-    masks, out_w, in_w = all_cut_values(n, arcs)
-    return [
-        CutRecord(members_of(int(mask), n), float(o), float(i))
-        for mask, o, i in zip(masks, out_w, in_w)
-    ]
 
 
 def count_small_cuts(x: FractionalCirculation, alpha: float) -> int:

@@ -113,6 +113,15 @@ def test_symmetrize_rejects_unbalanced_weights():
         flows.symmetrize(3, {(0, 1): 1.0})
 
 
+def test_symmetrize_names_the_worst_vertex_and_its_imbalance():
+    # vertex 1 is short 0.25 and vertex 2 over by 0.25; the tie goes to 1
+    arcs = {(0, 1): 1.0, (1, 2): 1.0, (2, 0): 1.0, (2, 1): 0.25}
+    with pytest.raises(NotBalancedError) as raised:
+        flows.symmetrize(3, arcs)
+    assert (raised.value.vertex, raised.value.imbalance) == (1, -0.25)
+    flows.symmetrize(3, arcs, tol=0.25)
+
+
 def test_symmetrize_preserves_all_cut_values():
     rng = np.random.default_rng(12)
     for _ in range(5):
@@ -169,6 +178,159 @@ def test_max_flow_matches_brute_force_on_random_digraphs():
         # duality: returned cut weight equals the flow value
         assert cut.out_weight == pytest.approx(value, abs=1e-9)
         assert 0 in cut.members and 6 not in cut.members
+
+
+def recursive_dinic(n, caps, s, t):
+    """Reference Dinic with a recursive blocking-flow search: lowest-index
+    usable arc first, and a fresh search from s after every push. Returns
+    the flow value and the vertices s reaches in the final residual
+    network."""
+    heads = [[] for _ in range(n)]
+    to, cap = [], []
+    for (u, v), c in sorted(caps.items()):
+        if u != v and c > 0.0:
+            heads[u].append(len(to))
+            to.append(v)
+            cap.append(c)
+            heads[v].append(len(to))
+            to.append(u)
+            cap.append(0.0)
+
+    def push(u, limit, level, it):
+        if u == t:
+            return limit
+        while it[u] < len(heads[u]):
+            e = heads[u][it[u]]
+            if cap[e] > 1e-12 and level[to[e]] == level[u] + 1:
+                pushed = push(to[e], min(limit, cap[e]), level, it)
+                if pushed > 1e-12:
+                    cap[e] -= pushed
+                    cap[e ^ 1] += pushed
+                    return pushed
+            it[u] += 1
+        return 0.0
+
+    value = 0.0
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            for e in heads[u]:
+                if cap[e] > 1e-12 and level[to[e]] < 0:
+                    level[to[e]] = level[u] + 1
+                    queue.append(to[e])
+        if level[t] < 0:
+            break
+        it = [0] * n
+        while (pushed := push(s, float("inf"), level, it)) > 1e-12:
+            value += pushed
+    reach, stack = {s}, [s]
+    while stack:
+        u = stack.pop()
+        for e in heads[u]:
+            if cap[e] > 1e-12 and to[e] not in reach:
+                reach.add(to[e])
+                stack.append(to[e])
+    return value, tuple(sorted(reach))
+
+
+def test_max_flow_takes_the_augmenting_paths_of_the_recursive_search():
+    # equal floats show the same paths were pushed in the same order
+    rng = np.random.default_rng(29)
+    for trial in range(300):
+        n = int(rng.integers(2, 12))
+        caps = {}
+        for _ in range(int(rng.integers(1, 4 * n))):
+            u, v = (int(x) for x in rng.integers(0, n, 2))
+            caps[(u, v)] = float(rng.uniform(0.0, 3.0)) if trial % 2 else float(rng.integers(0, 4))
+        s, t = (int(x) for x in rng.choice(n, 2, replace=False))
+        value, cut = flows.max_flow(n, caps, s, t)
+        assert (value, cut.members) == recursive_dinic(n, caps, s, t)
+
+
+def test_max_flow_on_a_long_path():
+    # augmenting paths 5,000 arcs deep; the bottleneck is arc 3000 -> 3001
+    n = 5001
+    caps = {(v, v + 1): 2.0 + v % 7 for v in range(n - 1)}
+    caps[(3000, 3001)] = 1.5
+    value, cut = flows.max_flow(n, caps, 0, n - 1)
+    assert value == 1.5
+    assert cut.members == tuple(range(3001))
+    assert cut.out_weight == 1.5
+
+
+def test_max_flow_on_a_long_layered_graph():
+    import networkx as nx
+
+    rng = np.random.default_rng(31)
+    layers, width = 1500, 2
+    n = layers * width + 2
+    source, sink = n - 2, n - 1
+    caps = {(source, v): 3.0 for v in range(width)}
+    caps.update({(n - 3 - v, sink): 3.0 for v in range(width)})
+    for layer in range(layers - 1):
+        for a in range(width):
+            for b in range(width):
+                tail, head = layer * width + a, (layer + 1) * width + b
+                caps[(tail, head)] = float(rng.integers(1, 5))
+    value, cut = flows.max_flow(n, caps, source, sink)
+    graph = nx.DiGraph()
+    graph.add_weighted_edges_from(((u, v, c) for (u, v), c in caps.items()), weight="capacity")
+    assert value == nx.maximum_flow_value(graph, source, sink)
+    assert cut.out_weight == value
+    assert source in cut.members and sink not in cut.members
+
+
+def test_rooted_min_cuts_are_the_cuts_of_both_flow_directions():
+    rng = np.random.default_rng(41)
+    for trial in range(150):
+        n = int(rng.integers(3, 11))
+        caps = random_circulation(n, rng)
+        root = trial % n
+        cuts = flows.rooted_min_cuts(n, caps, root)
+        sinks = [t for t in range(n) if t != root]
+        assert len(cuts) == len(sinks)
+        for t, (source_side, sink_side) in zip(sinks, cuts):
+            assert source_side == flows.max_flow(n, caps, root, t)[1]
+            assert sink_side == flows.max_flow(n, caps, t, root)[1]
+
+
+def test_rooted_min_cut_values_agree_with_networkx():
+    import networkx as nx
+
+    rng = np.random.default_rng(43)
+    for trial in range(40):
+        n = int(rng.integers(3, 10))
+        caps = random_circulation(n, rng)
+        graph = nx.DiGraph()
+        graph.add_nodes_from(range(n))
+        graph.add_weighted_edges_from(((u, v, c) for (u, v), c in caps.items()), weight="capacity")
+        for t, (source_side, sink_side) in enumerate(flows.rooted_min_cuts(n, caps, 0)[:4], 1):
+            forward, _ = nx.minimum_cut(graph, 0, t)
+            backward, _ = nx.minimum_cut(graph, t, 0)
+            assert source_side.out_weight == pytest.approx(forward, abs=1e-9)
+            assert sink_side.out_weight == pytest.approx(backward, abs=1e-9)
+            assert 0 in source_side.members and t not in source_side.members
+            assert t in sink_side.members and 0 not in sink_side.members
+
+
+def test_rooted_sink_side_is_a_min_cut_on_any_digraph():
+    # without balance the sink side W is still a minimum root -> t cut,
+    # read from its incoming side; only its outgoing weight needs balance
+    rng = np.random.default_rng(47)
+    for _ in range(60):
+        n = int(rng.integers(2, 8))
+        caps = {}
+        for _ in range(3 * n):
+            u, v = (int(x) for x in rng.integers(0, n, 2))
+            if u != v:
+                caps[(u, v)] = float(rng.integers(1, 5))
+        for t, (source_side, sink_side) in enumerate(flows.rooted_min_cuts(n, caps, 0), 1):
+            value = brute_force_min_cut(n, caps, 0, t)
+            assert source_side.out_weight == pytest.approx(value, abs=1e-9)
+            assert sink_side.in_weight == pytest.approx(value, abs=1e-9)
+            assert t in sink_side.members and 0 not in sink_side.members
 
 
 # -------------------------------------------------------------- min-cost flow

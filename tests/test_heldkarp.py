@@ -3,9 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from atsp import heldkarp, instance, oracle
+from atsp import flows, heldkarp, instance, oracle
 from atsp.cuts import CutRecord, all_cut_values
-from atsp.errors import IterationLimitError
+from atsp.errors import IterationLimitError, NotBalancedError
 from atsp.patchup import tour_cost
 
 
@@ -13,12 +13,17 @@ def all_ones(n: int) -> instance.CostMatrix:
     return instance.CostMatrix(np.ones((n, n)) - np.eye(n))
 
 
-def random_circulation(n: int, rng) -> dict[tuple[int, int], float]:
+def random_circulation(n: int, rng, quarters: bool = False) -> dict[tuple[int, int], float]:
+    """A sum of directed cycles; with quarters, every cycle weighs a
+    multiple of 1/4, so many cuts tie."""
     arcs: dict[tuple[int, int], float] = {}
     for _ in range(rng.integers(2, 6)):
         size = int(rng.integers(2, n + 1))
         cycle = list(rng.permutation(n)[:size])
-        weight = float(rng.uniform(0.1, 0.7))
+        if quarters:
+            weight = float(rng.integers(1, 4)) / 4
+        else:
+            weight = float(rng.uniform(0.1, 0.7))
         for i in range(size):
             arc = (int(cycle[i]), int(cycle[(i + 1) % size]))
             arcs[arc] = arcs.get(arc, 0.0) + weight
@@ -129,6 +134,38 @@ def test_separate_agrees_with_exhaustive_enumeration():
         assert len({cut.members for cut in cuts}) == len(cuts)
         assert all(cut.out_weight < 1.0 - tol for cut in cuts)
         assert cuts[0].out_weight == pytest.approx(exhaustive_min, abs=1e-9)
+
+
+def two_direction_separate(n, arcs, tol=heldkarp.SEPARATION_TOL):
+    """Reference separation: two max-flows per t != 0, min-cut(0 -> t) and
+    min-cut(t -> 0), filtered and sorted the way separate does."""
+    capacities = {arc: x for arc, x in arcs.items() if x > 0.0}
+    found = {}
+    for t in range(1, n):
+        for s, dest in ((0, t), (t, 0)):
+            _, cut = flows.max_flow(n, capacities, s, dest)
+            if cut.out_weight < 1.0 - tol:
+                found[cut.members] = cut
+    return sorted(found.values(), key=lambda r: (r.out_weight, r.members))
+
+
+def test_separate_equals_the_two_direction_reference():
+    rng = np.random.default_rng(17)
+    for trial in range(1000):
+        n = int(rng.integers(3, 13))
+        arcs = random_circulation(n, rng, quarters=trial % 3 == 0)
+        assert heldkarp.separate(n, arcs) == two_direction_separate(n, arcs)
+
+
+def test_separate_rejects_unbalanced_weights_with_the_worst_vertex():
+    arcs = {(0, 1): 1.0, (1, 2): 1.0, (2, 0): 1.0 + 1e-6}
+    with pytest.raises(NotBalancedError) as raised:
+        heldkarp.separate(3, arcs)
+    assert raised.value.vertex == 0
+    assert raised.value.imbalance == pytest.approx(-1e-6)
+    # noise within BALANCE_TOL is accepted
+    arcs[(2, 0)] = 1.0 + heldkarp.BALANCE_TOL / 2
+    assert heldkarp.separate(3, arcs) == []
 
 
 def full_subtour_lp_objective(m: instance.CostMatrix) -> float:
@@ -292,6 +329,39 @@ def test_crash_started_solve_matches_highs(case):
     assert x.objective == pytest.approx(highs_cutting_plane_objective(m), rel=1e-9)
     for a, b in zip(trace, trace[1:]):
         assert b >= a - 1e-9
+
+
+SEPARATION_CASES = {
+    **{f"{kind}-{n}": (lambda kind=kind, n=n: instance.generate(kind, n, 1))
+       for kind in instance.KINDS for n in (10, 15, 20)},
+    **EDGE_CASES,
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEPARATION_CASES))
+def test_every_separation_round_equals_the_reference(case, monkeypatch):
+    m = SEPARATION_CASES[case]()
+    rounds = []
+    rooted_calls = []
+    separate = heldkarp.separate
+
+    def checked(n, arcs, tol):
+        cuts = separate(n, arcs, tol)
+        assert cuts == two_direction_separate(n, arcs, tol)
+        rounds.append(len(cuts))
+        return cuts
+
+    def counted(*args):
+        rooted_calls.append(args)
+        return flows.rooted_min_cuts(*args)
+
+    monkeypatch.setattr(heldkarp, "separate", checked)
+    monkeypatch.setattr(heldkarp, "rooted_min_cuts", counted)
+    trace: list[float] = []
+    heldkarp.solve_lp(m, trace=trace)
+    # one rooted call per round, the last round finding no violated cut
+    assert len(rooted_calls) == len(rounds) == len(trace)
+    assert rounds[-1] == 0
 
 
 def test_integral_optimum_is_the_crash_tour():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from atsp import heldkarp, instance, oracle, patchup, rounding
+from atsp.cuts import all_cut_values, members_of
 from atsp.errors import TooLargeError
 from atsp.heldkarp import FractionalCirculation
 
@@ -127,19 +128,20 @@ def test_exact_size_gate():
         oracle.exact_atsp(uniform_costs(16))
 
 
-# ------------------------------------------------------------- enumerate cuts
+# ---------------------------------------------------------- cut enumeration
 
 
 def test_enumerate_cuts_count_n3():
-    cuts = oracle.enumerate_cuts(3, {(0, 1): 1.0})
-    assert len(cuts) == 6
+    masks, _, _ = all_cut_values(3, {(0, 1): 1.0})
+    assert len(masks) == 6
 
 
 def test_enumerate_cuts_triangle_values():
     arcs = {(0, 1): 1.0, (1, 2): 1.0, (2, 0): 1.0}
-    for cut in oracle.enumerate_cuts(3, arcs):
-        assert cut.out_weight == pytest.approx(1.0)
-        assert cut.in_weight == pytest.approx(1.0)
+    _, out_w, in_w = all_cut_values(3, arcs)
+    for out_weight, in_weight in zip(out_w, in_w):
+        assert out_weight == pytest.approx(1.0)
+        assert in_weight == pytest.approx(1.0)
 
 
 def test_enumerate_cuts_singleton_totals():
@@ -149,19 +151,21 @@ def test_enumerate_cuts_singleton_totals():
         v, w = rng.integers(0, 6, 2)
         if v != w:
             arcs[(int(v), int(w))] = float(rng.uniform(0.1, 2.0))
-    cuts = oracle.enumerate_cuts(6, arcs)
-    singleton_out = sum(c.out_weight for c in cuts if len(c.members) == 1)
+    masks, out_w, _ = all_cut_values(6, arcs)
+    singleton_out = sum(
+        o for mask, o in zip(masks, out_w) if len(members_of(int(mask), 6)) == 1
+    )
     assert singleton_out == pytest.approx(sum(arcs.values()), abs=1e-9)
 
 
 def test_enumerate_cuts_matches_lp_feasibility(lp_n10):
-    cuts = oracle.enumerate_cuts(lp_n10.n, lp_n10.arcs)
-    assert min(c.out_weight for c in cuts) >= 1.0 - 1e-6
+    _, out_w, _ = all_cut_values(lp_n10.n, lp_n10.arcs)
+    assert min(out_w) >= 1.0 - 1e-6
 
 
 def test_enumerate_cuts_order_is_ascending_masks():
-    cuts = oracle.enumerate_cuts(3, {(0, 1): 1.0})
-    assert [c.members for c in cuts] == [
+    masks, _, _ = all_cut_values(3, {(0, 1): 1.0})
+    assert [members_of(int(mask), 3) for mask in masks] == [
         (0,),
         (1,),
         (0, 1),
@@ -172,8 +176,9 @@ def test_enumerate_cuts_order_is_ascending_masks():
 
 
 def test_enumerate_cuts_size_gate():
+    # all_cut_values leaves the gate to its callers; counting holds it
     with pytest.raises(TooLargeError):
-        oracle.enumerate_cuts(25, {})
+        oracle.count_small_cuts(FractionalCirculation(25, {}, 0.0), 1.0)
 
 
 # ------------------------------------------------------------ count small cuts
