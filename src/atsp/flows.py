@@ -1,5 +1,5 @@
-"""Graph engine: multigraphs, max-flow/min-cut (for one source and sink,
-or for every sink of one root over a single residual network), integral
+"""Graph engine: multigraphs, max-flow/min-cut (both sides of a minimum
+cut, on a residual network that flows between many pairs share), integral
 min-cost flow with node imbalances, Eulerian circuits, connectivity, and
 the cut-value preserving symmetrization of balanced arc weights.
 
@@ -123,10 +123,23 @@ def symmetrize(
     return SymmetrizedWeights(n, y)
 
 
-def _residual_network(n: int, capacities: Mapping[tuple[int, int], float]):
-    """Merged positive capacities and their residual network: arc e and
-    its reverse e ^ 1 in sorted arc order, with heads[u] listing the
-    arcs that leave u."""
+@dataclass(frozen=True)
+class ResidualNetwork:
+    """Positive capacities merged per arc and laid out for Dinic once, so
+    that flows between many vertex pairs share one build: arc e and its
+    reverse e ^ 1 in sorted arc order, heads[u] listing the arcs that
+    leave u, and cap their starting residual capacities. Every flow runs
+    on a copy of cap."""
+
+    n: int
+    merged: dict[tuple[int, int], float]
+    heads: list[list[int]]
+    to: list[int]
+    cap: list[float]
+
+
+def residual_network(n: int, capacities: Mapping[tuple[int, int], float]) -> ResidualNetwork:
+    """The residual network of the positive off-diagonal capacities."""
     merged: dict[tuple[int, int], float] = {}
     for (u, v), c in capacities.items():
         if u == v or c <= 0.0:
@@ -142,7 +155,7 @@ def _residual_network(n: int, capacities: Mapping[tuple[int, int], float]):
         heads[v].append(len(to))
         to.append(u)
         cap.append(0.0)
-    return merged, heads, to, cap
+    return ResidualNetwork(n, merged, heads, to, cap)
 
 
 def _dinic(heads: list[list[int]], to: list[int], cap: list[float], s: int, t: int) -> float:
@@ -228,51 +241,42 @@ def _residual_reach(heads, to, cap, start: int, forward: bool) -> tuple[int, ...
 
 def max_flow(
     n: int,
-    capacities: Mapping[tuple[int, int], float],
+    capacities: Mapping[tuple[int, int], float] | ResidualNetwork,
     s: int,
     t: int,
-) -> tuple[float, CutRecord]:
+    *,
+    sink_side: bool = False,
+):
     """Dinic's blocking-flow algorithm.
 
     Returns the flow value and a minimum s-t cut U with s in U, whose
     outgoing capacity equals the value (exactly for integral capacities).
     U is the minimal one: the vertices s reaches in the final residual
-    network.
+    network. Pass a ResidualNetwork built by residual_network as the
+    capacities to run flows between many pairs on one build.
+
+    With sink_side, returns (value, U, W), where W is the minimal sink
+    side of the same flow: the vertices that reach t in the final residual
+    network, a minimum s-t cut read from its incoming capacity. When the
+    capacities are balanced at every vertex, every vertex set has equal
+    outgoing and incoming capacity, so W is then also the cut
+    ``max_flow(n, capacities, t, s)`` returns.
     """
     if s == t:
         raise ValueError("source equals sink")
-    merged, heads, to, cap = _residual_network(n, capacities)
+    if isinstance(capacities, ResidualNetwork):
+        if capacities.n != n:
+            raise ValueError(f"network has {capacities.n} vertices, not {n}")
+        network = capacities
+    else:
+        network = residual_network(n, capacities)
+    heads, to, cap = network.heads, network.to, network.cap.copy()
     value = _dinic(heads, to, cap, s, t)
-    return value, cut_record(n, merged, _residual_reach(heads, to, cap, s, True))
-
-
-def rooted_min_cuts(
-    n: int, capacities: Mapping[tuple[int, int], float], root: int
-) -> list[tuple[CutRecord, CutRecord]]:
-    """For every t != root in increasing order, both sides of one maximum
-    root -> t flow: the minimal source side U (what root reaches in the
-    residual network) and the minimal sink side W (what reaches t in it).
-
-    U is the cut ``max_flow(n, capacities, root, t)`` returns. When the
-    capacities are balanced at every vertex, every vertex set has equal
-    outgoing and incoming capacity, so the minimum t -> root cuts are
-    exactly the sink sides of the minimum root -> t cuts, and W is the cut
-    ``max_flow(n, capacities, t, root)`` returns. The residual network is
-    built once and each flow starts from a copy of its capacities.
-    """
-    merged, heads, to, fresh = _residual_network(n, capacities)
-    cuts = []
-    for t in range(n):
-        if t == root:
-            continue
-        cap = fresh.copy()
-        _dinic(heads, to, cap, root, t)
-        source_side = _residual_reach(heads, to, cap, root, True)
-        sink_side = _residual_reach(heads, to, cap, t, False)
-        cuts.append(
-            (cut_record(n, merged, source_side), cut_record(n, merged, sink_side))
-        )
-    return cuts
+    source_cut = cut_record(n, network.merged, _residual_reach(heads, to, cap, s, True))
+    if not sink_side:
+        return value, source_cut
+    sink_cut = cut_record(n, network.merged, _residual_reach(heads, to, cap, t, False))
+    return value, source_cut, sink_cut
 
 
 def _ssp_network(g: IntegerMultiDigraph, costs, b: Sequence[int]):

@@ -23,7 +23,7 @@ import numpy as np
 from . import simplex
 from .cuts import CutRecord
 from .errors import InfeasibleError, IterationLimitError
-from .flows import require_balanced, rooted_min_cuts
+from .flows import max_flow, require_balanced, residual_network
 from .instance import CostMatrix
 
 BALANCE_TOL = 1e-7
@@ -135,8 +135,8 @@ def separate(
     """Every distinct violated subtour cut that n-1 max-flows find, sorted
     by (out_weight, members); empty when all cuts weigh >= 1 - tol.
 
-    Fixes vertex 0 and runs one max-flow 0 -> t for every t != 0. Its
-    minimal source side is a minimum cut among the sets that hold 0 and
+    Fixes vertex 0 and runs one max-flow 0 -> t for every t != 0, all on
+    one residual network built once per call. Its minimal source side is a minimum cut among the sets that hold 0 and
     not t. Its minimal sink side W has the flow value as incoming weight;
     since the weights are balanced, every set's outgoing weight equals its
     incoming weight, so W is a minimum cut among the sets that hold t and
@@ -152,9 +152,10 @@ def separate(
     """
     capacities = {arc: x for arc, x in arcs.items() if x > 0.0}
     require_balanced(n, capacities, BALANCE_TOL)
+    network = residual_network(n, capacities)
     found: dict[tuple[int, ...], CutRecord] = {}
-    for sides in rooted_min_cuts(n, capacities, 0):
-        for cut in sides:
+    for t in range(1, n):
+        for cut in max_flow(n, network, 0, t, sink_side=True)[1:]:
             if cut.out_weight < 1.0 - tol:
                 found[cut.members] = cut
     return sorted(found.values(), key=lambda r: (r.out_weight, r.members))

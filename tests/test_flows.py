@@ -282,13 +282,19 @@ def test_max_flow_on_a_long_layered_graph():
     assert source in cut.members and sink not in cut.members
 
 
-def test_rooted_min_cuts_are_the_cuts_of_both_flow_directions():
+def rooted_min_cuts(n, caps, root):
+    """Both sides of the root -> t flow for every t != root, on one network."""
+    network = flows.residual_network(n, caps)
+    return [flows.max_flow(n, network, root, t, sink_side=True)[1:] for t in range(n) if t != root]
+
+
+def test_shared_network_sides_are_the_cuts_of_both_flow_directions():
     rng = np.random.default_rng(41)
     for trial in range(150):
         n = int(rng.integers(3, 11))
         caps = random_circulation(n, rng)
         root = trial % n
-        cuts = flows.rooted_min_cuts(n, caps, root)
+        cuts = rooted_min_cuts(n, caps, root)
         sinks = [t for t in range(n) if t != root]
         assert len(cuts) == len(sinks)
         for t, (source_side, sink_side) in zip(sinks, cuts):
@@ -296,7 +302,20 @@ def test_rooted_min_cuts_are_the_cuts_of_both_flow_directions():
             assert sink_side == flows.max_flow(n, caps, t, root)[1]
 
 
-def test_rooted_min_cut_values_agree_with_networkx():
+def test_max_flow_on_a_shared_network_leaves_it_unchanged():
+    rng = np.random.default_rng(53)
+    caps = random_circulation(8, rng)
+    network = flows.residual_network(8, caps)
+    start = list(network.cap)
+    first = flows.max_flow(8, network, 0, 5, sink_side=True)
+    assert network.cap == start
+    assert flows.max_flow(8, network, 0, 5, sink_side=True) == first
+    assert first[:2] == flows.max_flow(8, caps, 0, 5) == flows.max_flow(8, network, 0, 5)
+    with pytest.raises(ValueError):
+        flows.max_flow(9, network, 0, 5)
+
+
+def test_both_sides_min_cut_values_agree_with_networkx():
     import networkx as nx
 
     rng = np.random.default_rng(43)
@@ -306,7 +325,7 @@ def test_rooted_min_cut_values_agree_with_networkx():
         graph = nx.DiGraph()
         graph.add_nodes_from(range(n))
         graph.add_weighted_edges_from(((u, v, c) for (u, v), c in caps.items()), weight="capacity")
-        for t, (source_side, sink_side) in enumerate(flows.rooted_min_cuts(n, caps, 0)[:4], 1):
+        for t, (source_side, sink_side) in enumerate(rooted_min_cuts(n, caps, 0)[:4], 1):
             forward, _ = nx.minimum_cut(graph, 0, t)
             backward, _ = nx.minimum_cut(graph, t, 0)
             assert source_side.out_weight == pytest.approx(forward, abs=1e-9)
@@ -315,7 +334,7 @@ def test_rooted_min_cut_values_agree_with_networkx():
             assert t in sink_side.members and 0 not in sink_side.members
 
 
-def test_rooted_sink_side_is_a_min_cut_on_any_digraph():
+def test_sink_side_is_a_min_cut_on_any_digraph():
     # without balance the sink side W is still a minimum root -> t cut,
     # read from its incoming side; only its outgoing weight needs balance
     rng = np.random.default_rng(47)
@@ -326,7 +345,7 @@ def test_rooted_sink_side_is_a_min_cut_on_any_digraph():
             u, v = (int(x) for x in rng.integers(0, n, 2))
             if u != v:
                 caps[(u, v)] = float(rng.integers(1, 5))
-        for t, (source_side, sink_side) in enumerate(flows.rooted_min_cuts(n, caps, 0), 1):
+        for t, (source_side, sink_side) in enumerate(rooted_min_cuts(n, caps, 0), 1):
             value = brute_force_min_cut(n, caps, 0, t)
             assert source_side.out_weight == pytest.approx(value, abs=1e-9)
             assert sink_side.in_weight == pytest.approx(value, abs=1e-9)

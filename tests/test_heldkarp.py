@@ -342,7 +342,8 @@ SEPARATION_CASES = {
 def test_every_separation_round_equals_the_reference(case, monkeypatch):
     m = SEPARATION_CASES[case]()
     rounds = []
-    rooted_calls = []
+    builds = []
+    flow_calls = []
     separate = heldkarp.separate
 
     def checked(n, arcs, tol):
@@ -351,16 +352,22 @@ def test_every_separation_round_equals_the_reference(case, monkeypatch):
         rounds.append(len(cuts))
         return cuts
 
-    def counted(*args):
-        rooted_calls.append(args)
-        return flows.rooted_min_cuts(*args)
+    def built(*args):
+        builds.append(args)
+        return flows.residual_network(*args)
+
+    def counted(n, capacities, s, t, **kwargs):
+        flow_calls.append((s, t))
+        return flows.max_flow(n, capacities, s, t, **kwargs)
 
     monkeypatch.setattr(heldkarp, "separate", checked)
-    monkeypatch.setattr(heldkarp, "rooted_min_cuts", counted)
+    monkeypatch.setattr(heldkarp, "residual_network", built)
+    monkeypatch.setattr(heldkarp, "max_flow", counted)
     trace: list[float] = []
     heldkarp.solve_lp(m, trace=trace)
-    # one rooted call per round, the last round finding no violated cut
-    assert len(rooted_calls) == len(rounds) == len(trace)
+    # one network and n-1 flows per round, the last round finding no violated cut
+    assert len(builds) == len(rounds) == len(trace)
+    assert flow_calls == [(0, t) for t in range(1, m.n)] * len(rounds)
     assert rounds[-1] == 0
 
 
