@@ -25,6 +25,7 @@ from .errors import (
     PatchExceedsSampleError,
     RetriesExhaustedError,
     ShortcutCostError,
+    SingularBasisError,
     SlacknessError,
     TooLargeError,
     UnsupportedKindError,
@@ -56,6 +57,7 @@ __all__ = [
     "RetriesExhaustedError",
     "RoundingConfig",
     "ShortcutCostError",
+    "SingularBasisError",
     "SlacknessError",
     "SymmetrizedWeights",
     "TooLargeError",

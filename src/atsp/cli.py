@@ -38,7 +38,7 @@ VERIFY_ENUMERATION_LIMIT = 14
 
 def _header(command: str, args: argparse.Namespace, **extra) -> str:
     parts = [f"atsp v{__version__}", f"command={command}"]
-    for key in ("seed", "k_const", "epsilon", "retries", "trials", "k_consts"):
+    for key in ("seed", "k_const", "retries", "trials", "k_consts"):
         if hasattr(args, key):
             parts.append(f"{key.replace('_', '-')}={getattr(args, key)}")
     parts.append(f"rng={rounding.GENERATOR_NAME}")
@@ -58,7 +58,6 @@ def _load_instance(path):
 def _config(args: argparse.Namespace) -> rounding.RoundingConfig:
     return rounding.RoundingConfig(
         k_constant=args.k_const,
-        epsilon=args.epsilon,
         max_retries=args.retries,
         seed=args.seed,
     )
@@ -217,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def rounding_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--k-const", dest="k_const", type=float, default=100.0)
-        p.add_argument("--epsilon", type=float, default=rounding.DEFAULT_EPSILON)
         p.add_argument("--retries", type=int, default=20)
 
     p_solve = sub.add_parser("solve", help="run the full pipeline")

@@ -88,12 +88,10 @@ def all_cut_values(n: int, arcs: ArcWeights) -> tuple[np.ndarray, np.ndarray, np
         block = masks[start : start + _CHUNK]
         ob = out_w[start : start + _CHUNK]
         ib = in_w[start : start + _CHUNK]
+        inside = [(block >> v & 1).astype(bool) for v in range(n)]
         for (v, w), weight in arc_items:
             if weight == 0:
                 continue
-            v_in = block >> v & 1
-            w_in = block >> w & 1
-            crossing = v_in & (1 - w_in)
-            ob += weight * crossing
-            ib += weight * (w_in & (1 - v_in))
+            ob += weight * (inside[v] & ~inside[w])
+            ib += weight * (inside[w] & ~inside[v])
     return masks, out_w, in_w

@@ -31,6 +31,18 @@ class IterationLimitError(AtspError):
     """An iterative solver exceeded its configured iteration cap."""
 
 
+class SingularBasisError(AtspError):
+    """A simplex basis matrix is singular, so it cannot be inverted.
+
+    ``basic`` carries the basic column of each row, the certificate: those
+    columns of the constraint matrix are linearly dependent.
+    """
+
+    def __init__(self, message: str, basic=None):
+        super().__init__(message)
+        self.basic = basic
+
+
 class WeightOutOfRangeError(AtspError):
     """An arc weight passed to the rounding step exceeds 1."""
 

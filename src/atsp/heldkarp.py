@@ -6,11 +6,16 @@ The master imposes out-degree-1 and vertex-balance equalities plus the
 the way the rounding step expects. Each round, n-1 max-flows from vertex
 0 find the violated cut constraints x(delta_out(U)) >= 1, reading both
 sides of each minimum cut; every distinct one is appended to the master
-as a row with its own surplus column, and the master is re-optimized from
-the previous round's optimal basis. The loop ends when no cut is violated
-by more than tol. The first master starts from the basis of a
-nearest-neighbour tour, which is feasible, so its phase 1 has nothing to
-do.
+as a row x(delta_out(U)) - s_U = 1 with its own surplus column s_U. The
+loop ends when no cut is violated by more than tol.
+
+The first master starts from the basis of a nearest-neighbour tour, which
+is primal feasible, so the primal simplex starts at once. Every later
+master starts from the previous optimal basis plus each new surplus
+column: the basis matrix is block triangular with -I in the new corner,
+the reduced costs are unchanged (the new rows' duals are 0), and only the
+violated cut rows are infeasible (s_U = x(delta_out(U)) - 1 < 0). The
+bounded dual simplex re-optimizes from there.
 """
 
 from __future__ import annotations
@@ -181,7 +186,6 @@ def solve_lp(
     basis = _tour_basis(m.c, tails, heads)
     for _ in range(ROUNDS_PER_VERTEX * n):
         result = _solve_master(cost, a, b, upper, basis)
-        basis = result.basis
         if trace is not None:
             trace.append(result.objective)
         arcs = dict(zip(arc_list, result.x[: tails.size].tolist()))
@@ -196,8 +200,13 @@ def solve_lp(
                 f"{violated[0].members}; numerical stall"
             )
         pooled.update(new)
-        # one row x(delta_out(U)) - s_U = 1 and one surplus column s_U per cut
+        # one row x(delta_out(U)) - s_U = 1 and one surplus column s_U per
+        # cut; the next master starts with the surplus columns basic
         k = len(new)
+        basis = simplex.Basis(
+            np.concatenate([result.basis.basic, np.arange(k) + a.shape[1]]),
+            np.concatenate([result.basis.at_upper, np.zeros(k, dtype=bool)]),
+        )
         a = np.block([
             [a, np.zeros((a.shape[0], k))],
             [

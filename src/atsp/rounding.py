@@ -31,7 +31,6 @@ BALANCE_RATIO_LIMIT = 2.0
 EXHAUSTIVE_LIMIT = 24
 
 DEFAULT_K_CONSTANT = 100.0
-DEFAULT_EPSILON = math.sqrt(1.0 / 10.0)
 
 # recorded in output headers; samples are deterministic per seed within one
 # implementation, but bit-exact streams are not promised across libraries
@@ -43,16 +42,12 @@ class RoundingConfig:
     """Scaling and retry parameters; defaults follow the analysis constants."""
 
     k_constant: float = DEFAULT_K_CONSTANT
-    epsilon: float = DEFAULT_EPSILON
     max_retries: int = 20
     seed: int = 0
 
     def __post_init__(self):
         if not self.k_constant > 0:
             raise ValueError("k_constant must be positive")
-        # the near-balance ratio bound (1+eps)/(1-eps) <= 2 needs eps < 1/3
-        if not 0 < self.epsilon < 1.0 / 3.0:
-            raise ValueError("epsilon must lie in (0, 1/3)")
         if self.max_retries < 1:
             raise ValueError("max_retries must be at least 1")
 

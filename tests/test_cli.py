@@ -171,11 +171,3 @@ def test_cli_entry_point_help():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["--help"])
     assert excinfo.value.code == 0
-
-
-def test_epsilon_flag_default_equals_config_default():
-    from atsp import rounding
-
-    parser = cli.build_parser()
-    args = parser.parse_args(["solve", "whatever.txt"])
-    assert args.epsilon == rounding.DEFAULT_EPSILON

@@ -53,3 +53,40 @@ def test_all_cut_values_chunked_path_matches(monkeypatch):
     chunked = cuts.all_cut_values(7, arcs)
     for a, b in zip(whole, chunked):
         assert np.array_equal(a, b)
+
+
+def per_arc_cut_values(n, arcs, chunk):
+    """Reference: the accumulation that rebuilds both endpoints' membership
+    arrays for every arc of every mask block."""
+    total = (1 << n) - 2
+    masks = np.arange(1, total + 1, dtype=np.int64)
+    out_w = np.zeros(total)
+    in_w = np.zeros(total)
+    for start in range(0, total, chunk):
+        block = masks[start : start + chunk]
+        ob = out_w[start : start + chunk]
+        ib = in_w[start : start + chunk]
+        for (v, w), weight in sorted(arcs.items()):
+            if weight == 0:
+                continue
+            v_in = block >> v & 1
+            w_in = block >> w & 1
+            ob += weight * (v_in & (1 - w_in))
+            ib += weight * (w_in & (1 - v_in))
+    return masks, out_w, in_w
+
+
+@pytest.mark.parametrize("chunk", [cuts._CHUNK, 16])
+def test_all_cut_values_is_bit_identical_to_the_per_arc_loop(chunk, monkeypatch):
+    monkeypatch.setattr(cuts, "_CHUNK", chunk)
+    rng = np.random.default_rng(46)
+    for _ in range(30):
+        n = int(rng.integers(2, 9))
+        arcs = {
+            (int(v), int(w)): float(rng.choice([0.0, 0.25, rng.uniform(0.0, 1.0)]))
+            for v, w in rng.integers(0, n, (int(rng.integers(1, 3 * n)), 2))
+            if v != w
+        }
+        got = cuts.all_cut_values(n, arcs)
+        for a, b in zip(got, per_arc_cut_values(n, arcs, chunk)):
+            assert np.array_equal(a, b)

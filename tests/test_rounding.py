@@ -27,7 +27,6 @@ def fractional_x():
 def test_config_defaults_match_analysis_constants():
     cfg = rounding.RoundingConfig()
     assert cfg.k_constant == 100.0
-    assert cfg.epsilon == pytest.approx(math.sqrt(0.1), abs=0)
     assert cfg.max_retries == 20
 
 
@@ -36,8 +35,8 @@ def test_config_defaults_match_analysis_constants():
     [
         {"k_constant": 0.0},
         {"k_constant": -3.0},
-        {"epsilon": 0.0},
-        {"epsilon": 0.34},
+        {"k_constant": float("nan")},
+        {"max_retries": -1},
         {"max_retries": 0},
     ],
 )
