@@ -34,7 +34,7 @@ from .errors import (
 from .flows import IntegerMultiDigraph, SymmetrizedWeights
 from .heldkarp import FractionalCirculation
 from .instance import CostMatrix, ValidationReport
-from .patchup import Demands, PipelineReport, Tour
+from .patchup import PipelineReport, Tour
 from .rounding import RoundingConfig
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "CostSandwichError",
     "CostMatrix",
     "CutRecord",
-    "Demands",
     "DisconnectedError",
     "FractionalCirculation",
     "ImbalanceSumError",

@@ -172,20 +172,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _config(args)
     sandwich = "pipeline sandwich lp <= tour <= costZ + costW <= 2 costZ"
     try:
-        tour, run_report = patchup.solve(m, cfg)
+        run = patchup.run_from_lp(m, x, cfg)
     except RetriesExhaustedError:
         check("pipeline produced a tour", False)
     except CostSandwichError:
         check(sandwich, False)
     else:
-        check(sandwich, run_report.sandwich_failure() is None)
+        check(sandwich, run.report.sandwich_failure() is None)
         check(
             "tour cost at least lp objective",
-            tour.cost >= run_report.lp_objective - 1e-6,
+            run.tour.cost >= run.report.lp_objective - 1e-6,
         )
         check(
             "tour cost at most twice sample cost",
-            run_report.tour_cost <= 2.0 * run_report.cost_z + 1e-9,
+            run.report.tour_cost <= 2.0 * run.report.cost_z + 1e-9,
         )
 
     if all(ok for _, ok in checks):

@@ -12,9 +12,13 @@ from typing import Mapping
 
 import numpy as np
 
+from .errors import TooLargeError
+
 ArcWeights = Mapping[tuple[int, int], float]
 
-# Masks are processed in blocks so that n = 24 stays within a few hundred MB.
+# all_cut_values refuses larger n; it processes masks in blocks, so that
+# n = ENUMERATION_LIMIT stays within a few hundred MB.
+ENUMERATION_LIMIT = 24
 _CHUNK = 1 << 20
 
 
@@ -75,10 +79,13 @@ def all_cut_values(n: int, arcs: ArcWeights) -> tuple[np.ndarray, np.ndarray, np
 
     Returns (masks, out_weights, in_weights) arrays of length 2^n - 2.
     Memory is kept bounded by accumulating arc contributions per mask block,
-    so n up to 24 is feasible (if slow); callers gate on n themselves.
+    so n up to ENUMERATION_LIMIT is feasible (if slow); beyond it
+    TooLargeError is raised.
     """
     if n < 2:
         raise ValueError("need at least two vertices to have a proper cut")
+    if n > ENUMERATION_LIMIT:
+        raise TooLargeError(f"cut enumeration capped at n = {ENUMERATION_LIMIT}")
     total = (1 << n) - 2
     masks = np.arange(1, total + 1, dtype=np.int64)
     out_w = np.zeros(total)

@@ -124,7 +124,7 @@ def _tour_basis(c: np.ndarray, tails: np.ndarray, heads: np.ndarray) -> simplex.
 
 
 def _solve_master(cost, a, b, upper, start) -> simplex.SimplexResult:
-    result = simplex.minimize(cost, a, b, upper, start=start)
+    result = simplex.minimize(cost, a, b, upper, start)
     if result.status == simplex.INFEASIBLE:
         raise InfeasibleError(
             "master LP infeasible; this cannot happen on a valid instance"

@@ -24,7 +24,6 @@ from .instance import CostMatrix
 from .patchup import Tour, make_tour
 
 EXACT_LIMIT = 15
-ENUMERATION_LIMIT = 24
 
 
 def exact_atsp(m: CostMatrix) -> tuple[float, Tour]:
@@ -74,9 +73,8 @@ def exact_atsp(m: CostMatrix) -> tuple[float, Tour]:
 
 def count_small_cuts(x: FractionalCirculation, alpha: float) -> int:
     """Number of cuts whose outgoing weight is at most alpha (plus a hair
-    of tolerance); callers compare the count against n**(2 * alpha)."""
-    if x.n > ENUMERATION_LIMIT:
-        raise TooLargeError(f"cut enumeration capped at n = {ENUMERATION_LIMIT}")
+    of tolerance); callers compare the count against n**(2 * alpha).
+    Raises TooLargeError beyond cuts.ENUMERATION_LIMIT vertices."""
     if alpha < 1.0:
         raise ValueError("alpha must be at least 1")
     _, out_w, _ = all_cut_values(x.n, x.arcs)

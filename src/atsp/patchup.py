@@ -30,17 +30,6 @@ from .instance import CostMatrix
 
 
 @dataclass(frozen=True)
-class Demands:
-    """Per-vertex surplus of outgoing over incoming multiplicity."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if sum(self.values) != 0:
-            raise ValueError(f"demands sum to {sum(self.values)}, not zero")
-
-
-@dataclass(frozen=True)
 class Tour:
     """A cyclic permutation of all vertices, canonically starting at 0."""
 
@@ -67,10 +56,6 @@ def make_tour(m: CostMatrix, order) -> Tour:
     return Tour(tuple(order), tour_cost(m, order))
 
 
-def demands(z: IntegerMultiDigraph) -> Demands:
-    return Demands(tuple(vertex_imbalances(z)))
-
-
 def patch(z: IntegerMultiDigraph, m: CostMatrix) -> IntegerMultiDigraph:
     """Min-cost integral w with 0 <= w <= z making z + w balanced.
 
@@ -78,7 +63,7 @@ def patch(z: IntegerMultiDigraph, m: CostMatrix) -> IntegerMultiDigraph:
     than its demand exactly when no such w exists, and
     PatchExceedsSampleError naming an arc if w ever exceeds z.
     """
-    w = min_cost_flow(z, m, demands(z).values)
+    w = min_cost_flow(z, m, vertex_imbalances(z))
     for arc, k in sorted(w.mult.items()):
         held = z.mult.get(arc, 0)
         if k > held:
@@ -175,15 +160,28 @@ def run_pipeline(
     cfg: rounding.RoundingConfig | None = None,
     tol: float = heldkarp.SEPARATION_TOL,
 ) -> PipelineRun:
-    """Full pipeline: LP, rounding with retry, patch, Euler shortcut.
+    """Full pipeline: the LP, then run_from_lp on its point.
 
-    Propagates RetriesExhaustedError and IterationLimitError. The report
-    satisfies lp - 1e-6 <= tour_cost <= cost_z + cost_w <= 2 cost_z, which
-    is checked on every run; CostSandwichError is raised if it fails.
+    Propagates IterationLimitError from the LP and everything run_from_lp
+    raises.
+    """
+    return run_from_lp(m, heldkarp.solve_lp(m, tol), cfg)
+
+
+def run_from_lp(
+    m: CostMatrix,
+    x: heldkarp.FractionalCirculation,
+    cfg: rounding.RoundingConfig | None = None,
+) -> PipelineRun:
+    """The pipeline after the LP: rounding with retry from the LP point x,
+    patch, Euler shortcut.
+
+    Propagates RetriesExhaustedError. The report satisfies
+    lp - 1e-6 <= tour_cost <= cost_z + cost_w <= 2 cost_z, which is
+    checked on every run; CostSandwichError is raised if it fails.
     """
     if cfg is None:
         cfg = rounding.RoundingConfig()
-    x = heldkarp.solve_lp(m, tol)
     z, attempts = rounding.round_with_retry(x, cfg)
     w = patch(z, m)
     tour = eulerian_tour(z, w, m)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cuts import CutRecord, all_cut_values, cut_record, members_of
-from .errors import RetriesExhaustedError, TooLargeError, WeightOutOfRangeError
+from .errors import RetriesExhaustedError, WeightOutOfRangeError
 from .flows import (
     IntegerMultiDigraph,
     transshipment_certificate,
@@ -28,7 +28,6 @@ from .heldkarp import FractionalCirculation
 
 WEIGHT_TOL = 1e-9
 BALANCE_RATIO_LIMIT = 2.0
-EXHAUSTIVE_LIMIT = 24
 
 DEFAULT_K_CONSTANT = 100.0
 
@@ -93,9 +92,8 @@ def check_near_balance(z: IntegerMultiDigraph) -> BalanceCheck:
 
     A cut with a zero side counts as unbalanced (ratio infinity), which
     covers disconnected samples; a ratio of exactly 2 is still balanced.
+    Raises TooLargeError beyond cuts.ENUMERATION_LIMIT vertices.
     """
-    if z.n > EXHAUSTIVE_LIMIT:
-        raise TooLargeError(f"exhaustive check capped at n = {EXHAUSTIVE_LIMIT}")
     masks, out_w, in_w = all_cut_values(z.n, z.mult)
     hi = np.maximum(out_w, in_w)
     lo = np.minimum(out_w, in_w)

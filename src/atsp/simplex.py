@@ -1,19 +1,16 @@
 """Dense bounded-variable simplex for equality-constrained LPs with
 variable bounds 0 <= x <= u (u may be infinite).
 
-A solve starts one of two ways:
-
-- Cold, with no start basis: the two-phase primal simplex gives every row
-  an artificial variable, phase 1 drives them out (dropping any row that
-  proves redundant), and phase 2 minimizes the true cost.
-- From a start basis that names one basic column per row. In a
-  cutting-plane loop, the first master starts from a primal feasible basis
-  and goes straight to primal phase 2. Every later master starts from the
-  previous optimal basis plus the surplus column of each appended cut row:
-  the old reduced costs are unchanged, so that basis is dual feasible, and
-  it is primal infeasible on the violated cut rows only. A bounded dual
-  simplex restores primal feasibility, and primal phase 2 then only
-  confirms optimality.
+Every solve starts from a full basis that the caller names: one basic
+column per row, and the columns nonbasic at their upper bound. In a
+cutting-plane loop, the first master starts from a primal feasible basis
+and goes straight to the primal simplex. Every later master starts from
+the previous optimal basis plus the surplus column of each appended cut
+row: the old reduced costs are unchanged, so that basis is dual feasible,
+and it is primal infeasible on the violated cut rows only. A bounded dual
+simplex restores primal feasibility, and the primal simplex then only
+confirms optimality. An LP in slack form, [A | I](x, s) = s0 with s0 >= 0,
+starts from its slack basis.
 
 Both loops pick the largest violation (Dantzig's rule). After a streak of
 degenerate pivots they use Bland's lowest-index rule until the next
@@ -40,7 +37,6 @@ _REDUCED_TOL = 1e-9
 _FEASIBLE_TOL = 1e-9
 _PIVOT_TOL = 1e-10
 _STEP_TOL = 1e-10
-_PHASE1_TOL = 1e-7
 _DEGENERATE_STREAK = 30
 _REFRESH_EVERY = 100
 
@@ -65,47 +61,32 @@ class SimplexResult:
     x: np.ndarray | None
     objective: float | None
     iterations: int
-    # set when optimal and no row was dropped as redundant
+    # the optimal basis; set whenever status is OPTIMAL
     basis: Basis | None = None
 
 
 class _Tableau:
-    """Mutable solver state over the structural columns, followed on a
-    cold solve by one artificial column per row."""
+    """Mutable solver state: the basic column of each row, the bound each
+    nonbasic column sits at, and the basis inverse."""
 
-    def __init__(
-        self, a: np.ndarray, b: np.ndarray, upper: np.ndarray, start: Basis | None
-    ):
+    def __init__(self, a: np.ndarray, b: np.ndarray, upper: np.ndarray, start: Basis):
         m, nv = a.shape
+        if start.basic.shape != (m,) or start.at_upper.shape != (nv,):
+            raise ValueError(
+                f"start basis names {start.basic.size} basic and "
+                f"{start.at_upper.size} bounded columns for {m} rows and "
+                f"{nv} columns"
+            )
+        self.a = a
         self.b = b
-        self.n_struct = nv
+        self.upper = upper
         self.m = m
         self.iterations = 0
         self._pivots_since_refresh = 0
-        if start is None:
-            self.a = np.hstack([a, np.eye(m)])
-            self.upper = np.concatenate([upper, np.full(m, np.inf)])
-            self.basis = np.arange(nv, nv + m)
-            self.state = np.full(nv + m, _LOWER, dtype=np.int8)
-        else:
-            if start.basic.shape != (m,) or start.at_upper.shape != (nv,):
-                raise ValueError(
-                    f"start basis names {start.basic.size} basic and "
-                    f"{start.at_upper.size} bounded columns for {m} rows and "
-                    f"{nv} columns"
-                )
-            self.a = a
-            self.upper = upper
-            self.basis = start.basic.astype(np.intp)
-            self.state = np.where(start.at_upper, _UPPER, _LOWER).astype(np.int8)
+        self.basis = start.basic.astype(np.intp)
+        self.state = np.where(start.at_upper, _UPPER, _LOWER).astype(np.int8)
         self.state[self.basis] = _BASIC
         self.refresh_inverse()
-        if start is None:
-            # each artificial takes its row's residual; negate the columns
-            # of those that would start below zero
-            negative = self.basic_values() < 0.0
-            self.a[:, self.basis[negative]] *= -1.0
-            self.binv[negative] *= -1.0
 
     def refresh_inverse(self) -> None:
         try:
@@ -168,11 +149,11 @@ class _Tableau:
         x = np.zeros(self.a.shape[1])
         x[self.state == _UPPER] = self.upper[self.state == _UPPER]
         x[self.basis] = self.basic_values()
-        return x[: self.n_struct]
+        return x
 
-    def run(self, cost: np.ndarray, allowed: int, max_iterations: int) -> str:
-        """Primal simplex: minimize cost over columns < allowed until
-        optimal or unbounded, from a primal feasible basis."""
+    def run(self, cost: np.ndarray, max_iterations: int) -> str:
+        """Primal simplex: from a primal feasible basis, minimize cost
+        until optimal or unbounded."""
         streak = 0
         while True:
             if self.iterations >= max_iterations:
@@ -182,9 +163,7 @@ class _Tableau:
             reduced = self.reduced_costs(cost)
             eligible_lower = (self.state == _LOWER) & (reduced < -_REDUCED_TOL)
             eligible_upper = (self.state == _UPPER) & (reduced > _REDUCED_TOL)
-            eligible = eligible_lower | eligible_upper
-            eligible[allowed:] = False
-            candidates = np.nonzero(eligible)[0]
+            candidates = np.nonzero(eligible_lower | eligible_upper)[0]
             if candidates.size == 0:
                 return OPTIMAL
             if streak > _DEGENERATE_STREAK:
@@ -274,85 +253,39 @@ class _Tableau:
                 reduced = self.reduced_costs(cost)
             streak = streak + 1 if step <= _STEP_TOL else 0
 
-    def drive_out_artificials(self) -> None:
-        """After phase 1: pivot basic artificials out, dropping any row
-        that proves redundant."""
-        keep = np.ones(self.m, dtype=bool)
-        for pos in range(self.m):
-            col = self.basis[pos]
-            if col < self.n_struct:
-                continue
-            row = self.binv[pos] @ self.a[:, : self.n_struct]
-            row[self.state[: self.n_struct] == _BASIC] = 0.0
-            j = int(np.argmax(np.abs(row)))
-            if abs(row[j]) > 1e-8:
-                self._replace(pos, j, _LOWER, self.binv @ self.a[:, j])
-            else:
-                keep[pos] = False
-        if not np.all(keep):
-            self.a = self.a[keep][:, : self.n_struct]
-            pad = np.eye(int(keep.sum()))
-            self.a = np.hstack([self.a, pad])
-            self.b = self.b[keep]
-            self.basis = self.basis[keep]
-            self.m = int(keep.sum())
-            # artificial columns were renumbered; none of them is basic now
-            self.upper = np.concatenate(
-                [self.upper[: self.n_struct], np.full(self.m, np.inf)]
-            )
-            self.state = np.concatenate(
-                [self.state[: self.n_struct], np.full(self.m, _LOWER, dtype=np.int8)]
-            )
-            self.refresh_inverse()
-
 
 def minimize(
     c: np.ndarray,
     a_eq: np.ndarray,
     b_eq: np.ndarray,
     upper: np.ndarray,
+    start: Basis,
     max_iterations: int = 100_000,
-    start: Basis | None = None,
 ) -> SimplexResult:
     """Minimize c @ x subject to a_eq @ x = b_eq and 0 <= x <= upper.
 
-    Without ``start`` the solve is cold: two-phase primal simplex over one
-    artificial per row. ``start`` is a full basis of this LP: one basic
-    column per row and the columns nonbasic at their upper bound. A primal
-    feasible start goes straight to primal phase 2. A primal infeasible one
-    must be dual feasible within _REDUCED_TOL, else ValueError; the bounded
-    dual simplex re-optimizes it, and primal phase 2 runs as cleanup.
-    Raises SingularBasisError when a basis matrix, the start's included,
-    cannot be inverted.
+    ``start`` is a full basis of this LP: one basic column per row and the
+    columns nonbasic at their upper bound. A primal feasible start goes
+    straight to the primal simplex. A primal infeasible one must be dual
+    feasible within _REDUCED_TOL, else ValueError; the bounded dual
+    simplex re-optimizes it (INFEASIBLE when a violated row cannot be
+    repaired), and the primal simplex runs as cleanup. Raises
+    SingularBasisError when a basis matrix, the start's included, cannot be
+    inverted. The result carries the optimal basis when OPTIMAL.
     """
     c = np.asarray(c, dtype=np.float64)
     a_eq = np.asarray(a_eq, dtype=np.float64)
     b_eq = np.asarray(b_eq, dtype=np.float64)
     upper = np.asarray(upper, dtype=np.float64)
-    m, nv = a_eq.shape
     tab = _Tableau(a_eq, b_eq, upper, start)
-
-    if start is None:
-        phase1_cost = np.concatenate([np.zeros(nv), np.ones(m)])
-        status = tab.run(phase1_cost, allowed=nv + m, max_iterations=max_iterations)
-        if status != OPTIMAL:
-            return SimplexResult(status, None, None, tab.iterations)
-        artificial_load = float(phase1_cost[tab.basis] @ tab.basic_values())
-        if artificial_load > _PHASE1_TOL:
-            return SimplexResult(INFEASIBLE, None, None, tab.iterations)
-        tab.drive_out_artificials()
-    elif np.any(tab.bound_violations()[1] > _FEASIBLE_TOL):
+    if np.any(tab.bound_violations()[1] > _FEASIBLE_TOL):
         tab.require_dual_feasible(c)
         status = tab.run_dual(c, max_iterations)
         if status != OPTIMAL:
             return SimplexResult(status, None, None, tab.iterations)
-
-    phase2_cost = np.concatenate([c, np.zeros(tab.a.shape[1] - nv)])
-    status = tab.run(phase2_cost, allowed=nv, max_iterations=max_iterations)
+    status = tab.run(c, max_iterations)
     if status != OPTIMAL:
         return SimplexResult(status, None, None, tab.iterations)
     x = tab.solution()
-    basis = None
-    if tab.m == m:
-        basis = Basis(tab.basis.copy(), tab.state[:nv] == _UPPER)
+    basis = Basis(tab.basis.copy(), tab.state == _UPPER)
     return SimplexResult(OPTIMAL, x, float(c @ x), tab.iterations, basis)

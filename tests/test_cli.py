@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from atsp import cli, instance, flows, patchup
+from atsp import cli, flows, heldkarp, instance, patchup
 
 
 @pytest.fixture()
@@ -131,19 +131,42 @@ def test_verify_gates_exhaustive_checks_on_large_instance(tmp_path, capsys):
 
 def test_verify_fails_a_run_that_breaks_the_sandwich(tmp_path, capsys, monkeypatch):
     # a doctored report whose patch costs more than its sample
-    solve = patchup.solve
+    run_from_lp = patchup.run_from_lp
 
-    def doctored(m, cfg):
-        tour, report = solve(m, cfg)
-        return tour, dataclasses.replace(report, cost_w=3.0 * report.cost_z)
+    def doctored(m, x, cfg):
+        run = run_from_lp(m, x, cfg)
+        report = dataclasses.replace(run.report, cost_w=3.0 * run.report.cost_z)
+        return dataclasses.replace(run, report=report)
 
-    monkeypatch.setattr(patchup, "solve", doctored)
+    monkeypatch.setattr(patchup, "run_from_lp", doctored)
     path = tmp_path / "v8.txt"
     instance.save(instance.generate("asymmetric-uniform", 8, 2), path)
     assert cli.main(["verify", str(path)]) == cli.EXIT_VERIFY_FAILED == 5
     out = capsys.readouterr().out
     assert "FAIL pipeline sandwich" in out
     assert "verify FAILED" in out
+
+
+def test_verify_solves_the_lp_once(tmp_path, capsys, monkeypatch):
+    # the pipeline checks round the point that verify already solved
+    solve_lp, run_from_lp = heldkarp.solve_lp, patchup.run_from_lp
+    solved, rounded = [], []
+
+    def counted(*args, **kwargs):
+        solved.append(solve_lp(*args, **kwargs))
+        return solved[-1]
+
+    def recorded(m, x, cfg):
+        rounded.append(x)
+        return run_from_lp(m, x, cfg)
+
+    monkeypatch.setattr(heldkarp, "solve_lp", counted)
+    monkeypatch.setattr(patchup, "run_from_lp", recorded)
+    path = tmp_path / "v8.txt"
+    instance.save(instance.generate("asymmetric-uniform", 8, 2), path)
+    assert cli.main(["verify", str(path)]) == 0
+    assert len(solved) == 1 and len(rounded) == 1 and rounded[0] is solved[0]
+    assert "verify passed" in capsys.readouterr().out
 
 
 def test_verify_corrupted_instance_exits_3(tmp_path):

@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from atsp import flows, instance
 from atsp.cuts import all_cut_values, cut_weights
@@ -607,3 +611,65 @@ def test_weak_connectivity_agrees_with_union_find():
         for v in range(8):
             same = {u for u in range(8) if uf.find(u) == uf.find(v)}
             assert flows.weak_component(g, v) == same
+
+
+# ------------------------------------------- property tests against networkx
+
+
+@st.composite
+def digraphs(draw, max_n: int):
+    """n vertices and a positive integer weight on n to 3n random arcs."""
+    n = draw(st.integers(3, max_n))
+    arcs = st.sampled_from([(v, w) for v in range(n) for w in range(n) if v != w])
+    return n, draw(st.dictionaries(arcs, st.integers(1, 4), min_size=n, max_size=3 * n))
+
+
+@settings(max_examples=50, deadline=None)
+@given(digraphs(max_n=9), st.data())
+def test_max_flow_matches_networkx(graph, data):
+    n, weights = graph
+    s, t = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    # quarter capacities stay exact in binary
+    caps = {arc: k / 4 for arc, k in weights.items()}
+    network = nx.DiGraph()
+    network.add_nodes_from(range(n))
+    network.add_weighted_edges_from(((v, w, c) for (v, w), c in caps.items()), weight="capacity")
+    expect = nx.maximum_flow_value(network, s, t)
+    value, cut = flows.max_flow(n, caps, s, t)
+    assert value == pytest.approx(expect, abs=1e-9)
+    assert cut.out_weight == pytest.approx(expect, abs=1e-9)
+    assert s in cut.members and t not in cut.members
+
+
+@settings(max_examples=50, deadline=None)
+@given(digraphs(max_n=7), st.data())
+def test_min_cost_flow_matches_networkx(graph, data):
+    n, mult = graph
+    g = IntegerMultiDigraph(n, mult)
+    costs = instance.CostMatrix(data.draw(arrays(np.int64, (n, n), elements=st.integers(0, 9))))
+    # the net inflow that some h makes; h within g is feasible, and each
+    # arc of h may take one copy more than g holds
+    h = {arc: data.draw(st.integers(0, k + 1)) for arc, k in mult.items()}
+    b = [-d for d in flows.vertex_imbalances(IntegerMultiDigraph(n, h))]
+    network = nx.DiGraph()
+    network.add_nodes_from((v, {"demand": b[v]}) for v in range(n))
+    network.add_edges_from(
+        (v, w, {"capacity": k, "weight": int(costs.c[v, w])}) for (v, w), k in mult.items()
+    )
+    try:
+        expect = nx.min_cost_flow_cost(network)
+    except nx.NetworkXUnfeasible:
+        expect = None
+    certificate = flows.transshipment_certificate(g, b)
+    assert (certificate is None) == (expect is not None)
+    if expect is None:
+        assert sum(b[v] for v in certificate.members) > certificate.in_weight
+        with pytest.raises(InfeasibleError) as raised:
+            flows.min_cost_flow(g, costs, b)
+        cut = raised.value.certificate
+        assert sum(b[v] for v in cut.members) > cut.in_weight
+        return
+    w = flows.min_cost_flow(g, costs, b)
+    assert w.total_cost(costs) == expect
+    assert all(k <= g.mult[arc] for arc, k in w.mult.items())
+    assert flows.vertex_imbalances(w) == [-d for d in b]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from atsp import heldkarp, instance, oracle, patchup, rounding
-from atsp.cuts import all_cut_values, members_of
+from atsp.cuts import ENUMERATION_LIMIT, all_cut_values, members_of
 from atsp.errors import TooLargeError
 from atsp.heldkarp import FractionalCirculation
 
@@ -176,9 +176,12 @@ def test_enumerate_cuts_order_is_ascending_masks():
 
 
 def test_enumerate_cuts_size_gate():
-    # all_cut_values leaves the gate to its callers; counting holds it
+    # the one cap lives in all_cut_values, so every caller inherits it
+    n = ENUMERATION_LIMIT + 1
+    with pytest.raises(TooLargeError, match="capped at n = 24"):
+        all_cut_values(n, {})
     with pytest.raises(TooLargeError):
-        oracle.count_small_cuts(FractionalCirculation(25, {}, 0.0), 1.0)
+        oracle.count_small_cuts(FractionalCirculation(n, {}, 0.0), 1.0)
 
 
 # ------------------------------------------------------------ count small cuts

@@ -10,91 +10,120 @@ from scipy.optimize import linprog
 from atsp import AtspError, SingularBasisError, simplex
 
 
-def test_tiny_known_optimum():
-    # min x0 + 2 x1  s.t.  x0 + x1 = 1, 0 <= x <= 1  ->  x = (1, 0)
-    res = simplex.minimize(
-        np.array([1.0, 2.0]), np.array([[1.0, 1.0]]), np.array([1.0]), np.ones(2)
-    )
+def _highs(c, a, b, upper):
+    bounds = [(0.0, u if np.isfinite(u) else None) for u in upper]
+    return linprog(c, A_eq=a, b_eq=b, bounds=bounds, method="highs")
+
+
+def _assert_matches_highs(res, c, a, b, upper):
     assert res.status == simplex.OPTIMAL
-    assert abs(res.objective - 1.0) < 1e-12
-    assert np.allclose(res.x, [1.0, 0.0])
+    ref = _highs(c, a, b, upper)
+    assert ref.status == 0
+    assert abs(res.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+    assert np.max(np.abs(a @ res.x - b)) <= 1e-9
+    assert np.all(res.x >= -1e-9) and np.all(res.x <= upper + 1e-9)
+
+
+def _slack_form(c, a, s0, upper):
+    """The LP min c @ x s.t. [A | I](x, s) = s0, 0 <= x <= upper, s >= 0,
+    and its slack basis: with x at 0 and s0 >= 0 it is primal feasible."""
+    m, nv = a.shape
+    lp = (
+        np.concatenate([c, np.zeros(m)]),
+        np.hstack([a, np.eye(m)]),
+        np.asarray(s0, dtype=float),
+        np.concatenate([upper, np.full(m, np.inf)]),
+    )
+    start = simplex.Basis(np.arange(nv, nv + m), np.zeros(nv + m, dtype=bool))
+    return lp, start
+
+
+def test_tiny_known_optimum():
+    # min -x0 - 2 x1  s.t.  x0 + x1 <= 1.5, 0 <= x <= 2  ->  x = (0, 1.5)
+    lp, start = _slack_form(
+        np.array([-1.0, -2.0]), np.ones((1, 2)), np.array([1.5]), np.full(2, 2.0)
+    )
+    res = simplex.minimize(*lp, start)
+    assert res.status == simplex.OPTIMAL
+    assert abs(res.objective + 3.0) < 1e-12
+    assert np.allclose(res.x, [0.0, 1.5, 0.0])
+    assert res.basis.basic.tolist() == [1]
 
 
 def test_upper_bounds_bind():
-    # min -x0 - x1  s.t.  x0 + x1 + s = 3, x <= 1, s free-ish
-    res = simplex.minimize(
-        np.array([-1.0, -1.0, 0.0]),
-        np.array([[1.0, 1.0, 1.0]]),
-        np.array([3.0]),
-        np.array([1.0, 1.0, np.inf]),
+    # min -x0 - x1  s.t.  x0 + x1 <= 3, x <= 1: both end at their upper bound
+    lp, start = _slack_form(
+        np.array([-1.0, -1.0]), np.ones((1, 2)), np.array([3.0]), np.ones(2)
     )
+    res = simplex.minimize(*lp, start)
     assert res.status == simplex.OPTIMAL
     assert abs(res.objective + 2.0) < 1e-12
+    assert np.allclose(res.x, [1.0, 1.0, 1.0])
+    assert res.basis.at_upper.tolist() == [True, True, False]
 
 
 def test_infeasible_detected():
-    # x0 + x1 = 5 with both bounded by 1
+    # x0 + x1 = 5 with both bounded by 1: the start x0 = 5 breaks its bound
+    # and the dual simplex finds no column that repairs the row
+    start = simplex.Basis(np.array([0]), np.zeros(2, dtype=bool))
     res = simplex.minimize(
-        np.zeros(2), np.array([[1.0, 1.0]]), np.array([5.0]), np.ones(2)
+        np.zeros(2), np.array([[1.0, 1.0]]), np.array([5.0]), np.ones(2), start
     )
     assert res.status == simplex.INFEASIBLE
 
 
 def test_unbounded_detected():
     # min -x0 with x0 unbounded above, no constraints binding it
+    start = simplex.Basis(np.array([1]), np.zeros(2, dtype=bool))
     res = simplex.minimize(
         np.array([-1.0, 0.0]),
         np.array([[0.0, 1.0]]),
         np.array([1.0]),
         np.array([np.inf, 2.0]),
+        start,
     )
     assert res.status == simplex.UNBOUNDED
 
 
-def test_redundant_rows_are_handled():
-    # duplicated constraint row must not break phase 1 cleanup
-    a = np.array([[1.0, 1.0], [1.0, 1.0]])
-    res = simplex.minimize(np.array([1.0, 3.0]), a, np.array([1.0, 1.0]), np.ones(2))
-    assert res.status == simplex.OPTIMAL
-    assert abs(res.objective - 1.0) < 1e-12
-
-
 def test_degenerate_problem_terminates():
-    # many tied basic feasible solutions at zero
+    # rows of -1/0/1 with b = 0: the slack basis and many others share the
+    # point 0, so most pivots are degenerate
     rng = np.random.default_rng(5)
-    a = rng.integers(0, 2, size=(6, 12)).astype(float)
-    b = np.zeros(6)
-    c = rng.normal(size=12)
-    res = simplex.minimize(np.abs(c), a, b, np.ones(12))
-    assert res.status == simplex.OPTIMAL
-    assert abs(res.objective) < 1e-9
+    a = rng.integers(-1, 2, size=(6, 12)).astype(float)
+    lp, start = _slack_form(rng.normal(size=12), a, np.zeros(6), np.ones(12))
+    res = simplex.minimize(*lp, start)
+    _assert_matches_highs(res, *lp)
 
 
 def test_iteration_cap_is_reported():
     rng = np.random.default_rng(1)
-    a = rng.normal(size=(4, 10))
-    x0 = rng.uniform(0.2, 0.8, 10)
-    res = simplex.minimize(
-        rng.normal(size=10), a, a @ x0, np.ones(10), max_iterations=1
+    lp, start = _slack_form(
+        -rng.uniform(0.5, 1.5, 10), rng.normal(size=(4, 10)),
+        rng.uniform(0.5, 1.5, 4), np.ones(10),
     )
+    assert simplex.minimize(*lp, start).iterations > 2
+    res = simplex.minimize(*lp, start, max_iterations=1)
     assert res.status == simplex.ITERATION_LIMIT
+    assert res.iterations == 1 and res.basis is None
+
+
+def _random_slack_lp(rng):
+    """A normal LP in slack form; a fifth of the rows are tight at 0."""
+    m = int(rng.integers(1, 6))
+    nv = int(rng.integers(1, 9))
+    upper = np.where(rng.random(nv) < 0.3, np.inf, rng.uniform(0.5, 3.0, nv))
+    s0 = np.where(rng.random(m) < 0.2, 0.0, rng.uniform(0.0, 2.0, m))
+    return _slack_form(rng.normal(size=nv), rng.normal(size=(m, nv)), s0, upper)
 
 
 def test_agrees_with_scipy_on_random_lps():
     rng = np.random.default_rng(0)
+    outcomes = {simplex.OPTIMAL: 0, simplex.UNBOUNDED: 0}
     for trial in range(120):
-        m = int(rng.integers(1, 6))
-        nv = int(rng.integers(m, m + 8))
-        a = rng.normal(size=(m, nv))
-        upper = np.where(rng.random(nv) < 0.3, np.inf, rng.uniform(0.5, 3.0, nv))
-        x0 = rng.uniform(0.0, 1.0, nv) * np.minimum(
-            np.where(np.isfinite(upper), upper, 2.0), 2.0
-        )
-        b = a @ x0
-        c = rng.normal(size=nv)
-        res = simplex.minimize(c, a, b, upper)
-        bounds = [(0.0, u if np.isfinite(u) else None) for u in upper]
-        ref = linprog(c, A_eq=a, b_eq=b, bounds=bounds, method="highs")
+        (c, a, b, upper), start = _random_slack_lp(rng)
+        res = simplex.minimize(c, a, b, upper, start)
+        ref = _highs(c, a, b, upper)
+        outcomes[res.status] += 1
         if ref.status == 3:
             assert res.status == simplex.UNBOUNDED, trial
             continue
@@ -104,13 +133,11 @@ def test_agrees_with_scipy_on_random_lps():
         assert np.max(np.abs(a @ res.x - b)) <= 1e-7, trial
         assert np.all(res.x >= -1e-9), trial
         assert np.all(res.x <= upper + 1e-9), trial
-
-
-def _highs(c, a, b, upper):
-    bounds = [(0.0, u if np.isfinite(u) else None) for u in upper]
-    ref = linprog(c, A_eq=a, b_eq=b, bounds=bounds, method="highs")
-    assert ref.status == 0
-    return ref.fun
+        # the returned basis is optimal: a re-solve from it only prices
+        again = simplex.minimize(c, a, b, upper, res.basis)
+        assert again.iterations == 1, trial
+        assert np.max(np.abs(again.x - res.x)) <= 1e-9, trial
+    assert min(outcomes.values()) >= 10
 
 
 def _append_violated_rows(c, a, b, upper, basis, g, h):
@@ -131,17 +158,9 @@ def _append_violated_rows(c, a, b, upper, basis, g, h):
     return lp, start
 
 
-def _assert_matches_highs(res, c, a, b, upper):
-    assert res.status == simplex.OPTIMAL
-    ref = _highs(c, a, b, upper)
-    assert abs(res.objective - ref) <= 1e-9 * max(1.0, abs(ref))
-    assert np.max(np.abs(a @ res.x - b)) <= 1e-9
-    assert np.all(res.x >= -1e-9) and np.all(res.x <= upper + 1e-9)
-
-
 @pytest.fixture
 def cleanup_pivots(monkeypatch):
-    """Pivots of each primal phase 2 that runs after the dual simplex."""
+    """Pivots of each primal cleanup that runs after the dual simplex."""
     counts = []
     run_dual, run = simplex._Tableau.run_dual, simplex._Tableau.run
 
@@ -163,37 +182,42 @@ def cleanup_pivots(monkeypatch):
 
 
 def _warm_start_trials(rng, degenerate: bool) -> int:
-    """Solve random bounded LPs, append rows the optimum violates but a
-    known point satisfies, and re-solve from the full start basis."""
+    """Solve random bounded LPs in slack form, append rows the optimum
+    violates but a known point satisfies, and re-solve from the full start
+    basis."""
     checked = 0
     for _ in range(40):
         m = int(rng.integers(1, 5))
-        nv = int(rng.integers(m + 4, m + 9))
+        nv = int(rng.integers(4, 9))
         upper = np.where(rng.random(nv) < 0.3, np.inf, rng.uniform(0.5, 3.0, nv))
         box = np.minimum(np.where(np.isfinite(upper), upper, 2.0), 2.0)
         if degenerate:
-            # 0/1 rows and a point at its bounds: many tied vertices
+            # 0/1 rows, tied costs and a point at its bounds that holds
+            # every row tight: many tied vertices
             a = rng.integers(0, 2, size=(m, nv)).astype(float)
             x_known = np.where(rng.random(nv) < 0.5, 0.0, box)
+            c = rng.integers(-2, 2, size=nv).astype(float)
         else:
             a = rng.normal(size=(m, nv))
             x_known = rng.uniform(0.0, 1.0, nv) * box
-        b = a @ x_known
-        c = rng.uniform(0.1, 2.0, nv) if degenerate else rng.normal(size=nv)
-        first = simplex.minimize(c, a, b, upper)
-        if first.status != simplex.OPTIMAL or first.basis is None:
+            c = rng.normal(size=nv)
+        s0 = np.abs(a @ x_known)
+        (c, a, b, upper), slack_start = _slack_form(c, a, s0, upper)
+        known = np.concatenate([x_known, s0 - a[:, :nv] @ x_known])
+        first = simplex.minimize(c, a, b, upper, slack_start)
+        if first.status != simplex.OPTIMAL:
             continue
-        g = rng.integers(-1, 2, size=(3, nv)).astype(float) if degenerate else rng.normal(size=(3, nv))
-        gap = g @ x_known - g @ first.x
+        g = rng.integers(-1, 2, size=(3, c.size)).astype(float) if degenerate else rng.normal(size=(3, c.size))
+        gap = g @ known - g @ first.x
         g[gap < 0] *= -1.0
         g = g[np.abs(gap) > 1e-3][: int(rng.integers(1, 4))]
         if g.shape[0] == 0:
             continue
-        h = g @ x_known if degenerate else (g @ first.x + g @ x_known) / 2
+        h = g @ known if degenerate else (g @ first.x + g @ known) / 2
         lp, start = _append_violated_rows(c, a, b, upper, first.basis, g, h)
         warm = simplex.minimize(*lp, start=start)
         _assert_matches_highs(warm, *lp)
-        assert warm.basis is not None and warm.basis.basic.size == lp[1].shape[0]
+        assert warm.basis.basic.size == lp[1].shape[0]
         checked += 1
     return checked
 
@@ -220,7 +244,7 @@ def test_primal_feasible_start_skips_to_phase_two():
 
 def test_dual_resolve_reports_an_unrepairable_row_infeasible():
     c, a, b, upper = np.array([1.0, 2.0]), np.ones((1, 2)), np.ones(1), np.ones(2)
-    first = simplex.minimize(c, a, b, upper)
+    first = simplex.minimize(c, a, b, upper, simplex.Basis(np.array([1]), np.zeros(2, dtype=bool)))
     # x0 - x1 - s = 5 has no solution with x <= 1
     lp, start = _append_violated_rows(
         c, a, b, upper, first.basis, np.array([[1.0, -1.0]]), np.array([5.0])
@@ -249,28 +273,32 @@ def test_start_with_a_dependent_column_raises_singular_basis():
 
 
 def _tied_degenerate_lp(rng, m: int, nv: int):
-    """All costs tied at 1 and 0/1 rows, half of them with b = 0: the
-    point 0 is shared by many bases."""
+    """min -sum(x) over 0/1 rows A x <= A x_known, x <= 1, in slack form:
+    all costs tied, and half the rows have b = 0, so the point 0 is shared
+    by many bases."""
     a = rng.integers(0, 2, size=(m, nv)).astype(float)
     x_known = (rng.random(nv) < 0.3).astype(float)
     a[: m // 2, x_known > 0] = 0.0
-    return np.ones(nv), a, a @ x_known, np.ones(nv), x_known
+    return _slack_form(-np.ones(nv), a, a @ x_known, np.ones(nv))
 
 
 @pytest.mark.parametrize("streak", [0, simplex._DEGENERATE_STREAK])
 def test_degenerate_tied_lp_terminates_cold_and_warm(streak, monkeypatch, cleanup_pivots):
-    # streak 0 hands every degenerate pivot to Bland's rule
+    # streak 0 hands every degenerate pivot to Bland's rule; the cold solve
+    # starts from the slack basis, the warm one from its optimal basis
     monkeypatch.setattr(simplex, "_DEGENERATE_STREAK", streak)
     rng = np.random.default_rng(23)
     warm_solves = 0
     for _ in range(30):
-        c, a, b, upper, x_known = _tied_degenerate_lp(rng, 10, 24)
-        cold = simplex.minimize(c, a, b, upper, max_iterations=2_000)
+        (c, a, b, upper), slack_start = _tied_degenerate_lp(rng, 10, 24)
+        cold = simplex.minimize(c, a, b, upper, slack_start, max_iterations=2_000)
         _assert_matches_highs(cold, c, a, b, upper)
-        if cold.basis is None:
-            continue
+        # 0/1 rows through the slack start's vertex, each oriented to cut
+        # off cold.x
+        vertex = np.concatenate([np.zeros(c.size - b.size), b])
         g = rng.integers(0, 2, size=(4, c.size)).astype(float)
-        h = g @ x_known
+        g[g @ vertex < g @ cold.x] *= -1.0
+        h = g @ vertex
         violated = g @ cold.x < h - 1e-6
         if not violated.any():
             continue
@@ -282,8 +310,9 @@ def test_degenerate_tied_lp_terminates_cold_and_warm(streak, monkeypatch, cleanu
     assert len(cleanup_pivots) == warm_solves and not any(cleanup_pivots)
 
 
-# property tests against HiGHS: 0/1 rows, tied costs, a known point at
-# its bounds or halfway, and rows that are sums of others
+# property tests against HiGHS: LPs in slack form over 0/1 rows, tied
+# costs, a known point at its bounds or halfway, and rows that are sums
+# of others, so that many of them are tight at once
 
 
 def _matrix(draw, rows: int, cols: int, low: int, high: int) -> np.ndarray:
@@ -297,38 +326,42 @@ def _vector(draw, size: int, values) -> np.ndarray:
 
 @st.composite
 def lps(draw, max_redundant: int = 2):
+    """An LP in slack form, its slack basis, and a feasible point."""
     m = draw(st.integers(1, 5))
-    nv = draw(st.integers(m + 1, m + 7))
+    nv = draw(st.integers(1, 7))
     a = _matrix(draw, m, nv, 0, 1)
     for _ in range(draw(st.integers(0, max_redundant))):
         picks = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3))
         a = np.vstack([a, a[picks].sum(axis=0)])
     upper = _vector(draw, nv, [1.0, 2.0, np.inf])
     x_known = _vector(draw, nv, [0.0, 0.5, 1.0])
-    c = _vector(draw, nv, [0.0, 1.0, 2.0, 3.0])
-    return c, a, a @ x_known, upper, x_known
+    c = _vector(draw, nv, [-2.0, -1.0, 0.0, 1.0])
+    lp, start = _slack_form(c, a, a @ x_known, upper)
+    return lp, start, np.concatenate([x_known, np.zeros(a.shape[0])])
 
 
 @settings(max_examples=60, deadline=None)
 @given(lps())
-def test_cold_solve_matches_highs_on_degenerate_and_redundant_lps(lp):
-    c, a, b, upper, _ = lp
-    res = simplex.minimize(c, a, b, upper)
+def test_cold_solve_matches_highs_on_degenerate_and_redundant_lps(problem):
+    (c, a, b, upper), start, _ = problem
+    res = simplex.minimize(c, a, b, upper, start)
+    if _highs(c, a, b, upper).status == 3:
+        assert res.status == simplex.UNBOUNDED
+        return
     _assert_matches_highs(res, c, a, b, upper)
-    # a basis comes back exactly when no row was dropped as redundant
-    assert (res.basis is None) == (np.linalg.matrix_rank(a) < a.shape[0])
+    assert res.basis.basic.size == a.shape[0]
 
 
 @settings(max_examples=60, deadline=None)
 @given(lps(max_redundant=0), st.data())
-def test_dual_resolve_matches_highs_after_appending_violated_rows(lp, data):
-    c, a, b, upper, x_known = lp
-    first = simplex.minimize(c, a, b, upper)
-    assume(first.basis is not None)
+def test_dual_resolve_matches_highs_after_appending_violated_rows(problem, data):
+    (c, a, b, upper), slack_start, known = problem
+    first = simplex.minimize(c, a, b, upper, slack_start)
+    assume(first.status == simplex.OPTIMAL)
     g = _matrix(data.draw, data.draw(st.integers(1, 3)), c.size, -1, 1)
     # orient each row so the known point lies above the optimum
-    g[g @ x_known < g @ first.x] *= -1.0
-    h = g @ x_known
+    g[g @ known < g @ first.x] *= -1.0
+    h = g @ known
     violated = g @ first.x < h - 1e-6
     assume(violated.any())
     lp, start = _append_violated_rows(c, a, b, upper, first.basis, g[violated], h[violated])
