@@ -279,117 +279,107 @@ def max_flow(
     return value, source_cut, sink_cut
 
 
-def _ssp_network(g: IntegerMultiDigraph, costs, b: Sequence[int]):
-    """Shared successive-shortest-path state over g plus super source/sink."""
-    n = g.n
-    size = n + 2
-    source, sink = n, n + 1
-    heads: list[list[int]] = [[] for _ in range(size)]
-    to: list[int] = []
-    cap: list[int] = []
-    cost: list[float] = []
-    arc_of: dict[int, tuple[int, int]] = {}
-
-    def add_edge(u, v, c, w, orig=None):
-        if orig is not None:
-            arc_of[len(to)] = orig
-        heads[u].append(len(to))
-        to.append(v)
-        cap.append(c)
-        cost.append(w)
-        heads[v].append(len(to))
-        to.append(u)
-        cap.append(0)
-        cost.append(-w)
-
-    for (v, w), k in sorted(g.mult.items()):
-        c = 0.0 if costs is None else float(costs[v, w])
-        add_edge(v, w, k, c, orig=(v, w))
-    demand = 0
-    for v in range(n):
-        if b[v] < 0:
-            add_edge(source, v, -b[v], 0.0)
-        elif b[v] > 0:
-            add_edge(v, sink, b[v], 0.0)
-            demand += b[v]
-    return size, source, sink, heads, to, cap, cost, arc_of, demand
-
-
-def _infeasible_cut(g: IntegerMultiDigraph, reachable) -> CutRecord:
-    # witness: vertices not reachable from the super source in the final
-    # residual network form a cut with less incoming capacity than demand
-    members = tuple(v for v in range(g.n) if v not in reachable)
-    return cut_record(g.n, dict(g.mult), members)
-
-
 def min_cost_flow(
     g: IntegerMultiDigraph, costs: CostMatrix, b: Sequence[int]
 ) -> IntegerMultiDigraph:
     """Integral min-cost transshipment within capacities g.
 
     b[v] is the required net inflow at v (negative for net outflow).
-    Successive shortest augmenting paths with node potentials; valid since
-    all costs are nonnegative. Raises InfeasibleError carrying a violated
-    cut exactly when no transshipment within g exists.
+    Successive shortest augmenting paths with node potentials (Edmonds &
+    Karp 1972); valid since all costs are nonnegative. Each path is found
+    by a heap Dijkstra from a super source that stops once the super sink
+    is settled. Every vertex it has not settled is then at least as far as
+    the sink, so capping every distance at the sink's before adding it to
+    the potentials keeps every residual reduced cost nonnegative, which
+    is checked on every returned flow. Raises InfeasibleError carrying a
+    violated cut exactly when no transshipment within g exists.
     """
     if len(b) != g.n:
         raise ValueError("imbalance vector length mismatch")
     if sum(b) != 0:
         raise ImbalanceSumError(f"imbalances sum to {sum(b)}, not zero")
-    size, source, sink, heads, to, cap, cost, arc_of, demand = _ssp_network(
-        g, costs.c, b
-    )
+    n = g.n
+    size = n + 2
+    source, sink = n, n + 1
+    # arc e and its reverse e ^ 1: first g's arcs in sorted order, then the
+    # super source's and super sink's arcs in vertex order
+    arcs = sorted(g.mult.items())
+    heads: list[list[int]] = [[] for _ in range(size)]
+    to: list[int] = []
+    cap: list[int] = []
+    cost: list[float] = []
+    c = costs.c
+    for (v, w), k in arcs:
+        heads[v].append(len(to))
+        heads[w].append(len(to) + 1)
+        price = float(c[v, w])
+        to += (w, v)
+        cap += (k, 0)
+        cost += (price, -price)
+    for v in range(n):
+        if b[v]:
+            tail, head = (source, v) if b[v] < 0 else (v, sink)
+            heads[tail].append(len(to))
+            heads[head].append(len(to) + 1)
+            to += (head, tail)
+            cap += (abs(b[v]), 0)
+            cost += (0.0, -0.0)
+    demand = sum(d for d in b if d > 0)
+    inf = float("inf")
+    heappop, heappush = heapq.heappop, heapq.heappush
     potential = [0.0] * size
     shipped = 0
     while shipped < demand:
-        dist = [float("inf")] * size
+        dist = [inf] * size
         prev_edge = [-1] * size
         dist[source] = 0.0
         pq = [(0.0, source)]
         while pq:
-            d, u = heapq.heappop(pq)
+            d, u = heappop(pq)
             if d > dist[u] + _EPS:
                 continue
+            if u == sink:
+                break
+            pu = potential[u]
             for e in heads[u]:
                 if cap[e] <= 0:
                     continue
                 v = to[e]
-                nd = d + cost[e] + potential[u] - potential[v]
+                nd = d + cost[e] + pu - potential[v]
                 if nd < dist[v] - _EPS:
                     dist[v] = nd
                     prev_edge[v] = e
-                    heapq.heappush(pq, (nd, v))
-        if dist[sink] == float("inf"):
-            reachable = {v for v in range(size) if dist[v] < float("inf")}
+                    heappush(pq, (nd, v))
+        cap_dist = dist[sink]
+        if cap_dist == inf:
+            # the search ran to exhaustion; the vertices the super source
+            # does not reach form a cut with less incoming capacity than
+            # its demand
+            members = tuple(v for v in range(n) if dist[v] == inf)
             raise InfeasibleError(
                 "transshipment infeasible: a cut has less capacity than demand",
-                certificate=_infeasible_cut(g, reachable),
+                certificate=cut_record(n, dict(g.mult), members),
             )
-        # capping at dist[sink] keeps every residual reduced cost nonnegative,
-        # including arcs leaving vertices Dijkstra did not reach
-        cap_dist = dist[sink]
-        for v in range(size):
-            potential[v] += min(dist[v], cap_dist)
+        potential = [
+            p + cap_dist if cap_dist < dv else p + dv
+            for p, dv in zip(potential, dist)
+        ]
         bottleneck = demand - shipped
+        path = []
         v = sink
         while v != source:
             e = prev_edge[v]
-            bottleneck = min(bottleneck, cap[e])
+            path.append(e)
+            if cap[e] < bottleneck:
+                bottleneck = cap[e]
             v = to[e ^ 1]
-        v = sink
-        while v != source:
-            e = prev_edge[v]
+        for e in path:
             cap[e] -= bottleneck
             cap[e ^ 1] += bottleneck
-            v = to[e ^ 1]
         shipped += bottleneck
-    flow: dict[tuple[int, int], int] = {}
-    for e, arc in arc_of.items():
-        used = cap[e ^ 1]
-        if used > 0:
-            flow[arc] = used
+    flow = {arc: cap[2 * i + 1] for i, (arc, _) in enumerate(arcs) if cap[2 * i + 1] > 0}
     _check_slackness(heads, to, cap, cost, potential)
-    return IntegerMultiDigraph(g.n, flow)
+    return IntegerMultiDigraph(n, flow)
 
 
 def _check_slackness(heads, to, cap, cost, potential) -> None:

@@ -207,14 +207,12 @@ def solve_lp(
             np.concatenate([result.basis.basic, np.arange(k) + a.shape[1]]),
             np.concatenate([result.basis.at_upper, np.zeros(k, dtype=bool)]),
         )
-        a = np.block([
-            [a, np.zeros((a.shape[0], k))],
-            [
-                _cut_rows(n, tails, heads, new),
-                np.zeros((k, a.shape[1] - tails.size)),
-                -np.eye(k),
-            ],
-        ])
+        rows, cols = a.shape
+        grown = np.zeros((rows + k, cols + k))
+        grown[:rows, :cols] = a
+        grown[rows:, : tails.size] = _cut_rows(n, tails, heads, new)
+        grown[rows:, cols:] = -np.eye(k)
+        a = grown
         b = np.concatenate([b, np.ones(k)])
         cost = np.concatenate([cost, np.zeros(k)])
         upper = np.concatenate([upper, np.full(k, np.inf)])

@@ -22,7 +22,6 @@ from .errors import (
 from .flows import (
     IntegerMultiDigraph,
     euler_circuit,
-    is_weakly_connected,
     min_cost_flow,
     vertex_imbalances,
 )
@@ -79,13 +78,13 @@ def eulerian_tour(
 ) -> Tour:
     """Euler circuit of z + w, shortcut to first occurrences.
 
-    Requires z + w balanced and weakly connected over all n vertices. The
-    returned tour costs no more than the Euler walk, which is exactly the
-    triangle inequality in action; ShortcutCostError is raised if it does.
+    Requires z + w balanced and weakly connected over all n vertices:
+    euler_circuit rejects an unbalanced or disconnected support, and a
+    walk that misses a vertex raises DisconnectedError. The returned tour
+    costs no more than the Euler walk, which is exactly the triangle
+    inequality in action; ShortcutCostError is raised if it does.
     """
     total = z + w
-    if not is_weakly_connected(total):
-        raise DisconnectedError("z + w does not connect all vertices")
     walk_cost = total.total_cost(m)
     seen = set()
     order = []
@@ -95,6 +94,8 @@ def eulerian_tour(
             if v not in seen:
                 seen.add(v)
                 order.append(v)
+    if len(order) < m.n:
+        raise DisconnectedError("z + w does not connect all vertices")
     tour = make_tour(m, order)
     if tour.cost > walk_cost + 1e-9:
         raise ShortcutCostError(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import heapq
 import itertools
 
 import networkx as nx
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from atsp import flows, instance
+from atsp import flows, heldkarp, instance, rounding
 from atsp.cuts import all_cut_values, cut_weights
 from atsp.errors import (
     DisconnectedError,
@@ -450,6 +451,97 @@ def test_min_cost_flow_cost_never_exceeds_capacity_cost():
         except InfeasibleError:
             continue
         assert w_flow.total_cost(costs) <= g.total_cost(costs) + 1e-9
+
+
+def full_dijkstra_ssp(g, costs, b):
+    """Reference: successive shortest paths with every Dijkstra run to
+    exhaustion. Returns ("flow", multiplicities) or, when infeasible,
+    ("cut", members of the cut the super source does not reach)."""
+    n = g.n
+    source, sink = n, n + 1
+    heads = [[] for _ in range(n + 2)]
+    to, cap, cost, arc_of = [], [], [], {}
+
+    def add_edge(u, v, c, w, orig=None):
+        if orig is not None:
+            arc_of[len(to)] = orig
+        heads[u].append(len(to))
+        to.append(v)
+        cap.append(c)
+        cost.append(w)
+        heads[v].append(len(to))
+        to.append(u)
+        cap.append(0)
+        cost.append(-w)
+
+    for (v, w), k in sorted(g.mult.items()):
+        add_edge(v, w, k, float(costs.c[v, w]), orig=(v, w))
+    demand = 0
+    for v in range(n):
+        if b[v] < 0:
+            add_edge(source, v, -b[v], 0.0)
+        elif b[v] > 0:
+            add_edge(v, sink, b[v], 0.0)
+            demand += b[v]
+    potential = [0.0] * (n + 2)
+    shipped = 0
+    while shipped < demand:
+        dist = [float("inf")] * (n + 2)
+        prev_edge = [-1] * (n + 2)
+        dist[source] = 0.0
+        pq = [(0.0, source)]
+        while pq:
+            d, u = heapq.heappop(pq)
+            if d > dist[u] + 1e-12:
+                continue
+            for e in heads[u]:
+                if cap[e] <= 0:
+                    continue
+                v = to[e]
+                nd = d + cost[e] + potential[u] - potential[v]
+                if nd < dist[v] - 1e-12:
+                    dist[v] = nd
+                    prev_edge[v] = e
+                    heapq.heappush(pq, (nd, v))
+        if dist[sink] == float("inf"):
+            return "cut", tuple(v for v in range(n) if dist[v] == float("inf"))
+        for v in range(n + 2):
+            potential[v] += min(dist[v], dist[sink])
+        bottleneck = demand - shipped
+        v = sink
+        while v != source:
+            bottleneck = min(bottleneck, cap[prev_edge[v]])
+            v = to[prev_edge[v] ^ 1]
+        v = sink
+        while v != source:
+            cap[prev_edge[v]] -= bottleneck
+            cap[prev_edge[v] ^ 1] += bottleneck
+            v = to[prev_edge[v] ^ 1]
+        shipped += bottleneck
+    return "flow", {arc: cap[e ^ 1] for e, arc in arc_of.items() if cap[e ^ 1] > 0}
+
+
+def test_min_cost_flow_matches_the_full_dijkstra_loop_on_rounded_samples():
+    # the bench's post-lp points; at K = 2 ln n the cycle-heavy samples
+    # are often infeasible. Unit costs tie every path of equal length, so
+    # the flow also depends on how ties are broken.
+    outcomes = set()
+    for kind, n in ((instance.CYCLE_HEAVY, 40), (instance.ASYMMETRIC_UNIFORM, 30)):
+        m = instance.generate(kind, n, 1)
+        x = heldkarp.solve_lp(m)
+        for k_const in (rounding.DEFAULT_K_CONSTANT, 2.0):
+            k = rounding.scale_k(n, rounding.RoundingConfig(k_constant=k_const))
+            for seed in range(10):
+                z = rounding.round_once(x, k, seed)
+                b = flows.vertex_imbalances(z)
+                for costs in (m, uniform_costs(n)):
+                    try:
+                        got = "flow", flows.min_cost_flow(z, costs, b).mult
+                    except InfeasibleError as exc:
+                        got = "cut", exc.certificate.members
+                    assert got == full_dijkstra_ssp(z, costs, b), (kind, k_const, seed)
+                    outcomes.add(got[0])
+    assert outcomes == {"flow", "cut"}
 
 
 # ----------------------------------------------------------- transshipment

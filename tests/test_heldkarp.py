@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from atsp import flows, heldkarp, instance, oracle
 from atsp.cuts import CutRecord, all_cut_values
@@ -378,6 +381,32 @@ def test_integral_optimum_is_the_crash_tour():
     assert {arc for arc, value in x.arcs.items() if value > 0.5} == {
         (v, (v + 1) % 11) for v in range(11)
     }
+
+
+@st.composite
+def small_metrics(draw):
+    """(m, integral) on n = 3..7 vertices: the metric closure of costs in
+    0..3, so zero-cost arcs and ties are common, or, with integral set, a
+    ring metric under a random relabelling, whose LP optimum is its ring."""
+    n = draw(st.integers(3, 7))
+    if draw(st.booleans()):
+        label = draw(st.permutations(range(n)))
+        c = np.empty((n, n))
+        c[np.ix_(label, label)] = ring_distances(n).c
+        return instance.CostMatrix(c), True
+    raw = draw(arrays(np.int64, (n, n), elements=st.integers(0, 3))).astype(np.float64)
+    np.fill_diagonal(raw, 0.0)
+    return instance.metric_closure(raw), False
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_metrics())
+def test_lp_never_exceeds_the_exact_optimum(case):
+    m, integral = case
+    objective = heldkarp.solve_lp(m).objective
+    assert objective <= oracle.exact_atsp(m)[0] + 1e-9
+    if integral:
+        assert objective == pytest.approx(m.n, abs=1e-9)
 
 
 # ------------------------------------------------------------- serialization
