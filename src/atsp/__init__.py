@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedKindError,
     WeightOutOfRangeError,
 )
-from .flows import IntegerMultiDigraph, SymmetrizedWeights
+from .flows import IntegerMultiDigraph
 from .heldkarp import FractionalCirculation
 from .instance import CostMatrix, ValidationReport
 from .patchup import PipelineReport, Tour
@@ -58,7 +58,6 @@ __all__ = [
     "ShortcutCostError",
     "SingularBasisError",
     "SlacknessError",
-    "SymmetrizedWeights",
     "TooLargeError",
     "Tour",
     "UnsupportedKindError",

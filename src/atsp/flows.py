@@ -1,7 +1,11 @@
-"""Graph engine: multigraphs, max-flow/min-cut (both sides of a minimum
-cut, on a residual network that flows between many pairs share), integral
-min-cost flow with node imbalances, Eulerian circuits, connectivity, and
-the cut-value preserving symmetrization of balanced arc weights.
+"""Graph engine: multigraphs, max flows (both sides of a minimum cut, on a
+residual network that flows between many pairs share), integral min-cost
+flow with node imbalances, Eulerian circuits, connectivity, and the
+cut-value preserving symmetrization of balanced arc weights.
+
+Flows return vertex sets, not weighed cuts: callers weigh the cuts they
+need with cuts.cut_record. Transshipment feasibility and the min-cost
+transshipment run on one super-source/super-sink network layout.
 
 All operations are pure functions with documented lowest-index-first
 tie-breaking, so identical inputs give identical outputs.
@@ -11,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .cuts import CutRecord, cut_record
 from .errors import (
@@ -66,40 +70,25 @@ class IntegerMultiDigraph:
         return IntegerMultiDigraph(self.n, merged)
 
 
+def _net(n: int, arcs: Mapping[tuple[int, int], float]) -> list:
+    """Out-weight minus in-weight per vertex."""
+    net = [0] * n
+    for (v, w), weight in arcs.items():
+        net[v] += weight
+        net[w] -= weight
+    return net
+
+
 def vertex_imbalances(g: IntegerMultiDigraph) -> list[int]:
     """out-degree minus in-degree per vertex; always sums to zero."""
-    out = [0] * g.n
-    for (v, w), k in g.mult.items():
-        out[v] += k
-        out[w] -= k
-    return out
-
-
-@dataclass(frozen=True)
-class SymmetrizedWeights:
-    """Weights on unordered pairs, the half-sum of the two arc directions."""
-
-    n: int
-    y: dict[frozenset[int], float]
-
-    def boundary_weight(self, members: Iterable[int]) -> float:
-        inside = set(members)
-        total = 0.0
-        for pair, weight in sorted(self.y.items(), key=lambda it: sorted(it[0])):
-            a, b = sorted(pair)
-            if (a in inside) != (b in inside):
-                total += weight
-        return total
+    return _net(g.n, g.mult)
 
 
 def require_balanced(n: int, arcs: Mapping[tuple[int, int], float], tol: float) -> None:
     """Raise NotBalancedError, naming the vertex with the largest absolute
     out-minus-in weight (ties to the lowest index) and that imbalance,
     when it exceeds tol."""
-    net = [0.0] * n
-    for (v, w), weight in arcs.items():
-        net[v] += weight
-        net[w] -= weight
+    net = _net(n, arcs)
     worst = max(range(n), key=lambda v: abs(net[v]), default=0)
     if n and abs(net[worst]) > tol:
         raise NotBalancedError(
@@ -110,52 +99,49 @@ def require_balanced(n: int, arcs: Mapping[tuple[int, int], float], tol: float) 
 
 def symmetrize(
     n: int, arcs: Mapping[tuple[int, int], float], tol: float = 1e-6
-) -> SymmetrizedWeights:
-    """Average each arc with its reverse. Requires vertex balance within
-    tol, since only balanced weights have direction-free cut values."""
+) -> dict[tuple[int, int], float]:
+    """Average each arc with its reverse: the half-sum of the two
+    directions on each pair (lo, hi), lo < hi, that carries weight.
+
+    Requires vertex balance within tol, since only balanced weights have
+    direction-free cut values: then a set's outgoing weight equals the
+    weight of the pairs it separates, sum(cuts.cut_weights(n, y, members)).
+    """
     require_balanced(n, arcs, tol)
-    y: dict[frozenset[int], float] = {}
+    y: dict[tuple[int, int], float] = {}
     for (v, w), weight in arcs.items():
         if weight == 0.0:
             continue
-        key = frozenset((v, w))
-        y[key] = y.get(key, 0.0) + weight / 2.0
-    return SymmetrizedWeights(n, y)
+        pair = (v, w) if v < w else (w, v)
+        y[pair] = y.get(pair, 0.0) + weight / 2.0
+    return y
 
 
 @dataclass(frozen=True)
 class ResidualNetwork:
-    """Positive capacities merged per arc and laid out for Dinic once, so
-    that flows between many vertex pairs share one build: arc e and its
-    reverse e ^ 1 in sorted arc order, heads[u] listing the arcs that
-    leave u, and cap their starting residual capacities. Every flow runs
-    on a copy of cap."""
+    """Capacities laid out for Dinic once, so that flows between many
+    vertex pairs share one build: arc e and its reverse e ^ 1, heads[u]
+    listing the arcs that leave u, and cap their starting residual
+    capacities. Every flow runs on a copy of cap."""
 
-    n: int
-    merged: dict[tuple[int, int], float]
     heads: list[list[int]]
     to: list[int]
     cap: list[float]
 
 
 def residual_network(n: int, capacities: Mapping[tuple[int, int], float]) -> ResidualNetwork:
-    """The residual network of the positive off-diagonal capacities."""
-    merged: dict[tuple[int, int], float] = {}
-    for (u, v), c in capacities.items():
-        if u == v or c <= 0.0:
-            continue
-        merged[(u, v)] = merged.get((u, v), 0.0) + c
+    """The residual network of the positive off-diagonal capacities over
+    vertices 0..n-1, in sorted arc order."""
     heads: list[list[int]] = [[] for _ in range(n)]
     to: list[int] = []
     cap: list[float] = []
-    for (u, v), c in sorted(merged.items()):
-        heads[u].append(len(to))
-        to.append(v)
-        cap.append(c)
-        heads[v].append(len(to))
-        to.append(u)
-        cap.append(0.0)
-    return ResidualNetwork(n, merged, heads, to, cap)
+    for (u, v), c in sorted(capacities.items()):
+        if u != v and c > 0.0:
+            heads[u].append(len(to))
+            heads[v].append(len(to) + 1)
+            to += (v, u)
+            cap += (c, 0.0)
+    return ResidualNetwork(heads, to, cap)
 
 
 def _dinic(heads: list[list[int]], to: list[int], cap: list[float], s: int, t: int) -> float:
@@ -240,43 +226,61 @@ def _residual_reach(heads, to, cap, start: int, forward: bool) -> tuple[int, ...
 
 
 def max_flow(
-    n: int,
-    capacities: Mapping[tuple[int, int], float] | ResidualNetwork,
-    s: int,
-    t: int,
-    *,
-    sink_side: bool = False,
-):
-    """Dinic's blocking-flow algorithm.
+    network: ResidualNetwork, s: int, t: int
+) -> tuple[float, tuple[int, ...], tuple[int, ...]]:
+    """Dinic's blocking-flow algorithm on a copy of the network's
+    capacities, so that flows between many pairs share one network.
 
-    Returns the flow value and a minimum s-t cut U with s in U, whose
-    outgoing capacity equals the value (exactly for integral capacities).
-    U is the minimal one: the vertices s reaches in the final residual
-    network. Pass a ResidualNetwork built by residual_network as the
-    capacities to run flows between many pairs on one build.
-
-    With sink_side, returns (value, U, W), where W is the minimal sink
-    side of the same flow: the vertices that reach t in the final residual
-    network, a minimum s-t cut read from its incoming capacity. When the
-    capacities are balanced at every vertex, every vertex set has equal
-    outgoing and incoming capacity, so W is then also the cut
-    ``max_flow(n, capacities, t, s)`` returns.
+    Returns (value, U, W), two minimum s-t cuts as sorted vertex tuples.
+    U is the minimal source side, the vertices s reaches in the final
+    residual network; its outgoing capacity equals the value (exactly for
+    integral capacities). W is the minimal sink side, the vertices that
+    reach t; its incoming capacity equals the value. Neither depends on
+    which maximum flow is found. When the capacities are balanced at
+    every vertex, every vertex set has equal outgoing and incoming
+    capacity, so W is then also the U of the flow from t to s.
     """
     if s == t:
         raise ValueError("source equals sink")
-    if isinstance(capacities, ResidualNetwork):
-        if capacities.n != n:
-            raise ValueError(f"network has {capacities.n} vertices, not {n}")
-        network = capacities
-    else:
-        network = residual_network(n, capacities)
     heads, to, cap = network.heads, network.to, network.cap.copy()
     value = _dinic(heads, to, cap, s, t)
-    source_cut = cut_record(n, network.merged, _residual_reach(heads, to, cap, s, True))
-    if not sink_side:
-        return value, source_cut
-    sink_cut = cut_record(n, network.merged, _residual_reach(heads, to, cap, t, False))
-    return value, source_cut, sink_cut
+    return (
+        value,
+        _residual_reach(heads, to, cap, s, True),
+        _residual_reach(heads, to, cap, t, False),
+    )
+
+
+def _transshipment_network(
+    g: IntegerMultiDigraph, b: Sequence[int]
+) -> tuple[list[tuple[tuple[int, int], int]], ResidualNetwork]:
+    """The super-source/super-sink reduction of a transshipment within g.
+
+    Returns g's arcs with their multiplicities in sorted order, and a
+    residual network on n + 2 vertices whose arc 2i is the i-th of them;
+    then come an arc from the super source n to every vertex with b < 0
+    and from every vertex with b > 0 to the super sink n + 1, in vertex
+    order, each with capacity |b|. All capacities are integers.
+    """
+    n = g.n
+    source, sink = n, n + 1
+    arcs = sorted(g.mult.items())
+    heads: list[list[int]] = [[] for _ in range(n + 2)]
+    to: list[int] = []
+    cap: list[int] = []
+    for (v, w), k in arcs:
+        heads[v].append(len(to))
+        heads[w].append(len(to) + 1)
+        to += (w, v)
+        cap += (k, 0)
+    for v in range(n):
+        if b[v]:
+            tail, head = (source, v) if b[v] < 0 else (v, sink)
+            heads[tail].append(len(to))
+            heads[head].append(len(to) + 1)
+            to += (head, tail)
+            cap += (abs(b[v]), 0)
+    return arcs, ResidualNetwork(heads, to, cap)
 
 
 def min_cost_flow(
@@ -301,29 +305,14 @@ def min_cost_flow(
     n = g.n
     size = n + 2
     source, sink = n, n + 1
-    # arc e and its reverse e ^ 1: first g's arcs in sorted order, then the
-    # super source's and super sink's arcs in vertex order
-    arcs = sorted(g.mult.items())
-    heads: list[list[int]] = [[] for _ in range(size)]
-    to: list[int] = []
-    cap: list[int] = []
+    arcs, network = _transshipment_network(g, b)
+    heads, to, cap = network.heads, network.to, network.cap
     cost: list[float] = []
     c = costs.c
-    for (v, w), k in arcs:
-        heads[v].append(len(to))
-        heads[w].append(len(to) + 1)
+    for (v, w), _ in arcs:
         price = float(c[v, w])
-        to += (w, v)
-        cap += (k, 0)
         cost += (price, -price)
-    for v in range(n):
-        if b[v]:
-            tail, head = (source, v) if b[v] < 0 else (v, sink)
-            heads[tail].append(len(to))
-            heads[head].append(len(to) + 1)
-            to += (head, tail)
-            cap += (abs(b[v]), 0)
-            cost += (0.0, -0.0)
+    cost += (0.0, -0.0) * (len(to) // 2 - len(arcs))
     demand = sum(d for d in b if d > 0)
     inf = float("inf")
     heappop, heappush = heapq.heappop, heapq.heappush
@@ -358,7 +347,7 @@ def min_cost_flow(
             members = tuple(v for v in range(n) if dist[v] == inf)
             raise InfeasibleError(
                 "transshipment infeasible: a cut has less capacity than demand",
-                certificate=cut_record(n, dict(g.mult), members),
+                certificate=cut_record(n, g.mult, members),
             )
         potential = [
             p + cap_dist if cap_dist < dv else p + dv
@@ -402,29 +391,23 @@ def transshipment_certificate(
     """Feasibility check alone: returns a violated cut, or None if a
     transshipment meeting the imbalances exists within capacities g.
 
-    Pure max-flow on the super-source/super-sink reduction; costs are
-    irrelevant to feasibility.
+    One max-flow on min_cost_flow's network; costs are irrelevant to
+    feasibility. The cut is the set of vertices the super source does not
+    reach, weighed on g: less incoming multiplicity than its demand. It is
+    the cut min_cost_flow's InfeasibleError carries, since the minimal
+    source side of a minimum cut does not depend on the maximum flow.
     """
     if sum(b) != 0:
         raise ImbalanceSumError(f"imbalances sum to {sum(b)}, not zero")
-    n = g.n
-    caps: dict[tuple[int, int], float] = {
-        (v, w): float(k) for (v, w), k in g.mult.items()
-    }
-    demand = 0.0
-    for v in range(n):
-        if b[v] < 0:
-            caps[(n, v)] = float(-b[v])
-        elif b[v] > 0:
-            caps[(v, n + 1)] = float(b[v])
-            demand += b[v]
+    demand = sum(d for d in b if d > 0)
     if demand == 0:
         return None
-    value, cut = max_flow(n + 2, caps, n, n + 1)
-    if value >= demand - 1e-9:
+    n = g.n
+    _, network = _transshipment_network(g, b)
+    value, reached, _ = max_flow(network, n, n + 1)
+    if value >= demand:
         return None
-    members = tuple(v for v in range(n) if v not in cut.members)
-    return cut_record(n, dict(g.mult), members)
+    return cut_record(n, g.mult, tuple(v for v in range(n) if v not in reached))
 
 
 Run = tuple[list[int], int]

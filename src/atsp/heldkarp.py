@@ -26,7 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from . import simplex
-from .cuts import CutRecord
+from .cuts import CutRecord, cut_record
 from .errors import InfeasibleError, IterationLimitError
 from .flows import max_flow, require_balanced, residual_network
 from .instance import CostMatrix
@@ -141,14 +141,15 @@ def separate(
     by (out_weight, members); empty when all cuts weigh >= 1 - tol.
 
     Fixes vertex 0 and runs one max-flow 0 -> t for every t != 0, all on
-    one residual network built once per call. Its minimal source side is a minimum cut among the sets that hold 0 and
-    not t. Its minimal sink side W has the flow value as incoming weight;
-    since the weights are balanced, every set's outgoing weight equals its
-    incoming weight, so W is a minimum cut among the sets that hold t and
-    not 0, the very cut max_flow from t to 0 would return. Every proper
-    nonempty subset either contains vertex 0 or excludes it, so the first
-    element is a most violated cut, ties broken toward the
-    lexicographically smallest vertex set.
+    one residual network built once per call, and weighs both sides of
+    each with cuts.cut_record. The minimal source side is a minimum cut
+    among the sets that hold 0 and not t. The minimal sink side W has the
+    flow value as incoming weight; since the weights are balanced, every
+    set's outgoing weight equals its incoming weight, so W is a minimum
+    cut among the sets that hold t and not 0, the very cut a max-flow from
+    t to 0 would give. Every proper nonempty subset either contains vertex
+    0 or excludes it, so the first element is a most violated cut, ties
+    broken toward the lexicographically smallest vertex set.
 
     Balance is checked, not assumed: NotBalancedError names the worst
     vertex when its imbalance exceeds BALANCE_TOL. LP points meet their
@@ -160,7 +161,8 @@ def separate(
     network = residual_network(n, capacities)
     found: dict[tuple[int, ...], CutRecord] = {}
     for t in range(1, n):
-        for cut in max_flow(n, network, 0, t, sink_side=True)[1:]:
+        for side in max_flow(network, 0, t)[1:]:
+            cut = cut_record(n, capacities, side)
             if cut.out_weight < 1.0 - tol:
                 found[cut.members] = cut
     return sorted(found.values(), key=lambda r: (r.out_weight, r.members))

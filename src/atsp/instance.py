@@ -50,9 +50,6 @@ class CostMatrix:
     def n(self) -> int:
         return self.c.shape[0]
 
-    def cost(self, v: int, w: int) -> float:
-        return float(self.c[v, w])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CostMatrix):
             return NotImplemented

@@ -157,16 +157,14 @@ class PipelineRun:
 
 
 def run_pipeline(
-    m: CostMatrix,
-    cfg: rounding.RoundingConfig | None = None,
-    tol: float = heldkarp.SEPARATION_TOL,
+    m: CostMatrix, cfg: rounding.RoundingConfig | None = None
 ) -> PipelineRun:
     """Full pipeline: the LP, then run_from_lp on its point.
 
     Propagates IterationLimitError from the LP and everything run_from_lp
     raises.
     """
-    return run_from_lp(m, heldkarp.solve_lp(m, tol), cfg)
+    return run_from_lp(m, heldkarp.solve_lp(m), cfg)
 
 
 def run_from_lp(
@@ -201,15 +199,6 @@ def run_from_lp(
     if failure is not None:
         raise CostSandwichError(failure, report)
     return PipelineRun(x=x, z=z, w=w, tour=tour, report=report)
-
-
-def solve(
-    m: CostMatrix,
-    cfg: rounding.RoundingConfig | None = None,
-    tol: float = heldkarp.SEPARATION_TOL,
-) -> tuple[Tour, PipelineReport]:
-    run = run_pipeline(m, cfg, tol)
-    return run.tour, run.report
 
 
 def tour_to_text(tour: Tour) -> str:

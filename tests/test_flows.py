@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from atsp import flows, heldkarp, instance, rounding
-from atsp.cuts import all_cut_values, cut_weights
+from atsp.cuts import all_cut_values, cut_record, cut_weights
 from atsp.errors import (
     DisconnectedError,
     ImbalanceSumError,
@@ -100,17 +100,13 @@ def test_multigraph_text_round_trip():
 
 def test_symmetrize_directed_triangle():
     y = flows.symmetrize(3, {(0, 1): 1.0, (1, 2): 1.0, (2, 0): 1.0})
-    assert y.y == {
-        frozenset((0, 1)): 0.5,
-        frozenset((1, 2)): 0.5,
-        frozenset((0, 2)): 0.5,
-    }
-    assert y.boundary_weight([0]) == pytest.approx(1.0)
+    assert y == {(0, 1): 0.5, (1, 2): 0.5, (0, 2): 0.5}
+    assert sum(cut_weights(3, y, [0])) == pytest.approx(1.0)
 
 
 def test_symmetrize_two_cycle():
     y = flows.symmetrize(4, {(0, 1): 0.5, (1, 0): 0.5})
-    assert y.y[frozenset((0, 1))] == pytest.approx(0.5)
+    assert y == {(0, 1): pytest.approx(0.5)}
 
 
 def test_symmetrize_rejects_unbalanced_weights():
@@ -135,7 +131,7 @@ def test_symmetrize_preserves_all_cut_values():
         masks, out_w, _ = all_cut_values(8, arcs)
         for mask, out_value in zip(masks, out_w):
             members = [v for v in range(8) if mask >> v & 1]
-            assert y.boundary_weight(members) == pytest.approx(
+            assert sum(cut_weights(8, y, members)) == pytest.approx(
                 out_value, abs=64 * 1e-12
             )
 
@@ -143,8 +139,15 @@ def test_symmetrize_preserves_all_cut_values():
 # ------------------------------------------------------------------ max flow
 
 
+def min_cut(n, caps, s, t):
+    """The flow value of s -> t on a fresh network and its minimal source
+    side, weighed on caps."""
+    value, side, _ = flows.max_flow(flows.residual_network(n, caps), s, t)
+    return value, cut_record(n, caps, side)
+
+
 def test_max_flow_single_arc():
-    value, cut = flows.max_flow(2, {(0, 1): 3.0}, 0, 1)
+    value, cut = min_cut(2, {(0, 1): 3.0}, 0, 1)
     assert value == pytest.approx(3.0)
     assert cut.members == (0,)
     assert cut.out_weight == pytest.approx(3.0)
@@ -152,7 +155,7 @@ def test_max_flow_single_arc():
 
 def test_max_flow_two_disjoint_paths():
     caps = {(0, 1): 1.0, (1, 3): 2.0, (0, 2): 2.0, (2, 3): 2.0}
-    value, _ = flows.max_flow(4, caps, 0, 3)
+    value, _ = min_cut(4, caps, 0, 3)
     assert value == pytest.approx(3.0)
 
 
@@ -177,7 +180,7 @@ def test_max_flow_matches_brute_force_on_random_digraphs():
             u, v = rng.integers(0, 7, 2)
             if u != v:
                 caps[(int(u), int(v))] = float(rng.integers(1, 6))
-        value, cut = flows.max_flow(7, caps, 0, 6)
+        value, cut = min_cut(7, caps, 0, 6)
         expect = brute_force_min_cut(7, caps, 0, 6)
         assert value == pytest.approx(expect, abs=1e-9)
         # duality: returned cut weight equals the flow value
@@ -250,8 +253,8 @@ def test_max_flow_takes_the_augmenting_paths_of_the_recursive_search():
             u, v = (int(x) for x in rng.integers(0, n, 2))
             caps[(u, v)] = float(rng.uniform(0.0, 3.0)) if trial % 2 else float(rng.integers(0, 4))
         s, t = (int(x) for x in rng.choice(n, 2, replace=False))
-        value, cut = flows.max_flow(n, caps, s, t)
-        assert (value, cut.members) == recursive_dinic(n, caps, s, t)
+        value, side, _ = flows.max_flow(flows.residual_network(n, caps), s, t)
+        assert (value, side) == recursive_dinic(n, caps, s, t)
 
 
 def test_max_flow_on_a_long_path():
@@ -259,7 +262,7 @@ def test_max_flow_on_a_long_path():
     n = 5001
     caps = {(v, v + 1): 2.0 + v % 7 for v in range(n - 1)}
     caps[(3000, 3001)] = 1.5
-    value, cut = flows.max_flow(n, caps, 0, n - 1)
+    value, cut = min_cut(n, caps, 0, n - 1)
     assert value == 1.5
     assert cut.members == tuple(range(3001))
     assert cut.out_weight == 1.5
@@ -279,7 +282,7 @@ def test_max_flow_on_a_long_layered_graph():
             for b in range(width):
                 tail, head = layer * width + a, (layer + 1) * width + b
                 caps[(tail, head)] = float(rng.integers(1, 5))
-    value, cut = flows.max_flow(n, caps, source, sink)
+    value, cut = min_cut(n, caps, source, sink)
     graph = nx.DiGraph()
     graph.add_weighted_edges_from(((u, v, c) for (u, v), c in caps.items()), weight="capacity")
     assert value == nx.maximum_flow_value(graph, source, sink)
@@ -288,9 +291,14 @@ def test_max_flow_on_a_long_layered_graph():
 
 
 def rooted_min_cuts(n, caps, root):
-    """Both sides of the root -> t flow for every t != root, on one network."""
+    """Both sides of the root -> t flow for every t != root, on one
+    network, weighed on caps."""
     network = flows.residual_network(n, caps)
-    return [flows.max_flow(n, network, root, t, sink_side=True)[1:] for t in range(n) if t != root]
+    return [
+        tuple(cut_record(n, caps, side) for side in flows.max_flow(network, root, t)[1:])
+        for t in range(n)
+        if t != root
+    ]
 
 
 def test_shared_network_sides_are_the_cuts_of_both_flow_directions():
@@ -303,8 +311,8 @@ def test_shared_network_sides_are_the_cuts_of_both_flow_directions():
         sinks = [t for t in range(n) if t != root]
         assert len(cuts) == len(sinks)
         for t, (source_side, sink_side) in zip(sinks, cuts):
-            assert source_side == flows.max_flow(n, caps, root, t)[1]
-            assert sink_side == flows.max_flow(n, caps, t, root)[1]
+            assert source_side == min_cut(n, caps, root, t)[1]
+            assert sink_side == min_cut(n, caps, t, root)[1]
 
 
 def test_max_flow_on_a_shared_network_leaves_it_unchanged():
@@ -312,12 +320,10 @@ def test_max_flow_on_a_shared_network_leaves_it_unchanged():
     caps = random_circulation(8, rng)
     network = flows.residual_network(8, caps)
     start = list(network.cap)
-    first = flows.max_flow(8, network, 0, 5, sink_side=True)
+    first = flows.max_flow(network, 0, 5)
     assert network.cap == start
-    assert flows.max_flow(8, network, 0, 5, sink_side=True) == first
-    assert first[:2] == flows.max_flow(8, caps, 0, 5) == flows.max_flow(8, network, 0, 5)
-    with pytest.raises(ValueError):
-        flows.max_flow(9, network, 0, 5)
+    assert flows.max_flow(network, 0, 5) == first
+    assert flows.max_flow(flows.residual_network(8, caps), 0, 5) == first
 
 
 def test_both_sides_min_cut_values_agree_with_networkx():
@@ -538,6 +544,7 @@ def test_min_cost_flow_matches_the_full_dijkstra_loop_on_rounded_samples():
                     try:
                         got = "flow", flows.min_cost_flow(z, costs, b).mult
                     except InfeasibleError as exc:
+                        assert exc.certificate == flows.transshipment_certificate(z, b)
                         got = "cut", exc.certificate.members
                     assert got == full_dijkstra_ssp(z, costs, b), (kind, k_const, seed)
                     outcomes.add(got[0])
@@ -727,7 +734,7 @@ def test_max_flow_matches_networkx(graph, data):
     network.add_nodes_from(range(n))
     network.add_weighted_edges_from(((v, w, c) for (v, w), c in caps.items()), weight="capacity")
     expect = nx.maximum_flow_value(network, s, t)
-    value, cut = flows.max_flow(n, caps, s, t)
+    value, cut = min_cut(n, caps, s, t)
     assert value == pytest.approx(expect, abs=1e-9)
     assert cut.out_weight == pytest.approx(expect, abs=1e-9)
     assert s in cut.members and t not in cut.members
@@ -760,6 +767,8 @@ def test_min_cost_flow_matches_networkx(graph, data):
             flows.min_cost_flow(g, costs, b)
         cut = raised.value.certificate
         assert sum(b[v] for v in cut.members) > cut.in_weight
+        # both decisions read one network: the same cut, weighed the same
+        assert cut == certificate
         return
     w = flows.min_cost_flow(g, costs, b)
     assert w.total_cost(costs) == expect

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from atsp import flows, heldkarp, instance, oracle
-from atsp.cuts import CutRecord, all_cut_values
+from atsp.cuts import CutRecord, all_cut_values, cut_record
 from atsp.errors import IterationLimitError, NotBalancedError
 from atsp.patchup import tour_cost
 
@@ -146,7 +146,8 @@ def two_direction_separate(n, arcs, tol=heldkarp.SEPARATION_TOL):
     found = {}
     for t in range(1, n):
         for s, dest in ((0, t), (t, 0)):
-            _, cut = flows.max_flow(n, capacities, s, dest)
+            _, side, _ = flows.max_flow(flows.residual_network(n, capacities), s, dest)
+            cut = cut_record(n, capacities, side)
             if cut.out_weight < 1.0 - tol:
                 found[cut.members] = cut
     return sorted(found.values(), key=lambda r: (r.out_weight, r.members))
@@ -359,9 +360,9 @@ def test_every_separation_round_equals_the_reference(case, monkeypatch):
         builds.append(args)
         return flows.residual_network(*args)
 
-    def counted(n, capacities, s, t, **kwargs):
+    def counted(network, s, t):
         flow_calls.append((s, t))
-        return flows.max_flow(n, capacities, s, t, **kwargs)
+        return flows.max_flow(network, s, t)
 
     monkeypatch.setattr(heldkarp, "separate", checked)
     monkeypatch.setattr(heldkarp, "residual_network", built)

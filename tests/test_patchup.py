@@ -212,7 +212,8 @@ def test_tour_text_round_trip():
 
 
 def test_solve_all_ones_triangle():
-    tour, report = patchup.solve(uniform_costs(3))
+    run = patchup.run_pipeline(uniform_costs(3))
+    tour, report = run.tour, run.report
     assert tour.cost == pytest.approx(3.0)
     assert report.lp_objective == pytest.approx(3.0, abs=1e-6)
     assert report.attempts == 1
@@ -221,7 +222,7 @@ def test_solve_all_ones_triangle():
 
 def test_solve_sandwich_and_ratio_against_exact():
     m = instance.generate("asymmetric-uniform", 10, 3)
-    tour, report = patchup.solve(m, rounding.RoundingConfig(seed=11))
+    report = patchup.run_pipeline(m, rounding.RoundingConfig(seed=11)).report
     exact_cost, _ = oracle.exact_atsp(m)
     assert report.tour_cost / exact_cost >= 1.0 - 1e-9
     assert report.lp_objective - 1e-6 <= report.tour_cost
@@ -233,8 +234,8 @@ def test_broken_sandwich_raises_a_typed_error(monkeypatch):
     # a doctored LP bound above every tour breaks lp - 1e-6 <= tour
     solve_lp = heldkarp.solve_lp
 
-    def inflated(m, tol):
-        x = solve_lp(m, tol)
+    def inflated(m):
+        x = solve_lp(m)
         return dataclasses.replace(x, objective=10.0 * x.objective)
 
     monkeypatch.setattr(heldkarp, "solve_lp", inflated)
@@ -254,7 +255,7 @@ def test_solve_runs_on_every_kind(kind):
 
 
 def test_report_key_value_lines():
-    _, report = patchup.solve(uniform_costs(3))
+    report = patchup.run_pipeline(uniform_costs(3)).report
     lines = report.key_value_lines()
     assert lines[0] == "n=3"
     assert any(ln.startswith("lpObjective=") for ln in lines)
