@@ -28,6 +28,7 @@ from .errors import (
     SingularBasisError,
     SlacknessError,
     TooLargeError,
+    UnboundedError,
     UnsupportedKindError,
     WeightOutOfRangeError,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "SlacknessError",
     "TooLargeError",
     "Tour",
+    "UnboundedError",
     "UnsupportedKindError",
     "ValidationReport",
     "WeightOutOfRangeError",

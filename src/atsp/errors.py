@@ -19,7 +19,9 @@ class InfeasibleError(AtspError):
     """A flow or LP problem has no feasible solution.
 
     When raised by the transshipment solver, ``certificate`` carries a
-    CutRecord whose incoming weight is smaller than its demand.
+    CutRecord whose incoming weight is smaller than its demand. When raised
+    by the simplex, it carries row multipliers y: over the box
+    0 <= x <= upper, y @ a_eq @ x never equals y @ b_eq.
     """
 
     def __init__(self, message: str, certificate=None):
@@ -27,8 +29,23 @@ class InfeasibleError(AtspError):
         self.certificate = certificate
 
 
+class UnboundedError(AtspError):
+    """An LP's objective decreases without bound.
+
+    ``column`` is the simplex's entering column and ``ray`` the direction it
+    opens: ray >= 0 with a_eq @ ray = 0 and c @ ray < 0, positive only on
+    columns without an upper bound, so from any feasible x every x + t ray,
+    t >= 0, is feasible and the cost falls with t.
+    """
+
+    def __init__(self, message: str, column: int, ray):
+        super().__init__(message)
+        self.column = column
+        self.ray = ray
+
+
 class IterationLimitError(AtspError):
-    """An iterative solver exceeded its configured iteration cap."""
+    """An iterative solver exceeded its iteration cap."""
 
 
 class SingularBasisError(AtspError):

@@ -29,6 +29,8 @@ from .errors import (
 from .instance import CostMatrix
 
 _EPS = 1e-12
+# imbalance symmetrize accepts: LP points meet their balance rows to rounding
+SYMMETRIZE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -97,17 +99,16 @@ def require_balanced(n: int, arcs: Mapping[tuple[int, int], float], tol: float) 
         )
 
 
-def symmetrize(
-    n: int, arcs: Mapping[tuple[int, int], float], tol: float = 1e-6
-) -> dict[tuple[int, int], float]:
+def symmetrize(n: int, arcs: Mapping[tuple[int, int], float]) -> dict[tuple[int, int], float]:
     """Average each arc with its reverse: the half-sum of the two
     directions on each pair (lo, hi), lo < hi, that carries weight.
 
-    Requires vertex balance within tol, since only balanced weights have
-    direction-free cut values: then a set's outgoing weight equals the
-    weight of the pairs it separates, sum(cuts.cut_weights(n, y, members)).
+    Requires vertex balance within SYMMETRIZE_TOL, since only balanced
+    weights have direction-free cut values: then a set's outgoing weight
+    equals the weight of the pairs it separates,
+    sum(cuts.cut_weights(n, y, members)).
     """
-    require_balanced(n, arcs, tol)
+    require_balanced(n, arcs, SYMMETRIZE_TOL)
     y: dict[tuple[int, int], float] = {}
     for (v, w), weight in arcs.items():
         if weight == 0.0:
@@ -130,17 +131,19 @@ class ResidualNetwork:
 
 
 def residual_network(n: int, capacities: Mapping[tuple[int, int], float]) -> ResidualNetwork:
-    """The residual network of the positive off-diagonal capacities over
-    vertices 0..n-1, in sorted arc order."""
+    """The residual network of the capacities over vertices 0..n-1 in the
+    mapping's order: arc 2i is its i-th arc and 2i + 1 the reverse, which
+    starts at a zero of the capacity's type, so integers stay integers.
+    Flows take the lowest-index usable arc; pass capacities sorted for
+    sorted-order paths."""
     heads: list[list[int]] = [[] for _ in range(n)]
     to: list[int] = []
     cap: list[float] = []
-    for (u, v), c in sorted(capacities.items()):
-        if u != v and c > 0.0:
-            heads[u].append(len(to))
-            heads[v].append(len(to) + 1)
-            to += (v, u)
-            cap += (c, 0.0)
+    for (u, v), c in capacities.items():
+        heads[u].append(len(to))
+        heads[v].append(len(to) + 1)
+        to += (v, u)
+        cap += (c, type(c)())
     return ResidualNetwork(heads, to, cap)
 
 
@@ -253,34 +256,22 @@ def max_flow(
 
 def _transshipment_network(
     g: IntegerMultiDigraph, b: Sequence[int]
-) -> tuple[list[tuple[tuple[int, int], int]], ResidualNetwork]:
+) -> tuple[list[tuple[int, int]], ResidualNetwork]:
     """The super-source/super-sink reduction of a transshipment within g.
 
-    Returns g's arcs with their multiplicities in sorted order, and a
-    residual network on n + 2 vertices whose arc 2i is the i-th of them;
-    then come an arc from the super source n to every vertex with b < 0
-    and from every vertex with b > 0 to the super sink n + 1, in vertex
-    order, each with capacity |b|. All capacities are integers.
+    Returns g's arcs in sorted order, and a residual network on n + 2
+    vertices whose arc 2i is the i-th of them, with its multiplicity as
+    capacity; then come an arc from the super source n to every vertex
+    with b < 0 and from every vertex with b > 0 to the super sink n + 1,
+    in vertex order, each with capacity |b|. All capacities are integral.
     """
     n = g.n
-    source, sink = n, n + 1
-    arcs = sorted(g.mult.items())
-    heads: list[list[int]] = [[] for _ in range(n + 2)]
-    to: list[int] = []
-    cap: list[int] = []
-    for (v, w), k in arcs:
-        heads[v].append(len(to))
-        heads[w].append(len(to) + 1)
-        to += (w, v)
-        cap += (k, 0)
+    arcs = sorted(g.mult)
+    capacities = {arc: g.mult[arc] for arc in arcs}
     for v in range(n):
         if b[v]:
-            tail, head = (source, v) if b[v] < 0 else (v, sink)
-            heads[tail].append(len(to))
-            heads[head].append(len(to) + 1)
-            to += (head, tail)
-            cap += (abs(b[v]), 0)
-    return arcs, ResidualNetwork(heads, to, cap)
+            capacities[(n, v) if b[v] < 0 else (v, n + 1)] = abs(b[v])
+    return arcs, residual_network(n + 2, capacities)
 
 
 def min_cost_flow(
@@ -309,7 +300,7 @@ def min_cost_flow(
     heads, to, cap = network.heads, network.to, network.cap
     cost: list[float] = []
     c = costs.c
-    for (v, w), _ in arcs:
+    for v, w in arcs:
         price = float(c[v, w])
         cost += (price, -price)
     cost += (0.0, -0.0) * (len(to) // 2 - len(arcs))
@@ -366,7 +357,7 @@ def min_cost_flow(
             cap[e] -= bottleneck
             cap[e ^ 1] += bottleneck
         shipped += bottleneck
-    flow = {arc: cap[2 * i + 1] for i, (arc, _) in enumerate(arcs) if cap[2 * i + 1] > 0}
+    flow = {arc: cap[2 * i + 1] for i, arc in enumerate(arcs) if cap[2 * i + 1] > 0}
     _check_slackness(heads, to, cap, cost, potential)
     return IntegerMultiDigraph(n, flow)
 

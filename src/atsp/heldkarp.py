@@ -7,7 +7,7 @@ the way the rounding step expects. Each round, n-1 max-flows from vertex
 0 find the violated cut constraints x(delta_out(U)) >= 1, reading both
 sides of each minimum cut; every distinct one is appended to the master
 as a row x(delta_out(U)) - s_U = 1 with its own surplus column s_U. The
-loop ends when no cut is violated by more than tol.
+loop ends when no cut is violated by more than SEPARATION_TOL.
 
 The first master starts from the basis of a nearest-neighbour tour, which
 is primal feasible, so the primal simplex starts at once. Every later
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import simplex
 from .cuts import CutRecord, cut_record
-from .errors import InfeasibleError, IterationLimitError
+from .errors import IterationLimitError
 from .flows import max_flow, require_balanced, residual_network
 from .instance import CostMatrix
 
@@ -123,60 +123,47 @@ def _tour_basis(c: np.ndarray, tails: np.ndarray, heads: np.ndarray) -> simplex.
     return simplex.Basis(np.sort(basic), np.zeros(tails.size, dtype=bool))
 
 
-def _solve_master(cost, a, b, upper, start) -> simplex.SimplexResult:
-    result = simplex.minimize(cost, a, b, upper, start)
-    if result.status == simplex.INFEASIBLE:
-        raise InfeasibleError(
-            "master LP infeasible; this cannot happen on a valid instance"
-        )
-    if result.status != simplex.OPTIMAL:
-        raise IterationLimitError(f"simplex stopped with status {result.status}")
-    return result
-
-
-def separate(
-    n: int, arcs: Mapping[tuple[int, int], float], tol: float = SEPARATION_TOL
-) -> list[CutRecord]:
+def separate(n: int, arcs: Mapping[tuple[int, int], float]) -> list[CutRecord]:
     """Every distinct violated subtour cut that n-1 max-flows find, sorted
-    by (out_weight, members); empty when all cuts weigh >= 1 - tol.
+    by (out_weight, members); empty when all cuts weigh >= 1 - SEPARATION_TOL.
 
     Fixes vertex 0 and runs one max-flow 0 -> t for every t != 0, all on
-    one residual network built once per call, and weighs both sides of
-    each with cuts.cut_record. The minimal source side is a minimum cut
-    among the sets that hold 0 and not t. The minimal sink side W has the
-    flow value as incoming weight; since the weights are balanced, every
-    set's outgoing weight equals its incoming weight, so W is a minimum
-    cut among the sets that hold t and not 0, the very cut a max-flow from
-    t to 0 would give. Every proper nonempty subset either contains vertex
-    0 or excludes it, so the first element is a most violated cut, ties
-    broken toward the lexicographically smallest vertex set.
+    one residual network built once per call, and weighs each distinct
+    side of each once with cuts.cut_record. The minimal source side is a
+    minimum cut among the sets that hold 0 and not t. The minimal sink
+    side W has the flow value as incoming weight; since the weights are
+    balanced, every set's outgoing weight equals its incoming weight, so W
+    is a minimum cut among the sets that hold t and not 0, the very cut a
+    max-flow from t to 0 would give. Every proper nonempty subset either
+    contains vertex 0 or excludes it, so the first element is a most
+    violated cut, ties broken toward the lexicographically smallest vertex
+    set.
 
     Balance is checked, not assumed: NotBalancedError names the worst
     vertex when its imbalance exceeds BALANCE_TOL. LP points meet their
     balance rows to rounding error, and within BALANCE_TOL a set's two
     weights differ by at most n * BALANCE_TOL.
     """
-    capacities = {arc: x for arc, x in arcs.items() if x > 0.0}
+    capacities = dict(sorted((arc, x) for arc, x in arcs.items() if x > 0.0))
     require_balanced(n, capacities, BALANCE_TOL)
     network = residual_network(n, capacities)
-    found: dict[tuple[int, ...], CutRecord] = {}
+    weighed: dict[tuple[int, ...], CutRecord] = {}
     for t in range(1, n):
         for side in max_flow(network, 0, t)[1:]:
-            cut = cut_record(n, capacities, side)
-            if cut.out_weight < 1.0 - tol:
-                found[cut.members] = cut
-    return sorted(found.values(), key=lambda r: (r.out_weight, r.members))
+            if side not in weighed:
+                weighed[side] = cut_record(n, capacities, side)
+    violated = [cut for cut in weighed.values() if cut.out_weight < 1.0 - SEPARATION_TOL]
+    return sorted(violated, key=lambda r: (r.out_weight, r.members))
 
 
-def solve_lp(
-    m: CostMatrix, tol: float = SEPARATION_TOL, trace: list[float] | None = None
-) -> FractionalCirculation:
+def solve_lp(m: CostMatrix, trace: list[float] | None = None) -> FractionalCirculation:
     """Solve the subtour relaxation by cutting planes.
 
     The master objective per round is appended to ``trace`` when given
     (it is non-decreasing as cuts accumulate). Raises IterationLimitError
     if the loop exceeds 50 rounds per vertex, or if a round's violated
-    cuts are all in the master already (a numerical stall).
+    cuts are all in the master already (a numerical stall). A master the
+    simplex cannot solve raises its typed error, with its certificate.
     """
     n = m.n
     tails, heads = np.nonzero(~np.eye(n, dtype=bool))
@@ -187,11 +174,11 @@ def solve_lp(
     pooled: set[tuple[int, ...]] = set()
     basis = _tour_basis(m.c, tails, heads)
     for _ in range(ROUNDS_PER_VERTEX * n):
-        result = _solve_master(cost, a, b, upper, basis)
+        result = simplex.minimize(cost, a, b, upper, basis)
         if trace is not None:
             trace.append(result.objective)
         arcs = dict(zip(arc_list, result.x[: tails.size].tolist()))
-        violated = separate(n, arcs, tol)
+        violated = separate(n, arcs)
         if not violated:
             support = {arc: value for arc, value in arcs.items() if value > 0.0}
             return FractionalCirculation(n, support, result.objective)

@@ -78,9 +78,9 @@ class ValidationReport:
         )
 
 
-def validate(m: CostMatrix, tol: float = TRIANGLE_TOL) -> ValidationReport:
-    """Report every violated triangle (i, k, j) with its slack, plus any
-    negative or nonzero-diagonal entry. Never raises."""
+def validate(m: CostMatrix) -> ValidationReport:
+    """Report every violated triangle (i, k, j), beyond TRIANGLE_TOL, with
+    its slack, plus any negative or nonzero-diagonal entry. Never raises."""
     c = m.c
     n = m.n
     report = ValidationReport()
@@ -96,7 +96,7 @@ def validate(m: CostMatrix, tol: float = TRIANGLE_TOL) -> ValidationReport:
             if k == i:
                 continue
             via = c[i, k] + c[k, :]
-            bad = np.nonzero(c[i, :] > via + tol)[0]
+            bad = np.nonzero(c[i, :] > via + TRIANGLE_TOL)[0]
             for j in bad:
                 if j == i or j == k:
                     continue

@@ -18,6 +18,10 @@ nondegenerate pivot or bound flip, which rules out cycling while letting
 Dantzig pricing resume. The basis inverse is maintained by rank-one pivot
 updates and refactorized periodically to bound numerical drift; at the
 few-hundred-row scale this package needs, that is both fast and robust.
+
+A solve returns an optimum or raises InfeasibleError (row multipliers),
+UnboundedError (entering column and ray) or, past MAX_ITERATIONS,
+IterationLimitError; errors.py states what each certificate proves.
 """
 
 from __future__ import annotations
@@ -26,12 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularBasisError
+from .errors import InfeasibleError, IterationLimitError, SingularBasisError, UnboundedError
 
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-ITERATION_LIMIT = "iteration_limit"
+MAX_ITERATIONS = 100_000
 
 _REDUCED_TOL = 1e-9
 _FEASIBLE_TOL = 1e-9
@@ -55,14 +56,14 @@ class Basis:
     at_upper: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimplexResult:
-    status: str
-    x: np.ndarray | None
-    objective: float | None
+    """An optimum x, its objective, the iterations taken, the basis."""
+
+    x: np.ndarray
+    objective: float
     iterations: int
-    # the optimal basis; set whenever status is OPTIMAL
-    basis: Basis | None = None
+    basis: Basis
 
 
 class _Tableau:
@@ -131,19 +132,10 @@ class _Tableau:
     def reduced_costs(self, cost: np.ndarray) -> np.ndarray:
         return cost - (cost[self.basis] @ self.binv) @ self.a
 
-    def require_dual_feasible(self, cost: np.ndarray) -> None:
-        """Raise ValueError unless no nonbasic column could improve the
-        cost by more than _REDUCED_TOL per unit move."""
-        reduced = self.reduced_costs(cost)
-        wrong = np.where(self.state == _LOWER, -reduced, reduced)
-        wrong[self.state == _BASIC] = 0.0
-        worst = int(np.argmax(wrong))
-        if wrong[worst] > _REDUCED_TOL:
-            bound = "lower" if self.state[worst] == _LOWER else "upper"
-            raise ValueError(
-                f"start basis is primal infeasible and not dual feasible: column "
-                f"{worst} has reduced cost {reduced[worst]!r} at its {bound} bound"
-            )
+    def count_iteration(self) -> None:
+        if self.iterations >= MAX_ITERATIONS:
+            raise IterationLimitError(f"simplex stopped after {MAX_ITERATIONS} iterations")
+        self.iterations += 1
 
     def solution(self) -> np.ndarray:
         x = np.zeros(self.a.shape[1])
@@ -151,21 +143,20 @@ class _Tableau:
         x[self.basis] = self.basic_values()
         return x
 
-    def run(self, cost: np.ndarray, max_iterations: int) -> str:
+    def run(self, cost: np.ndarray) -> None:
         """Primal simplex: from a primal feasible basis, minimize cost
-        until optimal or unbounded."""
+        until optimal; UnboundedError when the entering column meets no
+        bound."""
         streak = 0
         while True:
-            if self.iterations >= max_iterations:
-                return ITERATION_LIMIT
-            self.iterations += 1
+            self.count_iteration()
             xb = self.basic_values()
             reduced = self.reduced_costs(cost)
             eligible_lower = (self.state == _LOWER) & (reduced < -_REDUCED_TOL)
             eligible_upper = (self.state == _UPPER) & (reduced > _REDUCED_TOL)
             candidates = np.nonzero(eligible_lower | eligible_upper)[0]
             if candidates.size == 0:
-                return OPTIMAL
+                return
             if streak > _DEGENERATE_STREAK:
                 enter = int(candidates[0])
             else:
@@ -192,7 +183,15 @@ class _Tableau:
                 leave_pos = int(ties[np.argmin(self.basis[ties])])
             flip = self.upper[enter]
             if leave_pos < 0 and not np.isfinite(flip):
-                return UNBOUNDED
+                # no basic value falls by more than _PIVOT_TOL per unit
+                ray = np.zeros(self.a.shape[1])
+                ray[self.basis] = np.where(d < -_PIVOT_TOL, -d, 0.0)
+                ray[enter] = 1.0
+                raise UnboundedError(
+                    f"column {enter} enters with reduced cost "
+                    f"{reduced[enter]!r} and no bound stops it",
+                    enter, ray,
+                )
             if not np.isfinite(flip) or flip >= step - _STEP_TOL:
                 leave_to = _LOWER if toward_lower[leave_pos] else _UPPER
                 self._replace(leave_pos, enter, leave_to, d)
@@ -202,20 +201,31 @@ class _Tableau:
                 self.state[enter] = _UPPER if from_lower else _LOWER
                 streak = 0
 
-    def run_dual(self, cost: np.ndarray, max_iterations: int) -> str:
-        """Bounded dual simplex: from a dual feasible basis, pivot until
-        every basic value is within its bounds. INFEASIBLE when a violated
-        row has no nonbasic column that can repair it."""
-        streak = 0
+    def run_dual(self, cost: np.ndarray) -> None:
+        """Bounded dual simplex: pivot until every basic value is within
+        its bounds. Returns at once from a primal feasible basis; any other
+        must be dual feasible within _REDUCED_TOL, else ValueError.
+        InfeasibleError when a violated row has no nonbasic column that can
+        repair it."""
+        xb, violation = self.bound_violations()
+        if not np.any(violation > _FEASIBLE_TOL):
+            return
         reduced = self.reduced_costs(cost)
+        wrong = np.where(self.state == _LOWER, -reduced, reduced)
+        wrong[self.state == _BASIC] = 0.0
+        worst = int(np.argmax(wrong))
+        if wrong[worst] > _REDUCED_TOL:
+            bound = "lower" if self.state[worst] == _LOWER else "upper"
+            raise ValueError(
+                f"start basis is primal infeasible and not dual feasible: column "
+                f"{worst} has reduced cost {reduced[worst]!r} at its {bound} bound"
+            )
+        streak = 0
         while True:
-            if self.iterations >= max_iterations:
-                return ITERATION_LIMIT
-            self.iterations += 1
-            xb, violation = self.bound_violations()
+            self.count_iteration()
             rows = np.nonzero(violation > _FEASIBLE_TOL)[0]
             if rows.size == 0:
-                return OPTIMAL
+                return
             bland = streak > _DEGENERATE_STREAK
             if bland:
                 pos = int(rows[np.argmin(self.basis[rows])])
@@ -231,7 +241,13 @@ class _Tableau:
             eligible = (repair > _PIVOT_TOL) & (self.state != _BASIC)
             candidates = np.nonzero(eligible)[0]
             if candidates.size == 0:
-                return INFEASIBLE
+                # row pos reads x_B[pos] + alpha @ x_N = y @ b for y = B^-1[pos],
+                # and no column in its box moves x_B[pos] into its bounds
+                raise InfeasibleError(
+                    f"row {pos} cannot be repaired: basic column "
+                    f"{self.basis[pos]} is at {xb[pos]!r}, outside its bounds",
+                    certificate=self.binv[pos].copy(),
+                )
             ratios = (
                 np.maximum(reduced[candidates] * move[candidates], 0.0)
                 / repair[candidates]
@@ -252,6 +268,7 @@ class _Tableau:
             if self._pivots_since_refresh == 0:
                 reduced = self.reduced_costs(cost)
             streak = streak + 1 if step <= _STEP_TOL else 0
+            xb, violation = self.bound_violations()
 
 
 def minimize(
@@ -260,32 +277,24 @@ def minimize(
     b_eq: np.ndarray,
     upper: np.ndarray,
     start: Basis,
-    max_iterations: int = 100_000,
 ) -> SimplexResult:
     """Minimize c @ x subject to a_eq @ x = b_eq and 0 <= x <= upper.
 
     ``start`` is a full basis of this LP: one basic column per row and the
-    columns nonbasic at their upper bound. A primal feasible start goes
-    straight to the primal simplex. A primal infeasible one must be dual
-    feasible within _REDUCED_TOL, else ValueError; the bounded dual
-    simplex re-optimizes it (INFEASIBLE when a violated row cannot be
-    repaired), and the primal simplex runs as cleanup. Raises
-    SingularBasisError when a basis matrix, the start's included, cannot be
-    inverted. The result carries the optimal basis when OPTIMAL.
+    columns nonbasic at their upper bound. The bounded dual simplex first
+    repairs a primal infeasible start, which must be dual feasible within
+    _REDUCED_TOL, else ValueError; then the primal simplex optimizes, or
+    only confirms optimality after the dual. Raises the typed errors the
+    module docstring names, and SingularBasisError when a basis matrix,
+    the start's included, cannot be inverted.
     """
     c = np.asarray(c, dtype=np.float64)
     a_eq = np.asarray(a_eq, dtype=np.float64)
     b_eq = np.asarray(b_eq, dtype=np.float64)
     upper = np.asarray(upper, dtype=np.float64)
     tab = _Tableau(a_eq, b_eq, upper, start)
-    if np.any(tab.bound_violations()[1] > _FEASIBLE_TOL):
-        tab.require_dual_feasible(c)
-        status = tab.run_dual(c, max_iterations)
-        if status != OPTIMAL:
-            return SimplexResult(status, None, None, tab.iterations)
-    status = tab.run(c, max_iterations)
-    if status != OPTIMAL:
-        return SimplexResult(status, None, None, tab.iterations)
+    tab.run_dual(c)
+    tab.run(c)
     x = tab.solution()
     basis = Basis(tab.basis.copy(), tab.state == _UPPER)
-    return SimplexResult(OPTIMAL, x, float(c @ x), tab.iterations, basis)
+    return SimplexResult(x, float(c @ x), tab.iterations, basis)

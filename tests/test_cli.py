@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from atsp import cli, flows, heldkarp, instance, patchup
+from atsp import cli, flows, heldkarp, instance, patchup, simplex
 
 
 @pytest.fixture()
@@ -108,6 +108,14 @@ def test_retries_exhausted_exits_2(tmp_path):
         if rc == 2:
             break
     assert 2 in exit_codes
+
+
+def test_simplex_iteration_cap_exits_2(inst10, capsys, monkeypatch):
+    monkeypatch.setattr(simplex, "MAX_ITERATIONS", 1)
+    assert cli.main(["lp", inst10]) == cli.EXIT_ALGORITHMIC == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: simplex stopped after 1 iterations\n"
 
 
 def test_verify_small_instance(tmp_path, capsys):

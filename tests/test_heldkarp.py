@@ -97,7 +97,7 @@ def test_master_objective_is_monotone_in_cut_rounds():
 def test_stall_when_every_violated_cut_is_pooled(monkeypatch):
     # separation keeps reporting the one cut the master already holds
     stuck = CutRecord((0, 1), 0.5, 0.5)
-    monkeypatch.setattr(heldkarp, "separate", lambda n, arcs, tol: [stuck])
+    monkeypatch.setattr(heldkarp, "separate", lambda n, arcs: [stuck])
     with pytest.raises(IterationLimitError, match="pooled"):
         heldkarp.solve_lp(instance.generate("cycle-heavy", 6, 1))
 
@@ -123,10 +123,10 @@ def test_separate_accepts_single_cycle():
 
 def test_separate_agrees_with_exhaustive_enumeration():
     rng = np.random.default_rng(21)
-    tol = 1e-6
+    tol = heldkarp.SEPARATION_TOL
     for _ in range(20):
         arcs = random_circulation(8, rng)
-        cuts = heldkarp.separate(8, arcs, tol)
+        cuts = heldkarp.separate(8, arcs)
         _, out_w, _ = all_cut_values(8, arcs)
         exhaustive_min = float(out_w.min())
         if not cuts:
@@ -139,16 +139,16 @@ def test_separate_agrees_with_exhaustive_enumeration():
         assert cuts[0].out_weight == pytest.approx(exhaustive_min, abs=1e-9)
 
 
-def two_direction_separate(n, arcs, tol=heldkarp.SEPARATION_TOL):
+def two_direction_separate(n, arcs):
     """Reference separation: two max-flows per t != 0, min-cut(0 -> t) and
     min-cut(t -> 0), filtered and sorted the way separate does."""
-    capacities = {arc: x for arc, x in arcs.items() if x > 0.0}
+    capacities = {arc: x for arc, x in sorted(arcs.items()) if x > 0.0}
     found = {}
     for t in range(1, n):
         for s, dest in ((0, t), (t, 0)):
             _, side, _ = flows.max_flow(flows.residual_network(n, capacities), s, dest)
             cut = cut_record(n, capacities, side)
-            if cut.out_weight < 1.0 - tol:
+            if cut.out_weight < 1.0 - heldkarp.SEPARATION_TOL:
                 found[cut.members] = cut
     return sorted(found.values(), key=lambda r: (r.out_weight, r.members))
 
@@ -350,9 +350,9 @@ def test_every_separation_round_equals_the_reference(case, monkeypatch):
     flow_calls = []
     separate = heldkarp.separate
 
-    def checked(n, arcs, tol):
-        cuts = separate(n, arcs, tol)
-        assert cuts == two_direction_separate(n, arcs, tol)
+    def checked(n, arcs):
+        cuts = separate(n, arcs)
+        assert cuts == two_direction_separate(n, arcs)
         rounds.append(len(cuts))
         return cuts
 

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
-from atsp import AtspError, SingularBasisError, simplex
+from atsp import (
+    AtspError,
+    InfeasibleError,
+    IterationLimitError,
+    SingularBasisError,
+    UnboundedError,
+    simplex,
+)
 
 
 def _highs(c, a, b, upper):
@@ -16,12 +23,33 @@ def _highs(c, a, b, upper):
 
 
 def _assert_matches_highs(res, c, a, b, upper):
-    assert res.status == simplex.OPTIMAL
     ref = _highs(c, a, b, upper)
     assert ref.status == 0
     assert abs(res.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
     assert np.max(np.abs(a @ res.x - b)) <= 1e-9
     assert np.all(res.x >= -1e-9) and np.all(res.x <= upper + 1e-9)
+
+
+def _assert_certifies_infeasible(y, a, b, upper):
+    """Without the engine: over the box [0, upper], y @ a @ x ranges over
+    [low, high], and y @ b lies outside it by more than 1e-9. Entries of
+    y @ a within 1e-12 of zero are the float rounding of exact zeros."""
+    row = y @ a
+    row[np.abs(row) <= 1e-12] = 0.0
+    reach = np.abs(row) * np.where(row == 0.0, 0.0, upper)
+    low, high = -reach[row < 0].sum(), reach[row > 0].sum()
+    target = y @ b
+    assert target < low - 1e-9 or target > high + 1e-9, (target, low, high)
+
+
+def _assert_certifies_unbounded(raised, c, a, upper):
+    """Without the engine: the ray keeps a @ x fixed, lowers the cost and
+    moves only columns without an upper bound, and only upward."""
+    r = raised.ray
+    assert r[raised.column] > 0.0
+    assert np.max(np.abs(a @ r)) <= 1e-9
+    assert c @ r < 0.0
+    assert np.all(r >= 0.0) and np.all(np.isinf(upper[r > 0.0]))
 
 
 def _slack_form(c, a, s0, upper):
@@ -44,7 +72,6 @@ def test_tiny_known_optimum():
         np.array([-1.0, -2.0]), np.ones((1, 2)), np.array([1.5]), np.full(2, 2.0)
     )
     res = simplex.minimize(*lp, start)
-    assert res.status == simplex.OPTIMAL
     assert abs(res.objective + 3.0) < 1e-12
     assert np.allclose(res.x, [0.0, 1.5, 0.0])
     assert res.basis.basic.tolist() == [1]
@@ -56,7 +83,6 @@ def test_upper_bounds_bind():
         np.array([-1.0, -1.0]), np.ones((1, 2)), np.array([3.0]), np.ones(2)
     )
     res = simplex.minimize(*lp, start)
-    assert res.status == simplex.OPTIMAL
     assert abs(res.objective + 2.0) < 1e-12
     assert np.allclose(res.x, [1.0, 1.0, 1.0])
     assert res.basis.at_upper.tolist() == [True, True, False]
@@ -65,24 +91,21 @@ def test_upper_bounds_bind():
 def test_infeasible_detected():
     # x0 + x1 = 5 with both bounded by 1: the start x0 = 5 breaks its bound
     # and the dual simplex finds no column that repairs the row
+    a, b, upper = np.array([[1.0, 1.0]]), np.array([5.0]), np.ones(2)
     start = simplex.Basis(np.array([0]), np.zeros(2, dtype=bool))
-    res = simplex.minimize(
-        np.zeros(2), np.array([[1.0, 1.0]]), np.array([5.0]), np.ones(2), start
-    )
-    assert res.status == simplex.INFEASIBLE
+    with pytest.raises(InfeasibleError) as raised:
+        simplex.minimize(np.zeros(2), a, b, upper, start)
+    _assert_certifies_infeasible(raised.value.certificate, a, b, upper)
 
 
 def test_unbounded_detected():
     # min -x0 with x0 unbounded above, no constraints binding it
+    c, a, upper = np.array([-1.0, 0.0]), np.array([[0.0, 1.0]]), np.array([np.inf, 2.0])
     start = simplex.Basis(np.array([1]), np.zeros(2, dtype=bool))
-    res = simplex.minimize(
-        np.array([-1.0, 0.0]),
-        np.array([[0.0, 1.0]]),
-        np.array([1.0]),
-        np.array([np.inf, 2.0]),
-        start,
-    )
-    assert res.status == simplex.UNBOUNDED
+    with pytest.raises(UnboundedError) as raised:
+        simplex.minimize(c, a, np.array([1.0]), upper, start)
+    assert raised.value.column == 0
+    _assert_certifies_unbounded(raised.value, c, a, upper)
 
 
 def test_degenerate_problem_terminates():
@@ -95,16 +118,16 @@ def test_degenerate_problem_terminates():
     _assert_matches_highs(res, *lp)
 
 
-def test_iteration_cap_is_reported():
+def test_iteration_cap_is_reported(monkeypatch):
     rng = np.random.default_rng(1)
     lp, start = _slack_form(
         -rng.uniform(0.5, 1.5, 10), rng.normal(size=(4, 10)),
         rng.uniform(0.5, 1.5, 4), np.ones(10),
     )
     assert simplex.minimize(*lp, start).iterations > 2
-    res = simplex.minimize(*lp, start, max_iterations=1)
-    assert res.status == simplex.ITERATION_LIMIT
-    assert res.iterations == 1 and res.basis is None
+    monkeypatch.setattr(simplex, "MAX_ITERATIONS", 1)
+    with pytest.raises(IterationLimitError, match="after 1 iterations"):
+        simplex.minimize(*lp, start)
 
 
 def _random_slack_lp(rng):
@@ -118,16 +141,19 @@ def _random_slack_lp(rng):
 
 def test_agrees_with_scipy_on_random_lps():
     rng = np.random.default_rng(0)
-    outcomes = {simplex.OPTIMAL: 0, simplex.UNBOUNDED: 0}
+    outcomes = {"optimal": 0, "unbounded": 0}
     for trial in range(120):
         (c, a, b, upper), start = _random_slack_lp(rng)
-        res = simplex.minimize(c, a, b, upper, start)
         ref = _highs(c, a, b, upper)
-        outcomes[res.status] += 1
         if ref.status == 3:
-            assert res.status == simplex.UNBOUNDED, trial
+            with pytest.raises(UnboundedError) as raised:
+                simplex.minimize(c, a, b, upper, start)
+            _assert_certifies_unbounded(raised.value, c, a, upper)
+            outcomes["unbounded"] += 1
             continue
-        assert ref.status == 0 and res.status == simplex.OPTIMAL, trial
+        assert ref.status == 0, trial
+        res = simplex.minimize(c, a, b, upper, start)
+        outcomes["optimal"] += 1
         scale = max(1.0, abs(ref.fun))
         assert abs(res.objective - ref.fun) <= 1e-7 * scale, trial
         assert np.max(np.abs(a @ res.x - b)) <= 1e-7, trial
@@ -160,21 +186,21 @@ def _append_violated_rows(c, a, b, upper, basis, g, h):
 
 @pytest.fixture
 def cleanup_pivots(monkeypatch):
-    """Pivots of each primal cleanup that runs after the dual simplex."""
+    """Pivots of each primal cleanup that runs after the dual simplex has
+    pivoted; from a primal feasible start the dual returns at once."""
     counts = []
     run_dual, run = simplex._Tableau.run_dual, simplex._Tableau.run
 
     def dual(tab, *args):
-        tab.after_dual = True
-        return run_dual(tab, *args)
+        run_dual(tab, *args)
+        tab.after_dual = tab.iterations > 0
 
-    def primal(tab, *args, **kwargs):
+    def primal(tab, *args):
         before = tab.iterations
-        status = run(tab, *args, **kwargs)
-        if getattr(tab, "after_dual", False):
+        run(tab, *args)
+        if tab.after_dual:
             # the last iteration only finds no entering column
             counts.append(tab.iterations - before - 1)
-        return status
 
     monkeypatch.setattr(simplex._Tableau, "run_dual", dual)
     monkeypatch.setattr(simplex._Tableau, "run", primal)
@@ -204,8 +230,9 @@ def _warm_start_trials(rng, degenerate: bool) -> int:
         s0 = np.abs(a @ x_known)
         (c, a, b, upper), slack_start = _slack_form(c, a, s0, upper)
         known = np.concatenate([x_known, s0 - a[:, :nv] @ x_known])
-        first = simplex.minimize(c, a, b, upper, slack_start)
-        if first.status != simplex.OPTIMAL:
+        try:
+            first = simplex.minimize(c, a, b, upper, slack_start)
+        except UnboundedError:
             continue
         g = rng.integers(-1, 2, size=(3, c.size)).astype(float) if degenerate else rng.normal(size=(3, c.size))
         gap = g @ known - g @ first.x
@@ -237,7 +264,7 @@ def test_primal_feasible_start_skips_to_phase_two():
     res = simplex.minimize(
         np.array([1.0, 2.0, 3.0]), np.ones((1, 3)), np.ones(1), np.ones(3), start=start
     )
-    assert res.status == simplex.OPTIMAL
+    assert res.iterations == 2
     assert np.array_equal(res.x, [1.0, 0.0, 0.0])
     assert res.basis.basic.tolist() == [0]
 
@@ -249,7 +276,40 @@ def test_dual_resolve_reports_an_unrepairable_row_infeasible():
     lp, start = _append_violated_rows(
         c, a, b, upper, first.basis, np.array([[1.0, -1.0]]), np.array([5.0])
     )
-    assert simplex.minimize(*lp, start=start).status == simplex.INFEASIBLE
+    with pytest.raises(InfeasibleError) as raised:
+        simplex.minimize(*lp, start=start)
+    _, a, b, upper = lp
+    _assert_certifies_infeasible(raised.value.certificate, a, b, upper)
+
+
+def test_dual_resolve_infeasibility_matches_highs_and_is_certified():
+    # 0/1 rows and ties; appended rows ask for more than the optimum gives,
+    # often more than any point in the box can
+    rng = np.random.default_rng(3)
+    outcomes = {"optimal": 0, "infeasible": 0}
+    for trial in range(200):
+        m, nv = int(rng.integers(1, 5)), int(rng.integers(2, 8))
+        a = rng.integers(0, 2, size=(m, nv)).astype(float)
+        upper = rng.choice([1.0, 2.0, np.inf], nv)
+        x_known = rng.choice([0.0, 0.5, 1.0], nv)
+        c = rng.choice([-2.0, -1.0, 0.0, 1.0], nv)
+        (c, a, b, upper), slack_start = _slack_form(c, a, a @ x_known, upper)
+        try:
+            first = simplex.minimize(c, a, b, upper, slack_start)
+        except UnboundedError:
+            continue
+        g = rng.integers(-1, 2, size=(int(rng.integers(1, 4)), c.size)).astype(float)
+        h = g @ first.x + rng.choice([0.5, 1.0, 3.0, 6.0], g.shape[0])
+        lp, start = _append_violated_rows(c, a, b, upper, first.basis, g, h)
+        if _highs(*lp).status == 2:
+            with pytest.raises(InfeasibleError) as raised:
+                simplex.minimize(*lp, start=start)
+            _assert_certifies_infeasible(raised.value.certificate, *lp[1:])
+            outcomes["infeasible"] += 1
+        else:
+            _assert_matches_highs(simplex.minimize(*lp, start=start), *lp)
+            outcomes["optimal"] += 1
+    assert min(outcomes.values()) >= 20
 
 
 def test_start_neither_primal_nor_dual_feasible_raises():
@@ -287,11 +347,13 @@ def test_degenerate_tied_lp_terminates_cold_and_warm(streak, monkeypatch, cleanu
     # streak 0 hands every degenerate pivot to Bland's rule; the cold solve
     # starts from the slack basis, the warm one from its optimal basis
     monkeypatch.setattr(simplex, "_DEGENERATE_STREAK", streak)
+    # a cycling solve would stop at the cap instead of hanging
+    monkeypatch.setattr(simplex, "MAX_ITERATIONS", 2_000)
     rng = np.random.default_rng(23)
     warm_solves = 0
     for _ in range(30):
         (c, a, b, upper), slack_start = _tied_degenerate_lp(rng, 10, 24)
-        cold = simplex.minimize(c, a, b, upper, slack_start, max_iterations=2_000)
+        cold = simplex.minimize(c, a, b, upper, slack_start)
         _assert_matches_highs(cold, c, a, b, upper)
         # 0/1 rows through the slack start's vertex, each oriented to cut
         # off cold.x
@@ -303,7 +365,7 @@ def test_degenerate_tied_lp_terminates_cold_and_warm(streak, monkeypatch, cleanu
         if not violated.any():
             continue
         lp, start = _append_violated_rows(c, a, b, upper, cold.basis, g[violated], h[violated])
-        warm = simplex.minimize(*lp, start=start, max_iterations=2_000)
+        warm = simplex.minimize(*lp, start=start)
         _assert_matches_highs(warm, *lp)
         warm_solves += 1
     assert warm_solves >= 10
@@ -344,10 +406,12 @@ def lps(draw, max_redundant: int = 2):
 @given(lps())
 def test_cold_solve_matches_highs_on_degenerate_and_redundant_lps(problem):
     (c, a, b, upper), start, _ = problem
-    res = simplex.minimize(c, a, b, upper, start)
     if _highs(c, a, b, upper).status == 3:
-        assert res.status == simplex.UNBOUNDED
+        with pytest.raises(UnboundedError) as raised:
+            simplex.minimize(c, a, b, upper, start)
+        _assert_certifies_unbounded(raised.value, c, a, upper)
         return
+    res = simplex.minimize(c, a, b, upper, start)
     _assert_matches_highs(res, c, a, b, upper)
     assert res.basis.basic.size == a.shape[0]
 
@@ -356,8 +420,10 @@ def test_cold_solve_matches_highs_on_degenerate_and_redundant_lps(problem):
 @given(lps(max_redundant=0), st.data())
 def test_dual_resolve_matches_highs_after_appending_violated_rows(problem, data):
     (c, a, b, upper), slack_start, known = problem
-    first = simplex.minimize(c, a, b, upper, slack_start)
-    assume(first.status == simplex.OPTIMAL)
+    try:
+        first = simplex.minimize(c, a, b, upper, slack_start)
+    except UnboundedError:
+        assume(False)
     g = _matrix(data.draw, data.draw(st.integers(1, 3)), c.size, -1, 1)
     # orient each row so the known point lies above the optimum
     g[g @ known < g @ first.x] *= -1.0
