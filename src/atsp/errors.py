@@ -20,8 +20,8 @@ class InfeasibleError(AtspError):
 
     When raised by the transshipment solver, ``certificate`` carries a
     CutRecord whose incoming weight is smaller than its demand. When raised
-    by the simplex, it carries row multipliers y: over the box
-    0 <= x <= upper, y @ a_eq @ x never equals y @ b_eq.
+    by the simplex, it carries row multipliers y with y @ a_eq >= 0 (up to
+    rounding) and y @ b_eq < 0, so no x >= 0 has y @ a_eq @ x = y @ b_eq.
     """
 
     def __init__(self, message: str, certificate=None):
@@ -33,9 +33,9 @@ class UnboundedError(AtspError):
     """An LP's objective decreases without bound.
 
     ``column`` is the simplex's entering column and ``ray`` the direction it
-    opens: ray >= 0 with a_eq @ ray = 0 and c @ ray < 0, positive only on
-    columns without an upper bound, so from any feasible x every x + t ray,
-    t >= 0, is feasible and the cost falls with t.
+    opens: ray >= 0 with a_eq @ ray = 0 and c @ ray < 0, so from any
+    feasible x every x + t ray, t >= 0, is feasible and the cost falls
+    with t.
     """
 
     def __init__(self, message: str, column: int, ray):

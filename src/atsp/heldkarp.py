@@ -1,9 +1,11 @@
 """Held-Karp LP solver: cutting planes over a restricted master LP with a
 max-flow separation oracle.
 
-The master imposes out-degree-1 and vertex-balance equalities plus the
-0 <= x <= 1 bounds directly, so the returned point is already normalized
-the way the rounding step expects. Each round, n-1 max-flows from vertex
+The master imposes out-degree-1 and vertex-balance equalities over
+x >= 0, so the returned point is already normalized the way the rounding
+step expects. The relaxation's bound x <= 1 needs no row or column of its
+own: each arc has a 1 in exactly one out-degree row, that row sums to 1,
+and every other term in it is >= 0. Each round, n-1 max-flows from vertex
 0 find the violated cut constraints x(delta_out(U)) >= 1, reading both
 sides of each minimum cut; every distinct one is appended to the master
 as a row x(delta_out(U)) - s_U = 1 with its own surplus column s_U. The
@@ -15,7 +17,7 @@ master starts from the previous optimal basis plus each new surplus
 column: the basis matrix is block triangular with -I in the new corner,
 the reduced costs are unchanged (the new rows' duals are 0), and only the
 violated cut rows are infeasible (s_U = x(delta_out(U)) - 1 < 0). The
-bounded dual simplex re-optimizes from there.
+dual simplex re-optimizes from there.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ ROUNDS_PER_VERTEX = 50
 
 @dataclass(frozen=True)
 class FractionalCirculation:
-    """An LP point: balanced, out-degree-1 arc weights in [0, 1]."""
+    """An LP point: balanced, out-degree-1 arc weights in (SUPPORT_EPS, 1]."""
 
     n: int
     arcs: dict[tuple[int, int], float]
@@ -84,11 +86,11 @@ def _nearest_neighbour_tour(c: np.ndarray) -> list[int]:
     return order
 
 
-def _tour_basis(c: np.ndarray, tails: np.ndarray, heads: np.ndarray) -> simplex.Basis:
-    """A feasible basis of the degree rows: the nearest-neighbour tour's n
-    arcs, basic at 1, and the n-1 cheapest arcs (ties to the lowest
-    column), basic at 0, that join them into a spanning tree of the
-    bipartite out-vertex/in-vertex graph.
+def _tour_basis(c: np.ndarray, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """The sorted basic columns of a feasible basis of the degree rows:
+    the nearest-neighbour tour's n arcs, basic at 1, and the n-1 cheapest
+    arcs (ties to the lowest column), basic at 0, that join them into a
+    spanning tree of the bipartite out-vertex/in-vertex graph.
 
     Each tour arc (v, w) starts a component {out v, in w}; arc (u, w)
     joins the components of out u and of in w, which are the tour arcs
@@ -120,7 +122,7 @@ def _tour_basis(c: np.ndarray, tails: np.ndarray, heads: np.ndarray) -> simplex.
             basic.append(j)
             if len(basic) == 2 * n - 1:
                 break
-    return simplex.Basis(np.sort(basic), np.zeros(tails.size, dtype=bool))
+    return np.sort(basic)
 
 
 def separate(n: int, arcs: Mapping[tuple[int, int], float]) -> list[CutRecord]:
@@ -157,7 +159,8 @@ def separate(n: int, arcs: Mapping[tuple[int, int], float]) -> list[CutRecord]:
 
 
 def solve_lp(m: CostMatrix, trace: list[float] | None = None) -> FractionalCirculation:
-    """Solve the subtour relaxation by cutting planes.
+    """Solve the subtour relaxation by cutting planes; the point keeps the
+    arcs above SUPPORT_EPS, the ones to_text writes.
 
     The master objective per round is appended to ``trace`` when given
     (it is non-decreasing as cuts accumulate). Raises IterationLimitError
@@ -170,17 +173,16 @@ def solve_lp(m: CostMatrix, trace: list[float] | None = None) -> FractionalCircu
     arc_list = list(zip(tails.tolist(), heads.tolist()))
     a, b = _degree_rows(n, tails, heads)
     cost = m.c[tails, heads]
-    upper = np.ones(tails.size)
     pooled: set[tuple[int, ...]] = set()
     basis = _tour_basis(m.c, tails, heads)
     for _ in range(ROUNDS_PER_VERTEX * n):
-        result = simplex.minimize(cost, a, b, upper, basis)
+        result = simplex.minimize(cost, a, b, basis)
         if trace is not None:
             trace.append(result.objective)
         arcs = dict(zip(arc_list, result.x[: tails.size].tolist()))
         violated = separate(n, arcs)
         if not violated:
-            support = {arc: value for arc, value in arcs.items() if value > 0.0}
+            support = {arc: value for arc, value in arcs.items() if value > SUPPORT_EPS}
             return FractionalCirculation(n, support, result.objective)
         new = [cut.members for cut in violated if cut.members not in pooled]
         if not new:
@@ -192,10 +194,7 @@ def solve_lp(m: CostMatrix, trace: list[float] | None = None) -> FractionalCircu
         # one row x(delta_out(U)) - s_U = 1 and one surplus column s_U per
         # cut; the next master starts with the surplus columns basic
         k = len(new)
-        basis = simplex.Basis(
-            np.concatenate([result.basis.basic, np.arange(k) + a.shape[1]]),
-            np.concatenate([result.basis.at_upper, np.zeros(k, dtype=bool)]),
-        )
+        basis = np.concatenate([result.basis, np.arange(k) + a.shape[1]])
         rows, cols = a.shape
         grown = np.zeros((rows + k, cols + k))
         grown[:rows, :cols] = a
@@ -204,7 +203,6 @@ def solve_lp(m: CostMatrix, trace: list[float] | None = None) -> FractionalCircu
         a = grown
         b = np.concatenate([b, np.ones(k)])
         cost = np.concatenate([cost, np.zeros(k)])
-        upper = np.concatenate([upper, np.full(k, np.inf)])
     raise IterationLimitError(
         f"cutting-plane loop exceeded {ROUNDS_PER_VERTEX * n} rounds"
     )
