@@ -1,12 +1,18 @@
 """Command-line driver: solve, lp, exact, verify, and sweep subcommands.
 
-Every output file starts with a comment line recording the version, the
-seed, and the parameters, and all randomness flows from the single
-``--seed`` flag, so identical invocations produce byte-identical files.
+Each command writes its text to stdout, and with ``--out`` the same
+bytes to that file (``solve`` writes its report to ``OUT.report`` and its
+tour to ``OUT``, and prints both in that order). The text of solve, lp,
+exact and sweep starts with a comment line recording the version, the
+parameters, and the RNG. All randomness flows from the ``--seed`` flag of
+the commands that sample (solve, verify, sweep), so identical invocations
+produce byte-identical output.
 
-Exit codes: 0 success, 2 algorithmic failure (retries exhausted, or the
-simplex or the cutting-plane loop hit its cap), 3 input error, 4 size
-limit exceeded for a requested oracle, 5 a check of ``verify`` failed.
+Exit codes follow the error type: 0 success, 2 any other failure of the
+algorithm (an ``AtspError``: retries exhausted, a solver cap, a singular
+basis, an unbalanced point), 3 input error (a bad or unreadable file, a
+bad value, a usage error), 4 size limit exceeded for a requested oracle
+(``TooLargeError``), 5 a check of ``verify`` failed.
 """
 
 from __future__ import annotations
@@ -18,13 +24,7 @@ import numpy as np
 
 from . import __version__, flows, heldkarp, instance, oracle, patchup, rounding
 from .cuts import all_cut_values
-from .errors import (
-    AtspError,
-    CostSandwichError,
-    IterationLimitError,
-    RetriesExhaustedError,
-    TooLargeError,
-)
+from .errors import AtspError, CostSandwichError, RetriesExhaustedError, TooLargeError
 
 EXIT_OK = 0
 EXIT_ALGORITHMIC = 2
@@ -36,6 +36,15 @@ EXIT_VERIFY_FAILED = 5
 VERIFY_ENUMERATION_LIMIT = 14
 
 
+def exit_code(exc: Exception) -> int:
+    """The exit code for an error that ends a command."""
+    if isinstance(exc, TooLargeError):
+        return EXIT_TOO_LARGE
+    if isinstance(exc, AtspError):
+        return EXIT_ALGORITHMIC
+    return EXIT_INPUT
+
+
 def _header(command: str, args: argparse.Namespace) -> str:
     parts = [f"atsp v{__version__}", f"command={command}"]
     for key in ("seed", "k_const", "retries", "trials", "k_consts"):
@@ -44,6 +53,14 @@ def _header(command: str, args: argparse.Namespace) -> str:
     parts.append(f"rng={rounding.GENERATOR_NAME}")
     parts.append(f"instance={args.instance}")
     return " ".join(parts)
+
+
+def _emit(text: str, path: str | None) -> None:
+    """Write text to path, when given, and the same bytes to stdout."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    sys.stdout.write(text)
 
 
 def _load_instance(path):
@@ -64,45 +81,28 @@ def _config(args: argparse.Namespace) -> rounding.RoundingConfig:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     m = _load_instance(args.instance)
-    cfg = _config(args)
-    run = patchup.run_pipeline(m, cfg)
+    run = patchup.run_pipeline(m, _config(args))
     header = _header("solve", args)
-    tour_text = f"# {header}\n" + patchup.tour_to_text(run.tour)
     report_text = f"# {header}\n" + "\n".join(run.report.key_value_lines()) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(tour_text)
-        with open(f"{args.out}.report", "w") as fh:
-            fh.write(report_text)
+    _emit(report_text, f"{args.out}.report" if args.out else None)
+    _emit(f"# {header}\n" + patchup.tour_to_text(run.tour), args.out)
     if args.dump:
         for name, graph in (("z", run.z), ("w", run.w), ("zw", run.z + run.w)):
             with open(f"{args.dump}.{name}.txt", "w") as fh:
                 fh.write(f"# {header} graph={name}\n")
                 fh.write(flows.to_text(graph))
-    sys.stdout.write(report_text)
-    sys.stdout.write(tour_text)
     return EXIT_OK
 
 
 def cmd_lp(args: argparse.Namespace) -> int:
-    m = _load_instance(args.instance)
-    x = heldkarp.solve_lp(m)
-    text = f"# {_header('lp', args)}\n" + heldkarp.to_text(x)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    x = heldkarp.solve_lp(_load_instance(args.instance))
+    _emit(f"# {_header('lp', args)}\n" + heldkarp.to_text(x), args.out)
     return EXIT_OK
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
-    m = _load_instance(args.instance)
-    cost, tour = oracle.exact_atsp(m)
-    text = f"# {_header('exact', args)}\n" + patchup.tour_to_text(tour)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    _, tour = oracle.exact_atsp(_load_instance(args.instance))
+    _emit(f"# {_header('exact', args)}\n" + patchup.tour_to_text(tour), args.out)
     return EXIT_OK
 
 
@@ -111,17 +111,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     k_constants = [float(tok) for tok in args.k_consts.split(",") if tok]
     if not k_constants:
         raise ValueError("need at least one scaling constant")
-    rows = oracle.connectivity_sweep(m, k_constants, args.trials, args.seed)
-    header = _header("sweep", args)
-    if args.out:
-        oracle.write_sweep_csv(args.out, rows, header_comment=header)
-    for row in rows:
-        sys.stdout.write(
-            f"kConstant={row.k_constant} K={row.k} trials={row.trials} "
-            f"fractionConnected={row.fraction_connected} "
-            f"fractionBalanced={row.fraction_balanced} "
-            f"meanCostZ={row.mean_cost_z}\n"
-        )
+    x = heldkarp.solve_lp(m)
+    rows = oracle.connectivity_sweep(m, k_constants, args.trials, args.seed, x)
+    _emit(f"# {_header('sweep', args)}\n" + oracle.sweep_to_text(rows), args.out)
     return EXIT_OK
 
 
@@ -133,9 +125,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     def check(name: str, ok: bool) -> None:
         checks.append((name, ok))
         sys.stdout.write(f"{'ok  ' if ok else 'FAIL'} {name}\n")
-
-    report = instance.validate(m)
-    check("instance is a metric", report.ok)
 
     x = heldkarp.solve_lp(m)
     outflow = np.zeros(n)
@@ -194,66 +183,64 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_VERIFY_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: it raises ValueError, so it exits 3
+    like any other, not with argparse's 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="atsp",
         description="Approximate metric ATSP by LP rounding, with exact oracles",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, func, summary: str, seed: bool = True, out: bool = True):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("instance", help="path to a plain-text instance file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, help="output file path")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if out:
+            p.add_argument("--out", default=None, help="also write the output to this file")
+        p.set_defaults(func=func)
+        return p
 
     def rounding_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--k-const", dest="k_const", type=float, default=100.0)
-        p.add_argument("--retries", type=int, default=20)
+        p.add_argument(
+            "--k-const", dest="k_const", type=float, default=rounding.DEFAULT_K_CONSTANT
+        )
+        p.add_argument("--retries", type=int, default=rounding.RoundingConfig.max_retries)
 
-    p_solve = sub.add_parser("solve", help="run the full pipeline")
-    common(p_solve)
+    p_solve = command("solve", cmd_solve, "run the full pipeline")
     rounding_flags(p_solve)
     p_solve.add_argument("--dump", default=None, help="prefix for z/w/z+w dumps")
-    p_solve.set_defaults(func=cmd_solve)
 
-    p_lp = sub.add_parser("lp", help="print the LP objective and support")
-    common(p_lp)
-    p_lp.set_defaults(func=cmd_lp)
+    command("lp", cmd_lp, "print the LP objective and support", seed=False)
+    command("exact", cmd_exact, "exact optimum (n <= 15)", seed=False)
 
-    p_exact = sub.add_parser("exact", help="exact optimum (n <= 15)")
-    common(p_exact)
-    p_exact.set_defaults(func=cmd_exact)
-
-    p_verify = sub.add_parser("verify", help="run the invariant suite")
-    common(p_verify)
+    p_verify = command("verify", cmd_verify, "run the invariant suite", out=False)
     rounding_flags(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_sweep = sub.add_parser("sweep", help="connectivity sweep over scaling constants")
-    common(p_sweep)
+    p_sweep = command("sweep", cmd_sweep, "connectivity sweep over scaling constants")
     p_sweep.add_argument(
         "--k-consts", dest="k_consts", default="0.01,0.5,1,2,5",
         help="comma-separated scaling constants",
     )
     p_sweep.add_argument("--trials", type=int, default=100)
-    p_sweep.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (RetriesExhaustedError, IterationLimitError) as exc:
+    except (AtspError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ALGORITHMIC
-    except TooLargeError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_TOO_LARGE
-    except (OSError, ValueError, AtspError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
+        return exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from .errors import (
     NotEulerianError,
     SlacknessError,
 )
-from .instance import CostMatrix
+from .instance import CostMatrix, content_lines
 
 _EPS = 1e-12
 # imbalance symmetrize accepts: LP points meet their balance rows to rounding
@@ -526,8 +526,7 @@ def to_text(g: IntegerMultiDigraph) -> str:
 
 
 def from_text(text: str) -> IntegerMultiDigraph:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = content_lines(text)
     if not lines:
         raise ValueError("empty multigraph text")
     n, m = (int(tok) for tok in lines[0].split())

@@ -31,7 +31,7 @@ from . import simplex
 from .cuts import CutRecord, cut_record
 from .errors import IterationLimitError
 from .flows import max_flow, require_balanced, residual_network
-from .instance import CostMatrix
+from .instance import CostMatrix, content_lines
 
 BALANCE_TOL = 1e-7
 SEPARATION_TOL = 1e-6
@@ -158,15 +158,15 @@ def separate(n: int, arcs: Mapping[tuple[int, int], float]) -> list[CutRecord]:
     return sorted(violated, key=lambda r: (r.out_weight, r.members))
 
 
-def solve_lp(m: CostMatrix, trace: list[float] | None = None) -> FractionalCirculation:
+def solve_lp(m: CostMatrix) -> FractionalCirculation:
     """Solve the subtour relaxation by cutting planes; the point keeps the
     arcs above SUPPORT_EPS, the ones to_text writes.
 
-    The master objective per round is appended to ``trace`` when given
-    (it is non-decreasing as cuts accumulate). Raises IterationLimitError
-    if the loop exceeds 50 rounds per vertex, or if a round's violated
-    cuts are all in the master already (a numerical stall). A master the
-    simplex cannot solve raises its typed error, with its certificate.
+    The master objective is non-decreasing over the rounds, as cuts
+    accumulate. Raises IterationLimitError if the loop exceeds 50 rounds
+    per vertex, or if a round's violated cuts are all in the master
+    already (a numerical stall). A master the simplex cannot solve raises
+    its typed error, with its certificate.
     """
     n = m.n
     tails, heads = np.nonzero(~np.eye(n, dtype=bool))
@@ -177,8 +177,6 @@ def solve_lp(m: CostMatrix, trace: list[float] | None = None) -> FractionalCircu
     basis = _tour_basis(m.c, tails, heads)
     for _ in range(ROUNDS_PER_VERTEX * n):
         result = simplex.minimize(cost, a, b, basis)
-        if trace is not None:
-            trace.append(result.objective)
         arcs = dict(zip(arc_list, result.x[: tails.size].tolist()))
         violated = separate(n, arcs)
         if not violated:
@@ -219,8 +217,7 @@ def to_text(x: FractionalCirculation) -> str:
 
 
 def from_text(text: str) -> FractionalCirculation:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = content_lines(text)
     if not lines:
         raise ValueError("empty circulation text")
     head = lines[0].split()

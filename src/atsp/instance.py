@@ -80,29 +80,27 @@ class ValidationReport:
 
 def validate(m: CostMatrix) -> ValidationReport:
     """Report every violated triangle (i, k, j), beyond TRIANGLE_TOL, with
-    its slack, plus any negative or nonzero-diagonal entry. Never raises."""
+    its slack, plus any negative or nonzero-diagonal entry. Never raises.
+    Entries and triangles are listed in index order."""
     c = m.c
     n = m.n
     report = ValidationReport()
+    diag = np.diagonal(c)
+    for i in np.flatnonzero(diag != 0.0).tolist():
+        report.nonzero_diagonal.append((i, float(diag[i])))
+    for i, j in zip(*np.nonzero(c < 0.0)):
+        report.negative_entries.append((int(i), int(j), float(c[i, j])))
+    # slack of triple (i, k, j): how far c[i][j] exceeds the path through k,
+    # all (k, j) at once per i; a triple with a repeated vertex is no triangle
     for i in range(n):
-        if c[i, i] != 0.0:
-            report.nonzero_diagonal.append((i, float(c[i, i])))
-        for j in range(n):
-            if c[i, j] < 0.0:
-                report.negative_entries.append((i, j, float(c[i, j])))
-    # slack of triple (i, k, j): how far c[i][j] exceeds the path through k
-    for i in range(n):
-        for k in range(n):
-            if k == i:
-                continue
-            via = c[i, k] + c[k, :]
-            bad = np.nonzero(c[i, :] > via + TRIANGLE_TOL)[0]
-            for j in bad:
-                if j == i or j == k:
-                    continue
-                report.triangle_violations.append(
-                    (i, k, int(j), float(c[i, j] - via[j]))
-                )
+        via = c[i, :, None] + c
+        bad = c[i, None, :] > via + TRIANGLE_TOL
+        bad[i, :] = bad[:, i] = False
+        np.fill_diagonal(bad, False)
+        for k, j in zip(*np.nonzero(bad)):
+            report.triangle_violations.append(
+                (i, int(k), int(j), float(c[i, j] - via[k, j]))
+            )
     return report
 
 
@@ -197,10 +195,16 @@ def to_text(m: CostMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def content_lines(text: str) -> list[str]:
+    """The stripped lines of a plain-text file, without blank lines and
+    ``#`` comment lines; every text format of this package reads these."""
+    lines = (ln.strip() for ln in text.splitlines())
+    return [ln for ln in lines if ln and not ln.startswith("#")]
+
+
 def from_text(text: str) -> CostMatrix:
     """Parse the plain-text format; lines starting with ``#`` are skipped."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = content_lines(text)
     if not lines:
         raise ValueError("empty instance text")
     try:

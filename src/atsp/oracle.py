@@ -9,7 +9,6 @@ the instance and graph containers.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,7 +18,7 @@ from . import rounding
 from .cuts import all_cut_values
 from .errors import TooLargeError
 from .flows import is_weakly_connected, transshipment_certificate, vertex_imbalances
-from .heldkarp import FractionalCirculation, solve_lp
+from .heldkarp import FractionalCirculation
 from .instance import CostMatrix
 from .patchup import Tour, make_tour
 
@@ -96,9 +95,9 @@ def connectivity_sweep(
     k_constants: Sequence[float],
     trials: int,
     seed: int,
-    x: FractionalCirculation | None = None,
+    x: FractionalCirculation,
 ) -> list[SweepRow]:
-    """Round the LP solution `trials` times per scaling constant and
+    """Round the LP point x of m `trials` times per scaling constant and
     record how often the sample is connected and patch-feasible.
 
     Per-trial seeds are seed + block * trials + trial, one block per
@@ -106,8 +105,6 @@ def connectivity_sweep(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if x is None:
-        x = solve_lp(m)
     rows = []
     for block, k_constant in enumerate(k_constants):
         cfg = rounding.RoundingConfig(k_constant=k_constant, seed=seed)
@@ -135,22 +132,12 @@ def connectivity_sweep(
     return rows
 
 
-def write_sweep_csv(path, rows: list[SweepRow], header_comment: str | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["kConstant", "K", "trials", "fractionConnected", "fractionBalanced", "meanCostZ"]
-        )
-        for r in rows:
-            writer.writerow(
-                [
-                    repr(r.k_constant),
-                    r.k,
-                    r.trials,
-                    repr(r.fraction_connected),
-                    repr(r.fraction_balanced),
-                    repr(r.mean_cost_z),
-                ]
-            )
+def sweep_to_text(rows: list[SweepRow]) -> str:
+    """CSV text, LF line endings: a header of column names, then one row
+    per constant with shortest round-trip floats."""
+    lines = ["kConstant,K,trials,fractionConnected,fractionBalanced,meanCostZ"]
+    for r in rows:
+        fields = (r.k_constant, r.k, r.trials,
+                  r.fraction_connected, r.fraction_balanced, r.mean_cost_z)
+        lines.append(",".join(map(repr, fields)))
+    return "\n".join(lines) + "\n"

@@ -25,7 +25,7 @@ from .flows import (
     min_cost_flow,
     vertex_imbalances,
 )
-from .instance import CostMatrix
+from .instance import CostMatrix, content_lines
 
 
 @dataclass(frozen=True)
@@ -208,8 +208,7 @@ def tour_to_text(tour: Tour) -> str:
 
 
 def tour_from_text(text: str) -> tuple[tuple[int, ...], float]:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = content_lines(text)
     if len(lines) < 2:
         raise ValueError("tour text needs a header and an order line")
     head = lines[0].split()

@@ -219,8 +219,9 @@ def test_criterion_08_end_to_end_sandwich(lp_cache):
 def test_criterion_09_k_dependence_of_connectivity(sweep_instance):
     with criterion("criterion 09 scaling-factor dependence"):
         start = time.perf_counter()
+        x = heldkarp.solve_lp(sweep_instance)
         rows = oracle.connectivity_sweep(
-            sweep_instance, [0.01, 0.5, 1.0, 2.0, 5.0], trials=200, seed=0
+            sweep_instance, [0.01, 0.5, 1.0, 2.0, 5.0], trials=200, seed=0, x=x
         )
         elapsed = time.perf_counter() - start
         assert rows[0].k == 1

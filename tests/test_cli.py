@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
-from atsp import cli, flows, heldkarp, instance, patchup, simplex
+from atsp import cli, errors, flows, heldkarp, instance, patchup, rounding, simplex
 
 
 @pytest.fixture()
@@ -192,13 +193,105 @@ def test_sweep_writes_deterministic_csv(tmp_path):
     assert cli.main([*base, "--out", str(out_a)]) == 0
     assert cli.main([*base, "--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
-    lines = out_a.read_text().splitlines()
-    assert lines[0].startswith("# atsp v")
+    text = out_a.read_bytes().decode()
+    assert "\r" not in text
+    lines = text.split("\n")
+    assert lines[0].startswith("# atsp v") and "seed=4" in lines[0]
     assert lines[1] == "kConstant,K,trials,fractionConnected,fractionBalanced,meanCostZ"
-    assert len(lines) == 4
+    assert lines[2].startswith("0.01,1,10,")
+    assert len(lines) == 5 and lines[-1] == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["lp"],
+    ["exact"],
+    ["sweep", "--k-consts", "0.5,2", "--trials", "5", "--seed", "2"],
+])
+def test_stdout_is_the_out_file(command, inst10, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    assert cli.main([command[0], inst10, *command[1:], "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.encode() == out.read_bytes()
+    header = printed.splitlines()[0]
+    assert header.startswith("# atsp v") and f"command={command[0]}" in header
+    # lp and exact draw nothing at random, so they record no seed
+    assert ("seed=" in header) == (command[0] == "sweep")
+
+
+def test_solve_prints_the_report_then_the_tour(inst10, tmp_path, capsys):
+    out = tmp_path / "tour.txt"
+    assert cli.main(["solve", inst10, "--seed", "3", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.encode()
+    report = (tmp_path / "tour.txt.report").read_bytes()
+    assert printed == report + out.read_bytes()
+    assert b"tourCost=" in report
+
+
+@pytest.mark.parametrize("command", ["lp", "solve", "verify", "sweep"])
+@pytest.mark.parametrize("error", [
+    errors.SingularBasisError("basis is singular", basic=[0, 1]),
+    errors.NotBalancedError("not balanced", vertex=1, imbalance=0.5),
+])
+def test_an_algorithmic_error_in_the_lp_exits_2(command, error, inst10, monkeypatch, capsys):
+    def failing(m):
+        raise error
+
+    monkeypatch.setattr(heldkarp, "solve_lp", failing)
+    assert cli.main([command, inst10]) == cli.EXIT_ALGORITHMIC == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
+def test_exit_code_follows_the_error_type():
+    # every AtspError is a failure of the algorithm, except the size gate
+    atsp_errors = [
+        cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, errors.AtspError)
+    ]
+    assert len(atsp_errors) > 10
+    for cls in atsp_errors:
+        expected = cli.EXIT_TOO_LARGE if cls is errors.TooLargeError else cli.EXIT_ALGORITHMIC
+        assert cli.exit_code(cls.__new__(cls)) == expected, cls
+    for exc in (OSError(), FileNotFoundError(), ValueError()):
+        assert cli.exit_code(exc) == cli.EXIT_INPUT == 3
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bogus"],
+    ["solve", "{inst}", "--bogus"],
+    ["solve", "{inst}", "--seed", "three"],
+    ["solve"],
+    # flags that no algorithm read, now gone
+    ["lp", "{inst}", "--seed", "3"],
+    ["exact", "{inst}", "--seed", "3"],
+    ["verify", "{inst}", "--out", "{tmp}/verify.txt"],
+])
+def test_usage_errors_exit_3(argv, inst10, tmp_path, capsys):
+    argv = [arg.format(inst=inst10, tmp=tmp_path) for arg in argv]
+    assert cli.main(argv) == cli.EXIT_INPUT == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: atsp")
+    assert "\nerror: " in captured.err
+    assert not (tmp_path / "verify.txt").exists()
 
 
 def test_cli_entry_point_help():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["--help"])
     assert excinfo.value.code == 0
+
+
+@pytest.mark.parametrize("command", ["solve", "lp", "exact", "verify", "sweep"])
+def test_command_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([command, "--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: atsp {command}")
+
+
+def test_rounding_defaults_come_from_rounding():
+    args = cli.build_parser().parse_args(["solve", "inst.txt"])
+    assert cli._config(args) == rounding.RoundingConfig()

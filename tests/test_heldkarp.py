@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from atsp import flows, heldkarp, instance, oracle
+from atsp import flows, heldkarp, instance, oracle, simplex
 from atsp.cuts import CutRecord, all_cut_values, cut_record
 from atsp.errors import IterationLimitError, NotBalancedError
 from atsp.patchup import tour_cost
@@ -31,6 +31,21 @@ def random_circulation(n: int, rng, quarters: bool = False) -> dict[tuple[int, i
             arc = (int(cycle[i]), int(cycle[(i + 1) % size]))
             arcs[arc] = arcs.get(arc, 0.0) + weight
     return arcs
+
+
+@pytest.fixture()
+def master_objectives(monkeypatch):
+    """The objective of each master that solve_lp solves, in order."""
+    objectives: list[float] = []
+    minimize = simplex.minimize
+
+    def recorded(*args, **kwargs):
+        result = minimize(*args, **kwargs)
+        objectives.append(result.objective)
+        return result
+
+    monkeypatch.setattr(simplex, "minimize", recorded)
+    return objectives
 
 
 # -------------------------------------------------------------------- solve
@@ -86,11 +101,10 @@ def test_solution_has_no_violated_cut_exhaustively(kind, lp_cache):
     assert float(np.max(np.abs(out_w - in_w))) <= x.n * 1e-7
 
 
-def test_master_objective_is_monotone_in_cut_rounds():
-    trace: list[float] = []
-    heldkarp.solve_lp(instance.generate("cycle-heavy", 10, 7), trace=trace)
-    assert len(trace) >= 2
-    for a, b in zip(trace, trace[1:]):
+def test_master_objective_is_monotone_in_cut_rounds(master_objectives):
+    heldkarp.solve_lp(instance.generate("cycle-heavy", 10, 7))
+    assert len(master_objectives) >= 2
+    for a, b in zip(master_objectives, master_objectives[1:]):
         assert b >= a - 1e-9
 
 
@@ -250,13 +264,12 @@ def highs_cutting_plane_objective(m: instance.CostMatrix) -> float:
 
 @pytest.mark.parametrize("n", [10, 15])
 @pytest.mark.parametrize("kind", instance.KINDS)
-def test_warm_started_rounds_match_highs(kind, n):
+def test_warm_started_rounds_match_highs(kind, n, master_objectives):
     m = instance.generate(kind, n, 1)
-    trace: list[float] = []
-    x = heldkarp.solve_lp(m, trace=trace)
+    x = heldkarp.solve_lp(m)
     assert x.objective == pytest.approx(highs_cutting_plane_objective(m), rel=1e-9)
-    assert trace[-1] == x.objective
-    for a, b in zip(trace, trace[1:]):
+    assert master_objectives[-1] == x.objective
+    for a, b in zip(master_objectives, master_objectives[1:]):
         assert b >= a - 1e-9
 
 
@@ -334,13 +347,13 @@ def test_tour_basis_is_a_nonsingular_basis_at_the_greedy_tour(case):
 
 
 @pytest.mark.parametrize("case", sorted(EDGE_CASES))
-def test_crash_started_solve_matches_highs(case):
+def test_crash_started_solve_matches_highs(case, master_objectives):
     m = EDGE_CASES[case]()
-    trace: list[float] = []
-    x = heldkarp.solve_lp(m, trace=trace)
+    x = heldkarp.solve_lp(m)
     assert x.objective == pytest.approx(highs_cutting_plane_objective(m), rel=1e-9)
     assert_arcs_in_support_range(x)
-    for a, b in zip(trace, trace[1:]):
+    assert master_objectives[-1] == x.objective
+    for a, b in zip(master_objectives, master_objectives[1:]):
         assert b >= a - 1e-9
 
 
@@ -352,7 +365,7 @@ SEPARATION_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(SEPARATION_CASES))
-def test_every_separation_round_equals_the_reference(case, monkeypatch):
+def test_every_separation_round_equals_the_reference(case, monkeypatch, master_objectives):
     m = SEPARATION_CASES[case]()
     rounds = []
     builds = []
@@ -376,10 +389,9 @@ def test_every_separation_round_equals_the_reference(case, monkeypatch):
     monkeypatch.setattr(heldkarp, "separate", checked)
     monkeypatch.setattr(heldkarp, "residual_network", built)
     monkeypatch.setattr(heldkarp, "max_flow", counted)
-    trace: list[float] = []
-    heldkarp.solve_lp(m, trace=trace)
+    heldkarp.solve_lp(m)
     # one network and n-1 flows per round, the last round finding no violated cut
-    assert len(builds) == len(rounds) == len(trace)
+    assert len(builds) == len(rounds) == len(master_objectives)
     assert flow_calls == [(0, t) for t in range(1, m.n)] * len(rounds)
     assert rounds[-1] == 0
 

@@ -42,6 +42,62 @@ def test_validate_reports_negative_and_diagonal_entries():
     assert (0, 1.0) in report.nonzero_diagonal
 
 
+def reference_validate(m: instance.CostMatrix) -> instance.ValidationReport:
+    """The per-(i, k) loop that validate replaced, kept as its reference."""
+    c = m.c
+    n = m.n
+    report = instance.ValidationReport()
+    for i in range(n):
+        if c[i, i] != 0.0:
+            report.nonzero_diagonal.append((i, float(c[i, i])))
+        for j in range(n):
+            if c[i, j] < 0.0:
+                report.negative_entries.append((i, j, float(c[i, j])))
+    for i in range(n):
+        for k in range(n):
+            if k == i:
+                continue
+            via = c[i, k] + c[k, :]
+            bad = np.nonzero(c[i, :] > via + instance.TRIANGLE_TOL)[0]
+            for j in bad:
+                if j == i or j == k:
+                    continue
+                report.triangle_violations.append(
+                    (i, k, int(j), float(c[i, j] - via[j]))
+                )
+    return report
+
+
+def near_boundary_matrix(n: int, seed: int) -> instance.CostMatrix:
+    """Costs in 0..3, so ties are everywhere, each nudged by a multiple of
+    TRIANGLE_TOL in -2..2 so many triangles sit at the tolerance; a few
+    entries are negative and a few diagonal entries nonzero."""
+    rng = np.random.default_rng(seed)
+    c = rng.integers(0, 4, size=(n, n)).astype(np.float64)
+    c += rng.integers(-2, 3, size=(n, n)) * instance.TRIANGLE_TOL
+    np.fill_diagonal(c, 0.0)
+    picks = rng.integers(0, n, size=(2, 3))
+    c[picks[0], picks[1]] = -1.0
+    c[picks[1], picks[1]] += rng.choice([0.0, 0.5, -0.25], size=3)
+    return instance.CostMatrix(c)
+
+
+@pytest.mark.parametrize("kind", instance.KINDS)
+@pytest.mark.parametrize("n", [3, 10, 20])
+def test_validate_matches_the_reference_loop_on_generated_instances(kind, n):
+    for seed in (1, 2):
+        m = instance.generate(kind, n, seed)
+        assert instance.validate(m) == reference_validate(m)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_validate_matches_the_reference_loop_near_the_tolerance(seed):
+    m = near_boundary_matrix(3 + seed, seed)
+    report = instance.validate(m)
+    assert report == reference_validate(m)
+    assert report.triangle_violations and report.negative_entries
+
+
 def test_closure_keeps_already_metric_matrix():
     m = all_ones(4)
     closed = instance.metric_closure(m.c)

@@ -233,7 +233,8 @@ def test_sweep_on_integral_instance_is_always_connected():
     for i in range(8):
         raw[i, (i + 1) % 8] = 1.0
     m = instance.metric_closure(raw)
-    rows = oracle.connectivity_sweep(m, [0.01, 1.0, 5.0], trials=20, seed=0)
+    x = heldkarp.solve_lp(m)
+    rows = oracle.connectivity_sweep(m, [0.01, 1.0, 5.0], trials=20, seed=0, x=x)
     for row in rows:
         assert row.fraction_connected == 1.0
         assert row.fraction_balanced == 1.0
@@ -247,27 +248,33 @@ def test_sweep_is_deterministic(lp_n10, instance_n10):
 
 def test_sweep_k_values_follow_scaling():
     m = instance.generate("cycle-heavy", 12, 3)
-    rows = oracle.connectivity_sweep(m, [0.01, 1.0], trials=5, seed=1)
+    rows = oracle.connectivity_sweep(m, [0.01, 1.0], trials=5, seed=1, x=heldkarp.solve_lp(m))
     assert rows[0].k == 1
     assert rows[1].k == rounding.scale_k(12, rounding.RoundingConfig(k_constant=1.0))
 
 
 def test_sweep_connectivity_is_monotone_within_noise():
     m = instance.generate("cycle-heavy", 20, 7)
-    rows = oracle.connectivity_sweep(m, [0.01, 0.5, 1.0, 2.0, 5.0], trials=100, seed=5)
+    x = heldkarp.solve_lp(m)
+    rows = oracle.connectivity_sweep(m, [0.01, 0.5, 1.0, 2.0, 5.0], trials=100, seed=5, x=x)
     noise = 2 * (0.25 / 100) ** 0.5  # two sigma for a Bernoulli mean
     for lo, hi in zip(rows, rows[1:]):
         assert hi.fraction_connected >= lo.fraction_connected - noise
 
 
-def test_sweep_csv_format(tmp_path, instance_n10, lp_n10):
-    rows = oracle.connectivity_sweep(instance_n10, [0.5], 5, seed=9, x=lp_n10)
-    path = tmp_path / "sweep.csv"
-    oracle.write_sweep_csv(path, rows, header_comment="unit test")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# unit test"
-    assert lines[1] == "kConstant,K,trials,fractionConnected,fractionBalanced,meanCostZ"
+def test_sweep_csv_format(instance_n10, lp_n10):
+    rows = oracle.connectivity_sweep(instance_n10, [0.5, 2.0], 5, seed=9, x=lp_n10)
+    text = oracle.sweep_to_text(rows)
+    assert "\r" not in text and text.endswith("\n")
+    lines = text.split("\n")[:-1]
+    assert lines[0] == "kConstant,K,trials,fractionConnected,fractionBalanced,meanCostZ"
     assert len(lines) == 3
+    for line, row in zip(lines[1:], rows):
+        fields = line.split(",")
+        assert fields[:3] == [repr(row.k_constant), str(row.k), str(row.trials)]
+        assert [float(f) for f in fields[3:]] == [
+            row.fraction_connected, row.fraction_balanced, row.mean_cost_z
+        ]
 
 
 def test_isolation_frequency_matches_per_vertex_bound():
