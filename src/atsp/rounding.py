@@ -95,14 +95,17 @@ def check_near_balance(z: IntegerMultiDigraph) -> BalanceCheck:
     Raises TooLargeError beyond cuts.ENUMERATION_LIMIT vertices.
     """
     masks, out_w, in_w = all_cut_values(z.n, z.mult)
-    hi = np.maximum(out_w, in_w)
     lo = np.minimum(out_w, in_w)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(lo > 0, hi / np.maximum(lo, 1e-300), np.inf)
-    worst = int(np.argmax(ratio))
+    if lo.min() <= 0:
+        worst = int(np.argmax(lo <= 0))
+        worst_ratio = float("inf")
+    else:
+        ratio = np.maximum(out_w, in_w)
+        ratio /= lo
+        worst = int(np.argmax(ratio))
+        worst_ratio = float(ratio[worst])
     members = members_of(int(masks[worst]), z.n)
     cut = CutRecord(members, float(out_w[worst]), float(in_w[worst]))
-    worst_ratio = float(ratio[worst])
     return BalanceCheck(worst_ratio <= BALANCE_RATIO_LIMIT, worst_ratio, cut)
 
 

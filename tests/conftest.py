@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from atsp import heldkarp, instance
@@ -59,3 +60,22 @@ def _per_copy_hierholzer(g) -> list[int]:
 @pytest.fixture(scope="session")
 def per_copy_walk():
     return _per_copy_hierholzer
+
+
+def _per_arc_cut_values(n, arcs):
+    """Reference cut enumeration: for each arc, in sorted order, add its
+    weight to every mask that holds one endpoint but not the other."""
+    masks = np.arange(1, (1 << n) - 1, dtype=np.int64)
+    out_w = np.zeros(masks.size)
+    in_w = np.zeros(masks.size)
+    for (v, w), weight in sorted(arcs.items()):
+        v_in = masks >> v & 1
+        w_in = masks >> w & 1
+        out_w += weight * (v_in & (1 - w_in))
+        in_w += weight * (w_in & (1 - v_in))
+    return masks, out_w, in_w
+
+
+@pytest.fixture(scope="session")
+def per_arc_cuts():
+    return _per_arc_cut_values

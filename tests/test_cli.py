@@ -178,6 +178,20 @@ def test_verify_solves_the_lp_once(tmp_path, capsys, monkeypatch):
     assert "verify passed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("kind", instance.KINDS)
+def test_verify_prints_the_same_with_the_per_arc_cut_reference(
+    kind, tmp_path, capsys, monkeypatch, per_arc_cuts
+):
+    path = tmp_path / "v12.txt"
+    instance.save(instance.generate(kind, 12, 1), path)
+    assert cli.main(["verify", str(path), "--seed", "3"]) == 0
+    fast = capsys.readouterr().out
+    monkeypatch.setattr(cli, "all_cut_values", per_arc_cuts)
+    assert cli.main(["verify", str(path), "--seed", "3"]) == 0
+    assert capsys.readouterr().out == fast
+    assert "ok   exhaustive subtour feasibility" in fast
+
+
 def test_verify_corrupted_instance_exits_3(tmp_path):
     path = tmp_path / "corrupt.txt"
     path.write_text("not an instance\n")

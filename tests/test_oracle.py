@@ -10,6 +10,8 @@ from atsp.cuts import ENUMERATION_LIMIT, all_cut_values, members_of
 from atsp.errors import TooLargeError
 from atsp.heldkarp import FractionalCirculation
 
+from conftest import BATTERY_B
+
 
 def uniform_costs(n: int) -> instance.CostMatrix:
     return instance.CostMatrix(np.ones((n, n)) - np.eye(n))
@@ -222,6 +224,15 @@ def test_count_small_cuts_respects_growth_bound(lp_cache):
         x = lp_cache(kind, n, seed)
         for alpha in (1.0, 1.5, 2.0):
             assert oracle.count_small_cuts(x, alpha) <= n ** (2 * alpha)
+
+
+def test_count_small_cuts_matches_the_per_arc_reference(lp_cache, per_arc_cuts):
+    for kind, n, seed in BATTERY_B:
+        x = lp_cache(kind, n, seed)
+        _, ref_out, _ = per_arc_cuts(n, x.arcs)
+        for alpha in (1.0, 1.25, 1.5, 2.0):
+            expected = int(np.count_nonzero(ref_out <= alpha + 1e-9))
+            assert oracle.count_small_cuts(x, alpha) == expected
 
 
 # --------------------------------------------------------- connectivity sweep

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from atsp import flows, instance, rounding
+from atsp.cuts import CutRecord, members_of
 from atsp.errors import RetriesExhaustedError, TooLargeError, WeightOutOfRangeError
 from atsp.flows import IntegerMultiDigraph
 from atsp.heldkarp import FractionalCirculation, solve_lp
+
+from conftest import BATTERY_B
 
 
 def cycle_circulation(n: int, weight: float = 1.0) -> FractionalCirculation:
@@ -193,6 +196,33 @@ def test_near_balance_mostly_holds_at_large_k(fractional_x):
         if rounding.check_near_balance(z).balanced:
             balanced += 1
     assert balanced >= 95
+
+
+def reference_balance(z, per_arc_cuts) -> rounding.BalanceCheck:
+    """The worst ratio by a guarded division over every per-arc cut value."""
+    masks, out_w, in_w = per_arc_cuts(z.n, z.mult)
+    hi, lo = np.maximum(out_w, in_w), np.minimum(out_w, in_w)
+    ratio = np.where(lo > 0, hi / np.where(lo > 0, lo, 1.0), np.inf)
+    worst = int(np.argmax(ratio))
+    cut = CutRecord(members_of(int(masks[worst]), z.n), float(out_w[worst]), float(in_w[worst]))
+    return rounding.BalanceCheck(bool(ratio[worst] <= 2.0), float(ratio[worst]), cut)
+
+
+def test_near_balance_equals_the_per_arc_reference(lp_cache, per_arc_cuts):
+    ratios = []
+    for kind, n, seed in BATTERY_B:
+        x = lp_cache(kind, n, seed)
+        for k_const in (100.0, 2.0):
+            k = rounding.scale_k(n, rounding.RoundingConfig(k_constant=k_const))
+            for sample_seed in range(4):
+                z = rounding.round_once(x, k, sample_seed)
+                got = rounding.check_near_balance(z)
+                assert got == reference_balance(z, per_arc_cuts)
+                ratios.append(got.worst_ratio)
+    # balanced samples, unbalanced ones, and ones with a cut that no arc
+    # crosses in one direction, as in a disconnected sample
+    assert min(ratios) <= 2.0 < max(r for r in ratios if r < math.inf)
+    assert math.inf in ratios
 
 
 def test_balanced_implies_feasible_and_conversely_when_connected():
