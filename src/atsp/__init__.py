@@ -16,12 +16,10 @@ from .errors import (
     AtspError,
     CostSandwichError,
     DisconnectedError,
-    ImbalanceSumError,
     InfeasibleError,
     IterationLimitError,
     NegativeEntryError,
     NotBalancedError,
-    NotEulerianError,
     PatchExceedsSampleError,
     RetriesExhaustedError,
     ShortcutCostError,
@@ -45,13 +43,11 @@ __all__ = [
     "CutRecord",
     "DisconnectedError",
     "FractionalCirculation",
-    "ImbalanceSumError",
     "InfeasibleError",
     "IntegerMultiDigraph",
     "IterationLimitError",
     "NegativeEntryError",
     "NotBalancedError",
-    "NotEulerianError",
     "PatchExceedsSampleError",
     "PipelineReport",
     "RetriesExhaustedError",

@@ -119,6 +119,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     m = _load_instance(args.instance)
+    cfg = _config(args)
     n = m.n
     checks: list[tuple[str, bool]] = []
 
@@ -157,7 +158,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"note exhaustive cut checks skipped (n={n} > {VERIFY_ENUMERATION_LIMIT})\n"
         )
 
-    cfg = _config(args)
     sandwich = "pipeline sandwich lp <= tour <= costZ + costW <= 2 costZ"
     try:
         run = patchup.run_from_lp(m, x, cfg)

@@ -83,20 +83,18 @@ class RetriesExhaustedError(AtspError):
 
 
 class NotBalancedError(AtspError):
-    """Arc weights are not balanced at every vertex.
+    """Arc weights are not balanced at every vertex: an LP point beyond
+    the symmetrization tolerance, or a multigraph handed to the Euler
+    circuit with any in-degree != out-degree.
 
-    ``vertex`` is the vertex with the largest absolute imbalance and
-    ``imbalance`` its outgoing minus incoming weight.
+    ``vertex`` is the vertex with the largest absolute imbalance (ties to
+    the lowest index) and ``imbalance`` its outgoing minus incoming weight.
     """
 
     def __init__(self, message: str, vertex: int = -1, imbalance: float = 0.0):
         super().__init__(message)
         self.vertex = vertex
         self.imbalance = imbalance
-
-
-class NotEulerianError(AtspError):
-    """Multigraph has a vertex with in-degree != out-degree."""
 
 
 class DisconnectedError(AtspError):
@@ -154,7 +152,3 @@ class SlacknessError(AtspError):
         super().__init__(message)
         self.arc = arc
         self.reduced_cost = reduced_cost
-
-
-class ImbalanceSumError(AtspError):
-    """Transshipment imbalances do not sum to zero."""

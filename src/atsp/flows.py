@@ -1,11 +1,13 @@
 """Graph engine: multigraphs, max flows (both sides of a minimum cut, on a
-residual network that flows between many pairs share), integral min-cost
-flow with node imbalances, Eulerian circuits, connectivity, and the
-cut-value preserving symmetrization of balanced arc weights.
+residual network that flows between many pairs share), the integral
+min-cost flow within a multigraph that balances it, Eulerian circuits,
+connectivity, and the cut-value preserving symmetrization of balanced
+arc weights.
 
 Flows return vertex sets, not weighed cuts: callers weigh the cuts they
 need with cuts.cut_record. Transshipment feasibility and the min-cost
-transshipment run on one super-source/super-sink network layout.
+transshipment read their demands from the multigraph itself, on one
+super-source/super-sink network layout.
 
 All operations are pure functions with documented lowest-index-first
 tie-breaking, so identical inputs give identical outputs.
@@ -15,15 +17,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .cuts import CutRecord, cut_record
 from .errors import (
     DisconnectedError,
-    ImbalanceSumError,
     InfeasibleError,
     NotBalancedError,
-    NotEulerianError,
     SlacknessError,
 )
 from .instance import CostMatrix, content_lines
@@ -147,9 +147,13 @@ def residual_network(n: int, capacities: Mapping[tuple[int, int], float]) -> Res
     return ResidualNetwork(heads, to, cap)
 
 
-def _dinic(heads: list[list[int]], to: list[int], cap: list[float], s: int, t: int) -> float:
+def _dinic(
+    heads: list[list[int]], to: list[int], cap: list[float], s: int, t: int
+) -> tuple[float, list[int]]:
     """Dinic's blocking flows from s to t; leaves the residual capacities
-    in cap and returns the flow value.
+    in cap and returns the flow value and the last level array. That
+    search misses t, so it runs to exhaustion: level[v] >= 0 exactly for
+    the vertices s reaches in the final residual network.
 
     Each phase searches depth first for augmenting paths in the level
     graph, always taking the lowest-index usable arc of the current
@@ -175,7 +179,7 @@ def _dinic(heads: list[list[int]], to: list[int], cap: list[float], s: int, t: i
                     level[v] = below
                     queue.append(v)
         if level[t] < 0:
-            return value
+            return value, level
         it = [0] * n
         path: list[int] = []
         u = s
@@ -212,17 +216,15 @@ def _dinic(heads: list[list[int]], to: list[int], cap: list[float], s: int, t: i
                 break
 
 
-def _residual_reach(heads, to, cap, start: int, forward: bool) -> tuple[int, ...]:
-    """Sorted vertices that start reaches over residual arcs (forward) or
-    that reach start over them (not forward)."""
-    flip = 0 if forward else 1
+def _residual_reach(heads, to, cap, start: int) -> tuple[int, ...]:
+    """Sorted vertices that reach start over residual arcs."""
     seen = {start}
     stack = [start]
     while stack:
         u = stack.pop()
         for e in heads[u]:
             v = to[e]
-            if cap[e ^ flip] > _EPS and v not in seen:
+            if cap[e ^ 1] > _EPS and v not in seen:
                 seen.add(v)
                 stack.append(v)
     return tuple(sorted(seen))
@@ -236,67 +238,70 @@ def max_flow(
 
     Returns (value, U, W), two minimum s-t cuts as sorted vertex tuples.
     U is the minimal source side, the vertices s reaches in the final
-    residual network; its outgoing capacity equals the value (exactly for
-    integral capacities). W is the minimal sink side, the vertices that
-    reach t; its incoming capacity equals the value. Neither depends on
-    which maximum flow is found. When the capacities are balanced at
-    every vertex, every vertex set has equal outgoing and incoming
-    capacity, so W is then also the U of the flow from t to s.
+    residual network, read off the last level search of Dinic's; its
+    outgoing capacity equals the value (exactly for integral capacities).
+    W is the minimal sink side, the vertices that reach t; its incoming
+    capacity equals the value. Neither depends on which maximum flow is
+    found. When the capacities are balanced at every vertex, every vertex
+    set has equal outgoing and incoming capacity, so W is then also the U
+    of the flow from t to s.
     """
     if s == t:
         raise ValueError("source equals sink")
     heads, to, cap = network.heads, network.to, network.cap.copy()
-    value = _dinic(heads, to, cap, s, t)
-    return (
-        value,
-        _residual_reach(heads, to, cap, s, True),
-        _residual_reach(heads, to, cap, t, False),
-    )
+    value, level = _dinic(heads, to, cap, s, t)
+    source_side = tuple(v for v in range(len(heads)) if level[v] >= 0)
+    return value, source_side, _residual_reach(heads, to, cap, t)
 
 
 def _transshipment_network(
-    g: IntegerMultiDigraph, b: Sequence[int]
-) -> tuple[list[tuple[int, int]], ResidualNetwork]:
-    """The super-source/super-sink reduction of a transshipment within g.
+    g: IntegerMultiDigraph,
+) -> tuple[list[tuple[int, int]], ResidualNetwork, int] | None:
+    """The super-source/super-sink reduction of the w <= g with net inflow
+    b = vertex_imbalances(g), which balances g + w; None if g is balanced.
 
-    Returns g's arcs in sorted order, and a residual network on n + 2
+    Returns g's arcs in sorted order; a residual network on n + 2
     vertices whose arc 2i is the i-th of them, with its multiplicity as
-    capacity; then come an arc from the super source n to every vertex
-    with b < 0 and from every vertex with b > 0 to the super sink n + 1,
-    in vertex order, each with capacity |b|. All capacities are integral.
+    capacity, then an arc from the super source n to every vertex with
+    b < 0 and from every vertex with b > 0 to the super sink n + 1, in
+    vertex order, each with capacity |b|; and the total demand, the sum
+    of the positive b. All capacities are integral.
     """
     n = g.n
+    b = vertex_imbalances(g)
+    demand = sum(d for d in b if d > 0)
+    if demand == 0:
+        return None
     arcs = sorted(g.mult)
     capacities = {arc: g.mult[arc] for arc in arcs}
     for v in range(n):
         if b[v]:
             capacities[(n, v) if b[v] < 0 else (v, n + 1)] = abs(b[v])
-    return arcs, residual_network(n + 2, capacities)
+    return arcs, residual_network(n + 2, capacities), demand
 
 
-def min_cost_flow(
-    g: IntegerMultiDigraph, costs: CostMatrix, b: Sequence[int]
-) -> IntegerMultiDigraph:
-    """Integral min-cost transshipment within capacities g.
+def min_cost_flow(g: IntegerMultiDigraph, costs: CostMatrix) -> IntegerMultiDigraph:
+    """Integral min-cost w <= g that balances g: its net inflow at every
+    vertex v is g's imbalance there (out-degree minus in-degree), so that
+    g + w is balanced.
 
-    b[v] is the required net inflow at v (negative for net outflow).
     Successive shortest augmenting paths with node potentials (Edmonds &
     Karp 1972); valid since all costs are nonnegative. Each path is found
     by a heap Dijkstra from a super source that stops once the super sink
     is settled. Every vertex it has not settled is then at least as far as
     the sink, so capping every distance at the sink's before adding it to
     the potentials keeps every residual reduced cost nonnegative, which
-    is checked on every returned flow. Raises InfeasibleError carrying a
-    violated cut exactly when no transshipment within g exists.
+    is checked on every flow it ships; a balanced g gets the empty w.
+    Raises InfeasibleError carrying a violated cut exactly when no such w
+    exists.
     """
-    if len(b) != g.n:
-        raise ValueError("imbalance vector length mismatch")
-    if sum(b) != 0:
-        raise ImbalanceSumError(f"imbalances sum to {sum(b)}, not zero")
     n = g.n
+    reduction = _transshipment_network(g)
+    if reduction is None:
+        return IntegerMultiDigraph(n, {})
+    arcs, network, demand = reduction
     size = n + 2
     source, sink = n, n + 1
-    arcs, network = _transshipment_network(g, b)
     heads, to, cap = network.heads, network.to, network.cap
     cost: list[float] = []
     c = costs.c
@@ -304,7 +309,6 @@ def min_cost_flow(
         price = float(c[v, w])
         cost += (price, -price)
     cost += (0.0, -0.0) * (len(to) // 2 - len(arcs))
-    demand = sum(d for d in b if d > 0)
     inf = float("inf")
     heappop, heappush = heapq.heappop, heapq.heappush
     potential = [0.0] * size
@@ -376,25 +380,22 @@ def _check_slackness(heads, to, cap, cost, potential) -> None:
                     )
 
 
-def transshipment_certificate(
-    g: IntegerMultiDigraph, b: Sequence[int]
-) -> CutRecord | None:
-    """Feasibility check alone: returns a violated cut, or None if a
-    transshipment meeting the imbalances exists within capacities g.
+def transshipment_certificate(g: IntegerMultiDigraph) -> CutRecord | None:
+    """Feasibility check alone: returns a violated cut, or None if some
+    w <= g balances g, as min_cost_flow's does.
 
     One max-flow on min_cost_flow's network; costs are irrelevant to
     feasibility. The cut is the set of vertices the super source does not
-    reach, weighed on g: less incoming multiplicity than its demand. It is
-    the cut min_cost_flow's InfeasibleError carries, since the minimal
-    source side of a minimum cut does not depend on the maximum flow.
+    reach, the complement of the flow's minimal source side, weighed on g:
+    less incoming multiplicity than its demand. It is the cut
+    min_cost_flow's InfeasibleError carries, since the minimal source side
+    of a minimum cut does not depend on the maximum flow.
     """
-    if sum(b) != 0:
-        raise ImbalanceSumError(f"imbalances sum to {sum(b)}, not zero")
-    demand = sum(d for d in b if d > 0)
-    if demand == 0:
+    reduction = _transshipment_network(g)
+    if reduction is None:
         return None
+    _, network, demand = reduction
     n = g.n
-    _, network = _transshipment_network(g, b)
     value, reached, _ = max_flow(network, n, n + 1)
     if value >= demand:
         return None
@@ -405,7 +406,8 @@ Run = tuple[list[int], int]
 
 
 def euler_circuit(g: IntegerMultiDigraph) -> list[Run]:
-    """Hierholzer's algorithm on a balanced, support-connected multigraph.
+    """Hierholzer's algorithm on a balanced, support-connected multigraph;
+    raises NotBalancedError or DisconnectedError on any other.
 
     Starts at the smallest vertex with positive degree and always leaves
     along the lowest-index head that has copies left, so the walk is
@@ -425,10 +427,7 @@ def euler_circuit(g: IntegerMultiDigraph) -> list[Run]:
     repetition pops at once; otherwise the run splits at the first such
     vertex and a new forward trail starts there.
     """
-    imbalance = vertex_imbalances(g)
-    if any(imbalance):
-        bad = next(v for v in range(g.n) if imbalance[v])
-        raise NotEulerianError(f"vertex {bad} has imbalance {imbalance[bad]}")
+    require_balanced(g.n, g.mult, 0)
     support = sorted({v for arc in g.mult for v in arc})
     if not support:
         raise DisconnectedError("empty multigraph has no circuit")

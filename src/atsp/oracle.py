@@ -17,7 +17,7 @@ import numpy as np
 from . import rounding
 from .cuts import all_cut_values
 from .errors import TooLargeError
-from .flows import is_weakly_connected, transshipment_certificate, vertex_imbalances
+from .flows import is_weakly_connected, transshipment_certificate
 from .heldkarp import FractionalCirculation
 from .instance import CostMatrix
 from .patchup import Tour, make_tour
@@ -116,7 +116,7 @@ def connectivity_sweep(
             z = rounding.round_once(x, k, seed + block * trials + trial)
             if is_weakly_connected(z):
                 connected += 1
-            if transshipment_certificate(z, vertex_imbalances(z)) is None:
+            if transshipment_certificate(z) is None:
                 feasible += 1
             cost_sum += z.total_cost(m)
         rows.append(

@@ -1,6 +1,6 @@
-"""Patch-up to a tour: per-vertex demands, a min-cost transshipment inside
-the sampled graph, the Euler circuit of the combined graph, and first-visit
-shortcutting.
+"""Patch-up to a tour: a min-cost transshipment inside the sampled graph
+whose demands are the sample's own imbalances, the Euler circuit of the
+combined graph, and first-visit shortcutting.
 
 The transshipment w satisfies 0 <= w <= z arcwise, so its cost never
 exceeds the cost of z, and z + w is balanced at every vertex. Shortcutting
@@ -10,6 +10,7 @@ inequality every skip is no more expensive than the walk it replaces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import heldkarp, rounding
@@ -19,12 +20,7 @@ from .errors import (
     PatchExceedsSampleError,
     ShortcutCostError,
 )
-from .flows import (
-    IntegerMultiDigraph,
-    euler_circuit,
-    min_cost_flow,
-    vertex_imbalances,
-)
+from .flows import IntegerMultiDigraph, euler_circuit, min_cost_flow
 from .instance import CostMatrix, content_lines
 
 
@@ -62,7 +58,7 @@ def patch(z: IntegerMultiDigraph, m: CostMatrix) -> IntegerMultiDigraph:
     than its demand exactly when no such w exists, and
     PatchExceedsSampleError naming an arc if w ever exceeds z.
     """
-    w = min_cost_flow(z, m, vertex_imbalances(z))
+    w = min_cost_flow(z, m)
     for arc, k in sorted(w.mult.items()):
         held = z.mult.get(arc, 0)
         if k > held:
@@ -119,7 +115,9 @@ class PipelineReport:
 
     @property
     def tour_over_lp(self) -> float:
-        return self.tour_cost / self.lp_objective
+        """tour_cost / lp_objective, or nan at an LP optimum of 0: every arc z
+        can hold then costs 0, so the sandwich tour <= 2 cost_z forces 0/0."""
+        return self.tour_cost / self.lp_objective if self.lp_objective else math.nan
 
     def sandwich_failure(self) -> str | None:
         """The first broken link of

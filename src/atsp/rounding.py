@@ -18,12 +18,7 @@ import numpy as np
 
 from .cuts import CutRecord, all_cut_values, cut_record, members_of
 from .errors import RetriesExhaustedError, WeightOutOfRangeError
-from .flows import (
-    IntegerMultiDigraph,
-    transshipment_certificate,
-    vertex_imbalances,
-    weak_component,
-)
+from .flows import IntegerMultiDigraph, transshipment_certificate, weak_component
 from .heldkarp import FractionalCirculation
 
 WEIGHT_TOL = 1e-9
@@ -45,17 +40,21 @@ class RoundingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.k_constant > 0:
-            raise ValueError("k_constant must be positive")
+        if not 0 < self.k_constant < math.inf:
+            raise ValueError("k_constant must be positive and finite")
         if self.max_retries < 1:
             raise ValueError("max_retries must be at least 1")
 
 
 def scale_k(n: int, cfg: RoundingConfig) -> int:
-    """Number of parallel copies: ceil(k_constant * ln n), at least 1."""
+    """Number of parallel copies: ceil(k_constant * ln n), at least 1, and
+    within the int64 counts the binomial sampler takes."""
     if n < 3:
         raise ValueError("need at least 3 vertices")
-    return max(1, math.ceil(cfg.k_constant * math.log(n)))
+    k = max(1, math.ceil(cfg.k_constant * math.log(n)))
+    if k > np.iinfo(np.int64).max:
+        raise ValueError(f"K = {k} copies exceeds the sampler's int64 counts")
+    return k
 
 
 def round_once(x: FractionalCirculation, k: int, seed: int) -> IntegerMultiDigraph:
@@ -121,7 +120,7 @@ def acceptance_certificate(z: IntegerMultiDigraph) -> CutRecord | None:
     component = weak_component(z, 0)
     if len(component) < z.n:
         return cut_record(z.n, z.mult, component)
-    return transshipment_certificate(z, vertex_imbalances(z))
+    return transshipment_certificate(z)
 
 
 def round_with_retry(

@@ -77,6 +77,61 @@ def test_missing_file_exits_3(tmp_path):
     assert cli.main(["lp", str(tmp_path / "nope.txt")]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "{inst}", "--k-const", "inf"],
+    ["solve", "{inst}", "--k-const", "nan"],
+    # K = ceil(5e18 ln 10) copies exceeds the sampler's int64 counts
+    ["solve", "{inst}", "--k-const", "5e18"],
+    ["verify", "{inst}", "--k-const", "inf"],
+    ["sweep", "{inst}", "--k-consts", "inf", "--trials", "2"],
+    ["sweep", "{inst}", "--k-consts", "1,5e18", "--trials", "2"],
+])
+def test_a_bad_scaling_constant_exits_3(argv, inst10, capsys):
+    assert cli.main([arg.format(inst=inst10) for arg in argv]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_the_largest_scaling_constant_the_sampler_takes_still_solves(inst10):
+    assert cli.main(["solve", inst10, "--k-const", "1e18"]) == cli.EXIT_OK
+
+
+def ring_closure(n: int) -> np.ndarray:
+    """Shortest paths along the unit ring 0 -> 1 -> ... -> n-1 -> 0."""
+    i, j = np.indices((n, n))
+    return ((j - i) % n).astype(float)
+
+
+DEGENERATE = {
+    "all-zero-3": np.zeros((3, 3)),
+    "zero-cost-clusters-4": np.array(
+        [[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]], dtype=float
+    ),
+    "all-ones-5": np.ones((5, 5)) - np.eye(5),
+    "unit-ring-closure-6": ring_closure(6),
+    "random-3": instance.generate("asymmetric-uniform", 3, 1).c,
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--seed", "3"],
+    ["lp"],
+    ["exact"],
+    ["verify", "--seed", "3"],
+    ["sweep", "--trials", "10", "--seed", "3"],
+])
+@pytest.mark.parametrize("name", DEGENERATE)
+def test_degenerate_inputs_run_through_every_command(name, command, tmp_path, capsys):
+    # zero-cost arcs, tied costs, n = 3 and an integral LP optimum
+    path = tmp_path / f"{name}.txt"
+    instance.save(instance.CostMatrix(DEGENERATE[name]), path)
+    assert cli.main([command[0], str(path), *command[1:]]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    if command[0] == "verify":
+        assert "verify passed" in out
+
+
 def test_lp_prints_objective_and_support(ones3, capsys):
     assert cli.main(["lp", ones3]) == 0
     out = capsys.readouterr().out

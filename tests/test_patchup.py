@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -167,7 +168,7 @@ def test_patch_above_the_sample_raises_with_the_arc(monkeypatch):
     # a doctored flow solver that puts two copies on an arc z holds once
     monkeypatch.setattr(
         patchup, "min_cost_flow",
-        lambda z, m, b: IntegerMultiDigraph(3, {(0, 1): 2}),
+        lambda z, m: IntegerMultiDigraph(3, {(0, 1): 2}),
     )
     with pytest.raises(PatchExceedsSampleError) as caught:
         patchup.patch(triangle(), uniform_costs(3))
@@ -260,3 +261,11 @@ def test_report_key_value_lines():
     assert lines[0] == "n=3"
     assert any(ln.startswith("lpObjective=") for ln in lines)
     assert any(ln.startswith("tourOverLp=") for ln in lines)
+
+
+def test_tour_over_lp_is_nan_when_the_lp_optimum_is_zero():
+    # every arc costs 0, so the sandwich forces the tour cost to 0 too
+    report = patchup.run_pipeline(instance.CostMatrix(np.zeros((3, 3)))).report
+    assert (report.lp_objective, report.cost_z, report.tour_cost) == (0.0, 0.0, 0.0)
+    assert math.isnan(report.tour_over_lp)
+    assert "tourOverLp=nan" in report.key_value_lines()

@@ -41,11 +41,14 @@ def test_config_defaults_match_analysis_constants():
         {"k_constant": float("nan")},
         {"max_retries": -1},
         {"max_retries": 0},
+        {"k_constant": math.inf},
+        # K = ceil(5e18 ln 12) exceeds the int64 counts of the sampler
+        {"k_constant": 5e18},
     ],
 )
 def test_config_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):
-        rounding.RoundingConfig(**kwargs)
+        rounding.scale_k(12, rounding.RoundingConfig(**kwargs))
 
 
 def test_scale_k_values():
@@ -53,6 +56,8 @@ def test_scale_k_values():
     assert rounding.scale_k(10, rounding.RoundingConfig()) == 231
     assert rounding.scale_k(10, rounding.RoundingConfig(k_constant=1.0)) == 3
     assert rounding.scale_k(3, rounding.RoundingConfig(k_constant=0.01)) == 1
+    # the largest constants whose K the sampler still takes
+    assert rounding.scale_k(12, rounding.RoundingConfig(k_constant=1e18)) < 2**63
 
 
 # ---------------------------------------------------------------- round_once
@@ -247,9 +252,7 @@ def test_balanced_implies_feasible_and_conversely_when_connected():
                     arc = (int(cycle[i]), int(cycle[(i + 1) % size]))
                     mult[arc] = mult.get(arc, 0) + 1
         z = IntegerMultiDigraph(6, mult)
-        feasible = (
-            flows.transshipment_certificate(z, flows.vertex_imbalances(z)) is None
-        )
+        feasible = flows.transshipment_certificate(z) is None
         balanced = rounding.check_near_balance(z).balanced
         if balanced:
             assert feasible
@@ -261,7 +264,7 @@ def test_balanced_implies_feasible_and_conversely_when_connected():
 
 def test_disconnected_feasible_graph_is_still_unbalanced():
     z = IntegerMultiDigraph(4, {(0, 1): 1, (1, 0): 1, (2, 3): 1, (3, 2): 1})
-    assert flows.transshipment_certificate(z, flows.vertex_imbalances(z)) is None
+    assert flows.transshipment_certificate(z) is None
     assert not rounding.check_near_balance(z).balanced
 
 
