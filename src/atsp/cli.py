@@ -71,17 +71,20 @@ def _load_instance(path):
     return m
 
 
-def _config(args: argparse.Namespace) -> rounding.RoundingConfig:
-    return rounding.RoundingConfig(
+def _config(args: argparse.Namespace, n: int) -> rounding.RoundingConfig:
+    """The rounding flags, with K checked at n vertices before any LP."""
+    cfg = rounding.RoundingConfig(
         k_constant=args.k_const,
         max_retries=args.retries,
         seed=args.seed,
     )
+    rounding.scale_k(n, cfg)
+    return cfg
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     m = _load_instance(args.instance)
-    run = patchup.run_pipeline(m, _config(args))
+    run = patchup.run_pipeline(m, _config(args, m.n))
     header = _header("solve", args)
     report_text = f"# {header}\n" + "\n".join(run.report.key_value_lines()) + "\n"
     _emit(report_text, f"{args.out}.report" if args.out else None)
@@ -111,6 +114,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     k_constants = [float(tok) for tok in args.k_consts.split(",") if tok]
     if not k_constants:
         raise ValueError("need at least one scaling constant")
+    for k_constant in k_constants:
+        rounding.scale_k(m.n, rounding.RoundingConfig(k_constant=k_constant))
     x = heldkarp.solve_lp(m)
     rows = oracle.connectivity_sweep(m, k_constants, args.trials, args.seed, x)
     _emit(f"# {_header('sweep', args)}\n" + oracle.sweep_to_text(rows), args.out)
@@ -119,7 +124,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     m = _load_instance(args.instance)
-    cfg = _config(args)
+    cfg = _config(args, m.n)
     n = m.n
     checks: list[tuple[str, bool]] = []
 

@@ -86,10 +86,10 @@ def vertex_imbalances(g: IntegerMultiDigraph) -> list[int]:
     return _net(g.n, g.mult)
 
 
-def require_balanced(n: int, arcs: Mapping[tuple[int, int], float], tol: float) -> None:
-    """Raise NotBalancedError, naming the vertex with the largest absolute
-    out-minus-in weight (ties to the lowest index) and that imbalance,
-    when it exceeds tol."""
+def require_balanced(n: int, arcs: Mapping[tuple[int, int], float], tol: float) -> list:
+    """The out-minus-in weight per vertex; raises NotBalancedError, naming
+    the vertex with the largest absolute one (ties to the lowest index) and
+    that imbalance, when it exceeds tol."""
     net = _net(n, arcs)
     worst = max(range(n), key=lambda v: abs(net[v]), default=0)
     if n and abs(net[worst]) > tol:
@@ -97,6 +97,7 @@ def require_balanced(n: int, arcs: Mapping[tuple[int, int], float], tol: float) 
             f"vertex {worst} has imbalance {net[worst]:.3g}, beyond {tol:.3g}",
             worst, net[worst],
         )
+    return net
 
 
 def symmetrize(n: int, arcs: Mapping[tuple[int, int], float]) -> dict[tuple[int, int], float]:

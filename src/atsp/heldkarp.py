@@ -5,11 +5,14 @@ The master imposes out-degree-1 and vertex-balance equalities over
 x >= 0, so the returned point is already normalized the way the rounding
 step expects. The relaxation's bound x <= 1 needs no row or column of its
 own: each arc has a 1 in exactly one out-degree row, that row sums to 1,
-and every other term in it is >= 0. Each round, n-1 max-flows from vertex
-0 find the violated cut constraints x(delta_out(U)) >= 1, reading both
-sides of each minimum cut; every distinct one is appended to the master
-as a row x(delta_out(U)) - s_U = 1 with its own surplus column s_U. The
-loop ends when no cut is violated by more than SEPARATION_TOL.
+and every other term in it is >= 0. Each round, separation first shrinks
+the point: it merges the endpoints of every arc heavy enough that no
+violated cut can cross it, mostly the arcs at x = 1. Then one max-flow
+from 0's super-vertex to each other super-vertex finds the violated cut
+constraints x(delta_out(U)) >= 1, reading both sides of each minimum cut;
+every distinct one is appended to the master as a row
+x(delta_out(U)) - s_U = 1 with its own surplus column s_U. The loop ends
+when no cut is violated by more than SEPARATION_TOL.
 
 The first master starts from the basis of a nearest-neighbour tour, which
 is primal feasible, so the primal simplex starts at once. Every later
@@ -86,6 +89,14 @@ def _nearest_neighbour_tour(c: np.ndarray) -> list[int]:
     return order
 
 
+def _find(parent: list[int], v: int) -> int:
+    """The root of v's tree in a union-find forest, halving the path."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
 def _tour_basis(c: np.ndarray, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
     """The sorted basic columns of a feasible basis of the degree rows:
     the nearest-neighbour tour's n arcs, basic at 1, and the n-1 cheapest
@@ -108,15 +119,9 @@ def _tour_basis(c: np.ndarray, tails: np.ndarray, heads: np.ndarray) -> np.ndarr
     # column of arc (v, w) in the row-major order of the off-diagonal arcs
     basic = (vertices * (n - 1) + succ - (succ > vertices)).tolist()
     parent = list(range(n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     for j in np.argsort(c[tails, heads], kind="stable").tolist():
-        root_out, root_in = find(int(tails[j])), find(int(pred[heads[j]]))
+        root_out = _find(parent, int(tails[j]))
+        root_in = _find(parent, int(pred[heads[j]]))
         if root_out != root_in:
             parent[root_out] = root_in
             basic.append(j)
@@ -126,34 +131,68 @@ def _tour_basis(c: np.ndarray, tails: np.ndarray, heads: np.ndarray) -> np.ndarr
 
 
 def separate(n: int, arcs: Mapping[tuple[int, int], float]) -> list[CutRecord]:
-    """Every distinct violated subtour cut that n-1 max-flows find, sorted
-    by (out_weight, members); empty when all cuts weigh >= 1 - SEPARATION_TOL.
-
-    Fixes vertex 0 and runs one max-flow 0 -> t for every t != 0, all on
-    one residual network built once per call, and weighs each distinct
-    side of each once with cuts.cut_record. The minimal source side is a
-    minimum cut among the sets that hold 0 and not t. The minimal sink
-    side W has the flow value as incoming weight; since the weights are
-    balanced, every set's outgoing weight equals its incoming weight, so W
-    is a minimum cut among the sets that hold t and not 0, the very cut a
-    max-flow from t to 0 would give. Every proper nonempty subset either
-    contains vertex 0 or excludes it, so the first element is a most
-    violated cut, ties broken toward the lexicographically smallest vertex
-    set.
+    """Every distinct violated subtour cut that max-flows from vertex 0
+    find, sorted by (out_weight, members); empty when all cuts weigh >=
+    1 - SEPARATION_TOL.
 
     Balance is checked, not assumed: NotBalancedError names the worst
-    vertex when its imbalance exceeds BALANCE_TOL. LP points meet their
-    balance rows to rounding error, and within BALANCE_TOL a set's two
-    weights differ by at most n * BALANCE_TOL.
+    vertex when its imbalance exceeds BALANCE_TOL. Let slack be the sum of
+    the absolute imbalances; a set's outgoing and incoming weights differ
+    by at most slack.
+
+    First the point shrinks (Padberg & Rinaldi, Math. Programming 1990):
+    the endpoints of every arc (u, v) with x_uv - 2 slack > 1 -
+    SEPARATION_TOL merge into one super-vertex. A set that holds u but
+    not v has out-weight >= x_uv, and one that holds v but not u has
+    in-weight >= x_uv, so both weights of a set that splits a super-vertex
+    exceed 1 - SEPARATION_TOL + slack.
+
+    Then one max-flow runs from 0's super-vertex to each other
+    super-vertex t, all on one residual network over the contracted arcs.
+    Each side is expanded back to its vertices, and each distinct one is
+    weighed once with cuts.cut_record on the original weights. The minimal
+    source side is a minimum cut by outgoing weight among the sets that
+    hold 0 and not t; the minimal sink side W is one by incoming weight
+    among the sets that hold t and not 0, the very cut a max-flow from t
+    to 0 would give when the weights are balanced. A violated source side
+    has out-weight, and a violated sink side in-weight, below 1 -
+    SEPARATION_TOL + slack. Then no minimum cut of its kind splits a
+    super-vertex, so both sides are the ones the uncontracted flow from 0
+    to any vertex of t finds, and a vertex in 0's own super-vertex has
+    none. When everything merges into one super-vertex, as at an integral
+    tour, no cut is violated and no network is built.
+
+    Every proper nonempty subset either contains vertex 0 or excludes it,
+    so the first element is a most violated cut, ties broken toward the
+    lexicographically smallest vertex set.
     """
     capacities = dict(sorted((arc, x) for arc, x in arcs.items() if x > 0.0))
-    require_balanced(n, capacities, BALANCE_TOL)
-    network = residual_network(n, capacities)
+    slack = sum(map(abs, require_balanced(n, capacities, BALANCE_TOL)))
+    parent = list(range(n))
+    for (u, v), x in capacities.items():
+        if x - 2.0 * slack > 1.0 - SEPARATION_TOL:
+            parent[_find(parent, u)] = _find(parent, v)
+    root = [_find(parent, v) for v in range(n)]
+    groups: dict[int, list[int]] = {}
+    for v in range(n):
+        groups.setdefault(root[v], []).append(v)
+    if len(groups) == 1:
+        return []
+    # super-vertices in the order of their smallest vertex: 0's is 0
+    label = {r: i for i, r in enumerate(groups)}
+    members = list(groups.values())
+    contracted: dict[tuple[int, int], float] = {}
+    for (u, v), x in capacities.items():
+        arc = (label[root[u]], label[root[v]])
+        if arc[0] != arc[1]:
+            contracted[arc] = contracted.get(arc, 0.0) + x
+    network = residual_network(len(members), dict(sorted(contracted.items())))
     weighed: dict[tuple[int, ...], CutRecord] = {}
-    for t in range(1, n):
+    for t in range(1, len(members)):
         for side in max_flow(network, 0, t)[1:]:
             if side not in weighed:
-                weighed[side] = cut_record(n, capacities, side)
+                expanded = [v for s in side for v in members[s]]
+                weighed[side] = cut_record(n, capacities, expanded)
     violated = [cut for cut in weighed.values() if cut.out_weight < 1.0 - SEPARATION_TOL]
     return sorted(violated, key=lambda r: (r.out_weight, r.members))
 
@@ -170,14 +209,17 @@ def solve_lp(m: CostMatrix) -> FractionalCirculation:
     """
     n = m.n
     tails, heads = np.nonzero(~np.eye(n, dtype=bool))
-    arc_list = list(zip(tails.tolist(), heads.tolist()))
     a, b = _degree_rows(n, tails, heads)
     cost = m.c[tails, heads]
     pooled: set[tuple[int, ...]] = set()
     basis = _tour_basis(m.c, tails, heads)
     for _ in range(ROUNDS_PER_VERTEX * n):
         result = simplex.minimize(cost, a, b, basis)
-        arcs = dict(zip(arc_list, result.x[: tails.size].tolist()))
+        positive = np.flatnonzero(result.x[: tails.size] > 0.0)
+        arcs = dict(zip(
+            zip(tails[positive].tolist(), heads[positive].tolist()),
+            result.x[positive].tolist(),
+        ))
         violated = separate(n, arcs)
         if not violated:
             support = {arc: value for arc, value in arcs.items() if value > SUPPORT_EPS}

@@ -63,28 +63,41 @@ class ValidationReport:
     negative_entries: list[tuple[int, int, float]] = field(default_factory=list)
     nonzero_diagonal: list[tuple[int, float]] = field(default_factory=list)
     triangle_violations: list[tuple[int, int, int, float]] = field(default_factory=list)
+    # n * max cost, the bound on a tour's cost, overflows a float
+    tour_cost_overflow: bool = False
 
     @property
     def ok(self) -> bool:
-        return not (self.negative_entries or self.nonzero_diagonal or self.triangle_violations)
+        return not (
+            self.negative_entries
+            or self.nonzero_diagonal
+            or self.triangle_violations
+            or self.tour_cost_overflow
+        )
 
     def summary(self) -> str:
         if self.ok:
             return "valid"
-        return (
+        text = (
             f"{len(self.negative_entries)} negative entries, "
             f"{len(self.nonzero_diagonal)} nonzero diagonal entries, "
             f"{len(self.triangle_violations)} triangle violations"
         )
+        if self.tour_cost_overflow:
+            text += ", n * max cost is not finite"
+        return text
 
 
+# a path sum that overflows to inf is no shortcut, so it needs no warning
+@np.errstate(over="ignore")
 def validate(m: CostMatrix) -> ValidationReport:
     """Report every violated triangle (i, k, j), beyond TRIANGLE_TOL, with
-    its slack, plus any negative or nonzero-diagonal entry. Never raises.
-    Entries and triangles are listed in index order."""
+    its slack, plus any negative or nonzero-diagonal entry, and whether n
+    times the largest cost, which bounds every tour's cost, overflows.
+    Never raises. Entries and triangles are listed in index order."""
     c = m.c
     n = m.n
-    report = ValidationReport()
+    report = ValidationReport(tour_cost_overflow=not math.isfinite(n * float(c.max())))
     diag = np.diagonal(c)
     for i in np.flatnonzero(diag != 0.0).tolist():
         report.nonzero_diagonal.append((i, float(diag[i])))

@@ -121,7 +121,11 @@ class PipelineReport:
 
     def sandwich_failure(self) -> str | None:
         """The first broken link of
-        lp - 1e-6 <= tour <= cost_z + cost_w <= 2 cost_z, or None."""
+        lp - 1e-6 <= tour <= cost_z + cost_w <= 2 cost_z, or None. A cost
+        that is not finite breaks the chain, since inf bounds anything."""
+        costs = (self.lp_objective, self.cost_z, self.cost_w, self.tour_cost)
+        if not all(map(math.isfinite, costs)):
+            return "a cost is not finite"
         if self.tour_cost < self.lp_objective - 1e-6:
             return "tour beat the LP lower bound"
         if self.tour_cost > self.cost_z + self.cost_w + 1e-9:

@@ -93,6 +93,48 @@ def test_a_bad_scaling_constant_exits_3(argv, inst10, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "{inst}", "--k-const", "5e18"],
+    ["verify", "{inst}", "--k-const", "5e18"],
+    ["sweep", "{inst}", "--k-consts", "1,5e18", "--trials", "2"],
+])
+def test_a_scaling_constant_is_checked_before_the_lp(argv, inst10, monkeypatch, capsys):
+    def unreachable(m):
+        raise AssertionError("the LP ran before the scaling constant was checked")
+
+    monkeypatch.setattr(heldkarp, "solve_lp", unreachable)
+    assert cli.main([arg.format(inst=inst10) for arg in argv]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "int64" in captured.err
+
+
+def off_diagonal(n: int, cost: float) -> np.ndarray:
+    c = np.full((n, n), cost)
+    np.fill_diagonal(c, 0.0)
+    return c
+
+
+def test_costs_whose_tour_bound_overflows_exit_3(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    instance.save(instance.CostMatrix(off_diagonal(3, 1e308)), path)
+    for command in ("solve", "lp", "exact", "verify", "sweep"):
+        assert cli.main([command, str(path)]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n * max cost is not finite" in captured.err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_sample_cost_that_overflows_exits_2(tmp_path, capsys):
+    path = tmp_path / "large.txt"
+    instance.save(instance.CostMatrix(off_diagonal(3, 1e307)), path)
+    assert cli.main(["solve", str(path)]) == cli.EXIT_ALGORITHMIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "a cost is not finite" in captured.err
+
+
 def test_the_largest_scaling_constant_the_sampler_takes_still_solves(inst10):
     assert cli.main(["solve", inst10, "--k-const", "1e18"]) == cli.EXIT_OK
 
@@ -363,4 +405,4 @@ def test_command_help_exits_0(command, capsys):
 
 def test_rounding_defaults_come_from_rounding():
     args = cli.build_parser().parse_args(["solve", "inst.txt"])
-    assert cli._config(args) == rounding.RoundingConfig()
+    assert cli._config(args, 3) == rounding.RoundingConfig()

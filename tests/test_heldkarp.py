@@ -175,6 +175,100 @@ def test_separate_equals_the_two_direction_reference():
         assert heldkarp.separate(n, arcs) == two_direction_separate(n, arcs)
 
 
+def one_network_separate(n, arcs):
+    """Reference separation without shrinking: n-1 max-flows from vertex 0
+    on one network over every vertex, both sides of each, filtered and
+    sorted the way separate does."""
+    capacities = {arc: x for arc, x in sorted(arcs.items()) if x > 0.0}
+    network = flows.residual_network(n, capacities)
+    found = {}
+    for t in range(1, n):
+        for side in flows.max_flow(network, 0, t)[1:]:
+            cut = cut_record(n, capacities, side)
+            if cut.out_weight < 1.0 - heldkarp.SEPARATION_TOL:
+                found[cut.members] = cut
+    return sorted(found.values(), key=lambda r: (r.out_weight, r.members))
+
+
+def summed_imbalance(n, arcs) -> float:
+    """slack: the sum of |out - in| over the vertices, on the positive arcs
+    in sorted order, as separate sums them."""
+    net = [0.0] * n
+    for (v, w), x in sorted(arcs.items()):
+        if x > 0.0:
+            net[v] += x
+            net[w] -= x
+    return sum(abs(d) for d in net)
+
+
+def super_vertices(n, arcs) -> list[set[int]]:
+    """The vertex sets separate merges, by networkx: the components of the
+    arcs with x - 2 slack > 1 - SEPARATION_TOL, in the order of their
+    smallest vertex."""
+    import networkx as nx
+
+    edge = 1.0 - heldkarp.SEPARATION_TOL
+    slack = summed_imbalance(n, arcs)
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(arc for arc, x in arcs.items() if x > 0.0 and x - 2.0 * slack > edge)
+    return sorted(nx.connected_components(graph), key=min)
+
+
+def plant_heavy_cycles(n, rng, arcs, spanning: bool) -> None:
+    """Add one to three cycles at the shrinking boundary, of weight 1 or
+    with x - 2 slack = 1 - SEPARATION_TOL +- 1e-9, and with spanning a
+    weight-1 cycle through all n vertices, which merges them into one
+    super-vertex. Cycles leave every imbalance, and so slack, as it is."""
+    edge = 1.0 - heldkarp.SEPARATION_TOL + 2.0 * summed_imbalance(n, arcs)
+    weights = [1.0, edge + 1e-9, edge - 1e-9]
+    cycles = [
+        (weights[int(rng.integers(3))], int(rng.integers(2, n + 1)))
+        for _ in range(rng.integers(1, 4))
+    ]
+    for weight, size in cycles + [(1.0, n)] * spanning:
+        cycle = rng.permutation(n)[:size].tolist()
+        for i in range(size):
+            arc = (cycle[i], cycle[(i + 1) % size])
+            arcs[arc] = arcs.get(arc, 0.0) + weight
+
+
+def test_shrinking_leaves_the_separated_cuts_unchanged(monkeypatch):
+    targets = []
+
+    def counted(network, s, t):
+        targets.append((s, t))
+        return flows.max_flow(network, s, t)
+
+    monkeypatch.setattr(heldkarp, "max_flow", counted)
+    rng = np.random.default_rng(29)
+    contracting = single = 0
+    for trial in range(600):
+        n = int(rng.integers(3, 13))
+        arcs = random_circulation(n, rng, quarters=trial % 3 == 0)
+        balanced = trial % 2 == 0
+        if not balanced:
+            # each vertex ends up within BALANCE_TOL of balance
+            k = int(rng.integers(1, 4))
+            keys = sorted(arcs)
+            for i in rng.integers(len(keys), size=k).tolist():
+                arcs[keys[i]] += float(rng.uniform(-1.0, 1.0)) * heldkarp.BALANCE_TOL / k
+        plant_heavy_cycles(n, rng, arcs, spanning=trial % 5 == 0)
+        targets.clear()
+        cuts = heldkarp.separate(n, arcs)
+        assert cuts == one_network_separate(n, arcs)
+        # the two directions agree only on balanced weights: within the
+        # imbalance, the minimal sink side by incoming weight and the
+        # minimal source side of the reverse flow can split a tie apart
+        if balanced:
+            assert cuts == two_direction_separate(n, arcs)
+        groups = super_vertices(n, arcs)
+        assert targets == [(0, t) for t in range(1, len(groups))]
+        contracting += len(groups) < n
+        single += len(groups) == 1
+    assert contracting > 0 and single > 0
+
+
 def test_separate_rejects_unbalanced_weights_with_the_worst_vertex():
     arcs = {(0, 1): 1.0, (1, 2): 1.0, (2, 0): 1.0 + 1e-6}
     with pytest.raises(NotBalancedError) as raised:
@@ -368,6 +462,7 @@ SEPARATION_CASES = {
 def test_every_separation_round_equals_the_reference(case, monkeypatch, master_objectives):
     m = SEPARATION_CASES[case]()
     rounds = []
+    sizes = []
     builds = []
     flow_calls = []
     separate = heldkarp.separate
@@ -376,6 +471,7 @@ def test_every_separation_round_equals_the_reference(case, monkeypatch, master_o
         cuts = separate(n, arcs)
         assert cuts == two_direction_separate(n, arcs)
         rounds.append(len(cuts))
+        sizes.append(len(super_vertices(n, arcs)))
         return cuts
 
     def built(*args):
@@ -390,9 +486,11 @@ def test_every_separation_round_equals_the_reference(case, monkeypatch, master_o
     monkeypatch.setattr(heldkarp, "residual_network", built)
     monkeypatch.setattr(heldkarp, "max_flow", counted)
     heldkarp.solve_lp(m)
-    # one network and n-1 flows per round, the last round finding no violated cut
-    assert len(builds) == len(rounds) == len(master_objectives)
-    assert flow_calls == [(0, t) for t in range(1, m.n)] * len(rounds)
+    # per round, one network over the super-vertices, unless there is only
+    # one, and one flow from 0's to each other; the last round finds no cut
+    assert len(rounds) == len(master_objectives)
+    assert [args[0] for args in builds] == [k for k in sizes if k > 1]
+    assert flow_calls == [(0, t) for k in sizes for t in range(1, k)]
     assert rounds[-1] == 0
 
 

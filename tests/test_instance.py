@@ -42,6 +42,23 @@ def test_validate_reports_negative_and_diagonal_entries():
     assert (0, 1.0) in report.nonzero_diagonal
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, cost, overflows", [
+    (3, 1e308, True),
+    (3, 1e307, False),
+    # 180e306 is beyond the largest float, 1.798e308; 179e306 is not
+    (180, 1e306, True),
+    (179, 1e306, False),
+])
+def test_validate_rejects_costs_whose_tour_bound_overflows(n, cost, overflows):
+    c = np.full((n, n), cost)
+    np.fill_diagonal(c, 0.0)
+    report = instance.validate(instance.CostMatrix(c))
+    assert report.tour_cost_overflow == overflows
+    assert report.ok == (not overflows)
+    assert ("n * max cost is not finite" in report.summary()) == overflows
+
+
 def reference_validate(m: instance.CostMatrix) -> instance.ValidationReport:
     """The per-(i, k) loop that validate replaced, kept as its reference."""
     c = m.c

@@ -245,6 +245,27 @@ def test_broken_sandwich_raises_a_typed_error(monkeypatch):
     assert caught.value.report.sandwich_failure() == "tour beat the LP lower bound"
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("name", ["lp_objective", "cost_z", "cost_w", "tour_cost"])
+def test_a_cost_that_is_not_finite_breaks_the_sandwich(name, value):
+    report = patchup.PipelineReport(
+        n=3, lp_objective=3.0, k=110, attempts=1, cost_z=330.0, cost_w=0.0, tour_cost=3.0
+    )
+    assert report.sandwich_failure() is None
+    broken = dataclasses.replace(report, **{name: value})
+    assert broken.sandwich_failure() == "a cost is not finite"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_sample_cost_that_overflows_raises_a_typed_error():
+    # n * max cost is finite, but the K = 110 copies of the sample are not
+    c = np.full((3, 3), 1e307)
+    np.fill_diagonal(c, 0.0)
+    with pytest.raises(CostSandwichError, match="not finite") as caught:
+        patchup.run_pipeline(instance.CostMatrix(c))
+    assert caught.value.report.cost_z == math.inf
+
+
 @pytest.mark.parametrize("kind", instance.KINDS)
 def test_solve_runs_on_every_kind(kind):
     m = instance.generate(kind, 8, 5)
