@@ -102,9 +102,11 @@ class DisconnectedError(AtspError):
 
 
 class CostSandwichError(AtspError):
-    """A pipeline run broke lp - 1e-6 <= tour <= cost_z + cost_w <= 2 cost_z.
+    """A pipeline run broke lp - 1e-6 <= tour <= cost_z + cost_w <= 2 cost_z,
+    or a sample cost is not finite, which no such chain can bound.
 
-    ``report`` carries the PipelineReport whose costs break it.
+    ``report`` carries the PipelineReport whose costs break it, or None
+    when a connectivity sweep's mean sample cost is not finite.
     """
 
     def __init__(self, message: str, report=None):

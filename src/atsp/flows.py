@@ -61,7 +61,9 @@ class IntegerMultiDigraph:
         return sum(self.mult.values())
 
     def total_cost(self, m: CostMatrix) -> float:
-        return float(sum(k * m.c[v, w] for (v, w), k in self.mult.items()))
+        """Sum of multiplicity times cost, in Python floats, so a sum that
+        overflows is inf without a numpy warning."""
+        return float(sum(k * m.c.item(v, w) for (v, w), k in self.mult.items()))
 
     def __add__(self, other: "IntegerMultiDigraph") -> "IntegerMultiDigraph":
         if self.n != other.n:

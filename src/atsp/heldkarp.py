@@ -10,14 +10,17 @@ the point: it merges the endpoints of every arc heavy enough that no
 violated cut can cross it, mostly the arcs at x = 1. Then one max-flow
 from 0's super-vertex to each other super-vertex finds the violated cut
 constraints x(delta_out(U)) >= 1, reading both sides of each minimum cut;
-every distinct one is appended to the master as a row
-x(delta_out(U)) - s_U = 1 with its own surplus column s_U. The loop ends
+every distinct one not yet in the cut list joins its end. The loop ends
 when no cut is violated by more than SEPARATION_TOL.
 
-The first master starts from the basis of a nearest-neighbour tour, which
-is primal feasible, so the primal simplex starts at once. Every later
-master starts from the previous optimal basis plus each new surplus
-column: the basis matrix is block triangular with -I in the new corner,
+The master is a function of the cut list, rebuilt by _master each round:
+the degree and balance rows, then one row x(delta_out(U)) - s_U = 1 per
+cut U, in list order, with its own surplus column s_U. The first master
+starts from the basis of a nearest-neighbour tour, which is primal
+feasible, so the primal simplex starts at once. Since the rows and
+columns keep their order, the previous master is the leading block of
+the next, and the previous optimal basis plus each new surplus column is
+a basis: the basis matrix is block triangular with -I in the new corner,
 the reduced costs are unchanged (the new rows' duals are 0), and only the
 violated cut rows are infeasible (s_U = x(delta_out(U)) - 1 < 0). The
 dual simplex re-optimizes from there.
@@ -54,26 +57,27 @@ class FractionalCirculation:
     objective: float
 
 
-def _degree_rows(n: int, tails: np.ndarray, heads: np.ndarray):
-    """Out-degree rows, then balance rows for vertices 1..n-1 (vertex 0's
-    is implied by the others)."""
-    cols = np.arange(tails.size)
-    a = np.zeros((2 * n - 1, tails.size))
+def _master(c: np.ndarray, tails: np.ndarray, heads: np.ndarray, cuts: list[tuple[int, ...]]):
+    """The master LP (a, b, cost) of the cut list: the out-degree rows, the
+    balance rows of vertices 1..n-1 (vertex 0's is implied by the others),
+    then one row x(delta_out(U)) - s_U = 1 per cut U, in list order. The
+    arc columns come first, then one surplus column s_U, of cost 0, per cut.
+    """
+    n, k, arcs = c.shape[0], len(cuts), tails.size
+    cols = np.arange(arcs)
+    a = np.zeros((2 * n - 1 + k, arcs + k))
     a[tails, cols] = 1.0
     into = heads > 0
     a[n + heads[into] - 1, cols[into]] = 1.0
     out_of = tails > 0
     a[n + tails[out_of] - 1, cols[out_of]] = -1.0
-    b = np.concatenate([np.ones(n), np.zeros(n - 1)])
-    return a, b
-
-
-def _cut_rows(n: int, tails: np.ndarray, heads: np.ndarray, cut_sets) -> np.ndarray:
-    """Coefficients of x(delta_out(U)) over the arc columns, one row per U."""
-    inside = np.zeros((len(cut_sets), n), dtype=bool)
-    for i, members in enumerate(cut_sets):
+    inside = np.zeros((k, n), dtype=bool)
+    for i, members in enumerate(cuts):
         inside[i, list(members)] = True
-    return (inside[:, tails] & ~inside[:, heads]).astype(np.float64)
+    a[2 * n - 1 :, :arcs] = inside[:, tails] & ~inside[:, heads]
+    a[2 * n - 1 + np.arange(k), arcs + np.arange(k)] = -1.0
+    b = np.concatenate([np.ones(n), np.zeros(n - 1), np.ones(k)])
+    return a, b, np.concatenate([c[tails, heads], np.zeros(k)])
 
 
 def _nearest_neighbour_tour(c: np.ndarray) -> list[int]:
@@ -209,11 +213,10 @@ def solve_lp(m: CostMatrix) -> FractionalCirculation:
     """
     n = m.n
     tails, heads = np.nonzero(~np.eye(n, dtype=bool))
-    a, b = _degree_rows(n, tails, heads)
-    cost = m.c[tails, heads]
-    pooled: set[tuple[int, ...]] = set()
+    cuts: list[tuple[int, ...]] = []
     basis = _tour_basis(m.c, tails, heads)
     for _ in range(ROUNDS_PER_VERTEX * n):
+        a, b, cost = _master(m.c, tails, heads, cuts)
         result = simplex.minimize(cost, a, b, basis)
         positive = np.flatnonzero(result.x[: tails.size] > 0.0)
         arcs = dict(zip(
@@ -224,25 +227,15 @@ def solve_lp(m: CostMatrix) -> FractionalCirculation:
         if not violated:
             support = {arc: value for arc, value in arcs.items() if value > SUPPORT_EPS}
             return FractionalCirculation(n, support, result.objective)
-        new = [cut.members for cut in violated if cut.members not in pooled]
+        new = [cut.members for cut in violated if cut.members not in cuts]
         if not new:
             raise IterationLimitError(
                 f"every violated cut is pooled already, the most violated "
                 f"{violated[0].members}; numerical stall"
             )
-        pooled.update(new)
-        # one row x(delta_out(U)) - s_U = 1 and one surplus column s_U per
-        # cut; the next master starts with the surplus columns basic
-        k = len(new)
-        basis = np.concatenate([result.basis, np.arange(k) + a.shape[1]])
-        rows, cols = a.shape
-        grown = np.zeros((rows + k, cols + k))
-        grown[:rows, :cols] = a
-        grown[rows:, : tails.size] = _cut_rows(n, tails, heads, new)
-        grown[rows:, cols:] = -np.eye(k)
-        a = grown
-        b = np.concatenate([b, np.ones(k)])
-        cost = np.concatenate([cost, np.zeros(k)])
+        # the next master starts with the new surplus columns basic
+        basis = np.concatenate([result.basis, a.shape[1] + np.arange(len(new))])
+        cuts += new
     raise IterationLimitError(
         f"cutting-plane loop exceeded {ROUNDS_PER_VERTEX * n} rounds"
     )

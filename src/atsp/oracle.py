@@ -9,6 +9,7 @@ the instance and graph containers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import rounding
 from .cuts import all_cut_values
-from .errors import TooLargeError
+from .errors import CostSandwichError, TooLargeError
 from .flows import is_weakly_connected, transshipment_certificate
 from .heldkarp import FractionalCirculation
 from .instance import CostMatrix
@@ -102,6 +103,7 @@ def connectivity_sweep(
 
     Per-trial seeds are seed + block * trials + trial, one block per
     constant, so the whole table is a pure function of (m, inputs).
+    Raises CostSandwichError when a row's mean sample cost is not finite.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -119,6 +121,10 @@ def connectivity_sweep(
             if transshipment_certificate(z) is None:
                 feasible += 1
             cost_sum += z.total_cost(m)
+        if not math.isfinite(cost_sum):
+            raise CostSandwichError(
+                f"the mean sample cost at scaling constant {k_constant} is not finite"
+            )
         rows.append(
             SweepRow(
                 k_constant=k_constant,

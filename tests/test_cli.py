@@ -1,10 +1,18 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import inspect
+import io
+import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from atsp import cli, errors, flows, heldkarp, instance, patchup, rounding, simplex
 
@@ -125,7 +133,7 @@ def test_costs_whose_tour_bound_overflows_exit_3(tmp_path, capsys):
         assert "n * max cost is not finite" in captured.err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_sample_cost_that_overflows_exits_2(tmp_path, capsys):
     path = tmp_path / "large.txt"
     instance.save(instance.CostMatrix(off_diagonal(3, 1e307)), path)
@@ -133,6 +141,72 @@ def test_a_sample_cost_that_overflows_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "a cost is not finite" in captured.err
+    # at K = 2 each sample costs a finite 6e307, but three of them overflow
+    assert cli.main(["sweep", str(path), "--trials", "3"]) == cli.EXIT_ALGORITHMIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "mean sample cost at scaling constant 1.0 is not finite" in captured.err
+
+
+HOSTILE_TOKENS = ["0", "-0", "5e-324", "1", "1e307", "1e308", "inf", "nan"]
+
+
+@st.composite
+def hostile_instance_texts(draw):
+    """Instance texts at n <= 5 from hostile cost tokens: metric ones with
+    one off-diagonal token, arbitrary matrices, a wrong n header and
+    ragged rows."""
+    n = draw(st.integers(1, 5))
+    token = st.sampled_from(HOSTILE_TOKENS)
+    if draw(st.integers(0, 2)):
+        off = draw(token)
+        rows = [["0" if i == j else off for j in range(n)] for i in range(n)]
+    else:
+        rows = [[draw(token) for _ in range(n)] for _ in range(n)]
+    if draw(st.integers(0, 3)) == 0:
+        row = rows[draw(st.integers(0, n - 1))]
+        if draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(draw(token))
+    header = n
+    if draw(st.integers(0, 3)) == 0:
+        header += draw(st.sampled_from([-1, 1, -n]))
+    return "\n".join([str(header)] + [" ".join(row) for row in rows]) + "\n"
+
+
+README_EXIT_CODES = {0, 2, 3, 4, 5}
+NON_FINITE = re.compile(r"(?<![a-z])(inf|nan)(?![a-z])")
+
+
+@settings(max_examples=300, deadline=None)
+@given(hostile_instance_texts())
+@example("3\n0 1e307 1e307\n1e307 0 1e307\n1e307 1e307 0\n")
+def test_hostile_instances_through_every_command(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "hostile.txt")
+        Path(path).write_text(text)
+        for argv in (
+            ["solve", path, "--seed", "3"],
+            ["lp", path],
+            ["exact", path],
+            ["verify", path, "--seed", "3"],
+            ["sweep", path, "--trials", "3", "--seed", "3"],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("error", RuntimeWarning)
+                rc = cli.main(argv)
+            stdout = out.getvalue()
+            assert rc in README_EXIT_CODES, (argv, text, err.getvalue())
+            if rc in (cli.EXIT_ALGORITHMIC, cli.EXIT_INPUT, cli.EXIT_TOO_LARGE):
+                assert stdout == "", (argv, text)
+            if rc == cli.EXIT_OK:
+                # the README's one non-finite output: tourOverLp at an LP of 0
+                if "\nlpObjective=0.0\n" in stdout:
+                    stdout = stdout.replace("\ntourOverLp=nan\n", "\n")
+                assert not NON_FINITE.search(stdout.lower()), (argv, text, stdout)
 
 
 def test_the_largest_scaling_constant_the_sampler_takes_still_solves(inst10):

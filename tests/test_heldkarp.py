@@ -432,12 +432,46 @@ def test_tour_basis_is_a_nonsingular_basis_at_the_greedy_tour(case):
     basic = heldkarp._tour_basis(m.c, tails, heads)
     assert basic.tolist() == sorted(set(basic.tolist()))
     assert basic.size == 2 * n - 1 and 0 <= basic[0] and basic[-1] < tails.size
-    a, b = heldkarp._degree_rows(n, tails, heads)
+    a, b, _ = heldkarp._master(m.c, tails, heads, [])
     square = a[:, basic]
     assert np.linalg.matrix_rank(square) == 2 * n - 1
     x = np.zeros(tails.size)
     x[basic] = np.linalg.solve(square, b)
     assert np.array_equal(x, greedy_tour_point(m.c)[tails, heads])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 8), st.integers(0, 2**32 - 1))
+def test_each_master_is_the_leading_block_of_the_next(n, seed):
+    # the warm start's premise: a longer cut list only appends rows and
+    # surplus columns, so the old basis plus the new surplus columns is one
+    rng = np.random.default_rng(seed)
+    m = instance.generate("asymmetric-uniform", n, seed % 97)
+    tails, heads = np.nonzero(~np.eye(n, dtype=bool))
+    cuts = [
+        tuple(sorted(rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist()))
+        for _ in range(int(rng.integers(0, 7)))
+    ]
+    a, b, cost = heldkarp._master(m.c, tails, heads, cuts)
+    rows, cols = 2 * n - 1, tails.size
+    assert a.shape == (rows + len(cuts), cols + len(cuts))
+    for j in range(len(cuts) + 1):
+        a_j, b_j, cost_j = heldkarp._master(m.c, tails, heads, cuts[:j])
+        r, k = a_j.shape
+        assert np.array_equal(a[:r, :k], a_j)
+        assert not a[:r, k:].any()
+        assert np.array_equal(a[r:, k:], -np.eye(len(cuts) - j))
+        assert np.array_equal(b[:r], b_j) and np.array_equal(b[r:], np.ones(len(cuts) - j))
+        assert np.array_equal(cost[:k], cost_j)
+        assert np.array_equal(cost[k:], np.zeros(len(cuts) - j))
+    assert np.array_equal(cost[:cols], m.c[tails, heads])
+    # each cut row weighs x(delta_out(U)) at an arc point
+    x = rng.uniform(0.0, 1.0, cols) * (rng.uniform(size=cols) < 0.5)
+    weights = dict(zip(zip(tails.tolist(), heads.tolist()), x.tolist()))
+    for i, members in enumerate(cuts):
+        assert a[rows + i, :cols] @ x == pytest.approx(
+            cut_record(n, weights, members).out_weight, abs=1e-12
+        )
 
 
 @pytest.mark.parametrize("case", sorted(EDGE_CASES))
