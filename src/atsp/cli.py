@@ -2,11 +2,13 @@
 
 Each command writes its text to stdout, and with ``--out`` the same
 bytes to that file (``solve`` writes its report to ``OUT.report`` and its
-tour to ``OUT``, and prints both in that order). The text of solve, lp,
-exact and sweep starts with a comment line recording the version, the
-parameters, and the RNG. All randomness flows from the ``--seed`` flag of
-the commands that sample (solve, verify, sweep), so identical invocations
-produce byte-identical output.
+tour to ``OUT``, and prints both in that order). Every file is written
+before anything is printed, so a command whose file cannot be written
+prints nothing. The text of solve, lp, exact and sweep starts with a
+comment line recording the version, the parameters, and the RNG. All
+randomness flows from the ``--seed`` flag of the commands that sample
+(solve, verify, sweep), so identical invocations produce byte-identical
+output.
 
 Exit codes follow the error type: 0 success, 2 any other failure of the
 algorithm (an ``AtspError``: retries exhausted, a solver cap, a singular
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -55,11 +58,13 @@ def _header(command: str, args: argparse.Namespace) -> str:
     return " ".join(parts)
 
 
-def _emit(text: str, path: str | None) -> None:
-    """Write text to path, when given, and the same bytes to stdout."""
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _emit(text: str, path: str | None, files: Sequence[tuple[str, str]] = ()) -> None:
+    """Write text to path, when given, and each (path, content) of files,
+    then text to stdout: a file that cannot be written leaves stdout empty."""
+    for dest, content in [(path, text), *files]:
+        if dest:
+            with open(dest, "w") as fh:
+                fh.write(content)
     sys.stdout.write(text)
 
 
@@ -87,13 +92,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     run = patchup.run_pipeline(m, _config(args, m.n))
     header = _header("solve", args)
     report_text = f"# {header}\n" + "\n".join(run.report.key_value_lines()) + "\n"
-    _emit(report_text, f"{args.out}.report" if args.out else None)
-    _emit(f"# {header}\n" + patchup.tour_to_text(run.tour), args.out)
+    tour_text = f"# {header}\n" + patchup.tour_to_text(run.tour)
+    files = [(f"{args.out}.report", report_text), (args.out, tour_text)] if args.out else []
     if args.dump:
         for name, graph in (("z", run.z), ("w", run.w), ("zw", run.z + run.w)):
-            with open(f"{args.dump}.{name}.txt", "w") as fh:
-                fh.write(f"# {header} graph={name}\n")
-                fh.write(flows.to_text(graph))
+            text = f"# {header} graph={name}\n" + flows.to_text(graph)
+            files.append((f"{args.dump}.{name}.txt", text))
+    _emit(report_text + tour_text, None, files)
     return EXIT_OK
 
 

@@ -58,7 +58,7 @@ def members_of(mask: int, n: int) -> tuple[int, ...]:
     return tuple(v for v in range(n) if mask >> v & 1)
 
 
-def cut_weights(n: int, arcs: ArcWeights, members) -> tuple[float, float]:
+def cut_weights(arcs: ArcWeights, members) -> tuple[float, float]:
     """Outgoing and incoming weight of one subset, summed directly."""
     inside = set(members)
     out_w = 0.0
@@ -71,8 +71,8 @@ def cut_weights(n: int, arcs: ArcWeights, members) -> tuple[float, float]:
     return out_w, in_w
 
 
-def cut_record(n: int, arcs: ArcWeights, members) -> CutRecord:
-    out_w, in_w = cut_weights(n, arcs, members)
+def cut_record(arcs: ArcWeights, members) -> CutRecord:
+    out_w, in_w = cut_weights(arcs, members)
     return CutRecord(tuple(members), out_w, in_w)
 
 

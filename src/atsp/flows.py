@@ -1,8 +1,8 @@
 """Graph engine: multigraphs, max flows (both sides of a minimum cut, on a
 residual network that flows between many pairs share), the integral
 min-cost flow within a multigraph that balances it, Eulerian circuits,
-connectivity, and the cut-value preserving symmetrization of balanced
-arc weights.
+weak components (the package's one union-find), and the cut-value
+preserving symmetrization of balanced arc weights.
 
 Flows return vertex sets, not weighed cuts: callers weigh the cuts they
 need with cuts.cut_record. Transshipment feasibility and the min-cost
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .cuts import CutRecord, cut_record
 from .errors import (
@@ -109,7 +109,7 @@ def symmetrize(n: int, arcs: Mapping[tuple[int, int], float]) -> dict[tuple[int,
     Requires vertex balance within SYMMETRIZE_TOL, since only balanced
     weights have direction-free cut values: then a set's outgoing weight
     equals the weight of the pairs it separates,
-    sum(cuts.cut_weights(n, y, members)).
+    sum(cuts.cut_weights(y, members)).
     """
     require_balanced(n, arcs, SYMMETRIZE_TOL)
     y: dict[tuple[int, int], float] = {}
@@ -345,7 +345,7 @@ def min_cost_flow(g: IntegerMultiDigraph, costs: CostMatrix) -> IntegerMultiDigr
             members = tuple(v for v in range(n) if dist[v] == inf)
             raise InfeasibleError(
                 "transshipment infeasible: a cut has less capacity than demand",
-                certificate=cut_record(n, g.mult, members),
+                certificate=cut_record(g.mult, members),
             )
         potential = [
             p + cap_dist if cap_dist < dv else p + dv
@@ -402,7 +402,7 @@ def transshipment_certificate(g: IntegerMultiDigraph) -> CutRecord | None:
     value, reached, _ = max_flow(network, n, n + 1)
     if value >= demand:
         return None
-    return cut_record(n, g.mult, tuple(v for v in range(n) if v not in reached))
+    return cut_record(g.mult, tuple(v for v in range(n) if v not in reached))
 
 
 Run = tuple[list[int], int]
@@ -412,13 +412,17 @@ def euler_circuit(g: IntegerMultiDigraph) -> list[Run]:
     """Hierholzer's algorithm on a balanced, support-connected multigraph;
     raises NotBalancedError or DisconnectedError on any other.
 
-    Starts at the smallest vertex with positive degree and always leaves
-    along the lowest-index head that has copies left, so the walk is
-    deterministic. Returns the closed walk run-length encoded: runs
-    ``(vertices, reps)`` in walk order, each standing for ``vertices``
-    repeated ``reps`` times. Expanded, they are the walk's vertex sequence,
-    which starts and ends at the start vertex and takes each arc as many
-    times as its multiplicity.
+    Starts at the smallest tail, which in a balanced graph is the smallest
+    vertex with positive degree, and always leaves along the lowest-index
+    head that has copies left, so the walk is deterministic. In a balanced
+    graph the walk takes every arc of its start's weak component, so arcs
+    left unwalked are what makes the support disconnected.
+
+    Returns the closed walk run-length encoded: runs ``(vertices, reps)``
+    in walk order, each standing for ``vertices`` repeated ``reps`` times.
+    Expanded, they are the walk's vertex sequence, which starts and ends
+    at the start vertex and takes each arc as many times as its
+    multiplicity.
 
     The work is per distinct arc, not per arc copy. When the forward trail
     closes a cycle whose arcs all have copies left, each of those arcs is
@@ -431,18 +435,16 @@ def euler_circuit(g: IntegerMultiDigraph) -> list[Run]:
     vertex and a new forward trail starts there.
     """
     require_balanced(g.n, g.mult, 0)
-    support = sorted({v for arc in g.mult for v in arc})
-    if not support:
+    if not g.mult:
         raise DisconnectedError("empty multigraph has no circuit")
-    if len(weak_component(g, support[0])) != len(support):
-        raise DisconnectedError("multigraph support is not weakly connected")
+    start = min(g.mult)[0]
     outs: list[list[list[int]]] = [[] for _ in range(g.n)]
     left = [0] * g.n
     for (v, w), k in sorted(g.mult.items()):
         outs[v].append([w, k])
         left[v] += k
     pointer = [0] * g.n
-    stack: list[Run] = [([support[0]], 1)]
+    stack: list[Run] = [([start], 1)]
     popped: list[Run] = []
     while stack:
         verts, reps = stack.pop()
@@ -492,31 +494,37 @@ def euler_circuit(g: IntegerMultiDigraph) -> list[Run]:
             seen = {w: 0}
         if len(trail) > 1:
             stack.append((trail[1:], 1))
+    if any(left):
+        raise DisconnectedError("multigraph support is not weakly connected")
     popped.reverse()
     return popped
 
 
-def weak_component(g: IntegerMultiDigraph, start: int) -> set[int]:
-    """The vertices joined to start by arcs of the support, ignoring
-    direction; start itself always belongs."""
-    adjacency: list[list[int]] = [[] for _ in range(g.n)]
-    for v, w in g.mult:
-        adjacency[v].append(w)
-        adjacency[w].append(v)
-    seen = {start}
-    stack = [start]
-    while stack:
-        for v in adjacency[stack.pop()]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
+def _find(parent: list[int], v: int) -> int:
+    """The root of v's tree in a union-find forest, halving the path."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
+def components(n: int, arcs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """The weak components of the arcs over vertices 0..n-1: sorted vertex
+    lists, in the order of their smallest vertex. An isolated vertex is a
+    component of its own."""
+    parent = list(range(n))
+    for v, w in arcs:
+        parent[_find(parent, v)] = _find(parent, w)
+    parts: dict[int, list[int]] = {}
+    for v in range(n):
+        parts.setdefault(_find(parent, v), []).append(v)
+    return list(parts.values())
 
 
 def is_weakly_connected(g: IntegerMultiDigraph) -> bool:
     """True iff all n vertices lie in one weakly connected component of
     the support. An isolated vertex therefore makes this false."""
-    return g.n == 0 or len(weak_component(g, 0)) == g.n
+    return len(components(g.n, g.mult)) <= 1
 
 
 def to_text(g: IntegerMultiDigraph) -> str:

@@ -36,7 +36,7 @@ import numpy as np
 from . import simplex
 from .cuts import CutRecord, cut_record
 from .errors import IterationLimitError
-from .flows import max_flow, require_balanced, residual_network
+from .flows import _find, components, max_flow, require_balanced, residual_network
 from .instance import CostMatrix, content_lines
 
 BALANCE_TOL = 1e-7
@@ -91,14 +91,6 @@ def _nearest_neighbour_tour(c: np.ndarray) -> list[int]:
         unvisited[v] = False
         order.append(v)
     return order
-
-
-def _find(parent: list[int], v: int) -> int:
-    """The root of v's tree in a union-find forest, halving the path."""
-    while parent[v] != v:
-        parent[v] = parent[parent[v]]
-        v = parent[v]
-    return v
 
 
 def _tour_basis(c: np.ndarray, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
@@ -172,22 +164,19 @@ def separate(n: int, arcs: Mapping[tuple[int, int], float]) -> list[CutRecord]:
     """
     capacities = dict(sorted((arc, x) for arc, x in arcs.items() if x > 0.0))
     slack = sum(map(abs, require_balanced(n, capacities, BALANCE_TOL)))
-    parent = list(range(n))
-    for (u, v), x in capacities.items():
-        if x - 2.0 * slack > 1.0 - SEPARATION_TOL:
-            parent[_find(parent, u)] = _find(parent, v)
-    root = [_find(parent, v) for v in range(n)]
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(root[v], []).append(v)
-    if len(groups) == 1:
-        return []
     # super-vertices in the order of their smallest vertex: 0's is 0
-    label = {r: i for i, r in enumerate(groups)}
-    members = list(groups.values())
+    members = components(n, [
+        arc for arc, x in capacities.items() if x - 2.0 * slack > 1.0 - SEPARATION_TOL
+    ])
+    if len(members) == 1:
+        return []
+    label = [0] * n
+    for i, part in enumerate(members):
+        for v in part:
+            label[v] = i
     contracted: dict[tuple[int, int], float] = {}
     for (u, v), x in capacities.items():
-        arc = (label[root[u]], label[root[v]])
+        arc = (label[u], label[v])
         if arc[0] != arc[1]:
             contracted[arc] = contracted.get(arc, 0.0) + x
     network = residual_network(len(members), dict(sorted(contracted.items())))
@@ -196,7 +185,7 @@ def separate(n: int, arcs: Mapping[tuple[int, int], float]) -> list[CutRecord]:
         for side in max_flow(network, 0, t)[1:]:
             if side not in weighed:
                 expanded = [v for s in side for v in members[s]]
-                weighed[side] = cut_record(n, capacities, expanded)
+                weighed[side] = cut_record(capacities, expanded)
     violated = [cut for cut in weighed.values() if cut.out_weight < 1.0 - SEPARATION_TOL]
     return sorted(violated, key=lambda r: (r.out_weight, r.members))
 
@@ -255,10 +244,9 @@ def from_text(text: str) -> FractionalCirculation:
     lines = content_lines(text)
     if not lines:
         raise ValueError("empty circulation text")
-    head = lines[0].split()
-    n, objective = int(head[0]), float(head[1])
+    n, objective = lines[0].split()
     arcs: dict[tuple[int, int], float] = {}
     for ln in lines[1:]:
         v, w, value = ln.split()
         arcs[(int(v), int(w))] = float(value)
-    return FractionalCirculation(n, arcs, objective)
+    return FractionalCirculation(int(n), arcs, float(objective))

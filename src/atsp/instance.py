@@ -9,7 +9,7 @@ entries are fixed at zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,13 +56,14 @@ class CostMatrix:
         return self.c.shape == other.c.shape and bool(np.all(self.c == other.c))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
-    """Every metric violation found in a matrix; empty iff the matrix is valid."""
+    """How many entries and triangles break the metric; all 0 iff the matrix
+    is valid."""
 
-    negative_entries: list[tuple[int, int, float]] = field(default_factory=list)
-    nonzero_diagonal: list[tuple[int, float]] = field(default_factory=list)
-    triangle_violations: list[tuple[int, int, int, float]] = field(default_factory=list)
+    negative_entries: int = 0
+    nonzero_diagonal: int = 0
+    triangle_violations: int = 0
     # n * max cost, the bound on a tour's cost, overflows a float
     tour_cost_overflow: bool = False
 
@@ -79,9 +80,9 @@ class ValidationReport:
         if self.ok:
             return "valid"
         text = (
-            f"{len(self.negative_entries)} negative entries, "
-            f"{len(self.nonzero_diagonal)} nonzero diagonal entries, "
-            f"{len(self.triangle_violations)} triangle violations"
+            f"{self.negative_entries} negative entries, "
+            f"{self.nonzero_diagonal} nonzero diagonal entries, "
+            f"{self.triangle_violations} triangle violations"
         )
         if self.tour_cost_overflow:
             text += ", n * max cost is not finite"
@@ -91,30 +92,25 @@ class ValidationReport:
 # a path sum that overflows to inf is no shortcut, so it needs no warning
 @np.errstate(over="ignore")
 def validate(m: CostMatrix) -> ValidationReport:
-    """Report every violated triangle (i, k, j), beyond TRIANGLE_TOL, with
-    its slack, plus any negative or nonzero-diagonal entry, and whether n
-    times the largest cost, which bounds every tour's cost, overflows.
-    Never raises. Entries and triangles are listed in index order."""
+    """Count the violated triangles (i, k, j), beyond TRIANGLE_TOL, and the
+    negative and nonzero-diagonal entries, and report whether n times the
+    largest cost, which bounds every tour's cost, overflows. Never raises."""
     c = m.c
     n = m.n
-    report = ValidationReport(tour_cost_overflow=not math.isfinite(n * float(c.max())))
-    diag = np.diagonal(c)
-    for i in np.flatnonzero(diag != 0.0).tolist():
-        report.nonzero_diagonal.append((i, float(diag[i])))
-    for i, j in zip(*np.nonzero(c < 0.0)):
-        report.negative_entries.append((int(i), int(j), float(c[i, j])))
-    # slack of triple (i, k, j): how far c[i][j] exceeds the path through k,
-    # all (k, j) at once per i; a triple with a repeated vertex is no triangle
+    triangles = 0
+    # the triples (i, k, j) where c[i][j] exceeds the path through k, all
+    # (k, j) at once per i; a triple with a repeated vertex is no triangle
     for i in range(n):
-        via = c[i, :, None] + c
-        bad = c[i, None, :] > via + TRIANGLE_TOL
+        bad = c[i, None, :] > c[i, :, None] + c + TRIANGLE_TOL
         bad[i, :] = bad[:, i] = False
         np.fill_diagonal(bad, False)
-        for k, j in zip(*np.nonzero(bad)):
-            report.triangle_violations.append(
-                (i, int(k), int(j), float(c[i, j] - via[k, j]))
-            )
-    return report
+        triangles += int(np.count_nonzero(bad))
+    return ValidationReport(
+        negative_entries=int(np.count_nonzero(c < 0.0)),
+        nonzero_diagonal=int(np.count_nonzero(np.diagonal(c))),
+        triangle_violations=triangles,
+        tour_cost_overflow=not math.isfinite(n * float(c.max())),
+    )
 
 
 def metric_closure(raw: np.ndarray) -> CostMatrix:

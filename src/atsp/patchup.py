@@ -213,9 +213,8 @@ def tour_from_text(text: str) -> tuple[tuple[int, ...], float]:
     lines = content_lines(text)
     if len(lines) < 2:
         raise ValueError("tour text needs a header and an order line")
-    head = lines[0].split()
-    n, cost = int(head[0]), float(head[1])
+    n, cost = lines[0].split()
     order = tuple(int(tok) for tok in lines[1].split())
-    if len(order) != n:
+    if len(order) != int(n):
         raise ValueError(f"expected {n} vertices, found {len(order)}")
-    return order, cost
+    return order, float(cost)

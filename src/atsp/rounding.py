@@ -18,7 +18,7 @@ import numpy as np
 
 from .cuts import CutRecord, all_cut_values, cut_record, members_of
 from .errors import RetriesExhaustedError, WeightOutOfRangeError
-from .flows import IntegerMultiDigraph, transshipment_certificate, weak_component
+from .flows import IntegerMultiDigraph, components, transshipment_certificate
 from .heldkarp import FractionalCirculation
 
 WEIGHT_TOL = 1e-9
@@ -114,12 +114,12 @@ def acceptance_certificate(z: IntegerMultiDigraph) -> CutRecord | None:
     A sample is accepted when the patch-up transshipment is feasible
     (equivalent, by the cut-demand condition, to every cut being coverable)
     and the graph is weakly connected over all vertices. The returned
-    witness is a disconnected component or a cut with more demand than
-    incoming capacity.
+    witness is vertex 0's weak component, when that is not every vertex,
+    or a cut with more demand than incoming capacity.
     """
-    component = weak_component(z, 0)
-    if len(component) < z.n:
-        return cut_record(z.n, z.mult, component)
+    parts = components(z.n, z.mult)
+    if len(parts) > 1:
+        return cut_record(z.mult, parts[0])
     return transshipment_certificate(z)
 
 

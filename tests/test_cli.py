@@ -66,6 +66,25 @@ def test_solve_dump_writes_intermediate_graphs(ones3, tmp_path):
     assert (z + w).mult == zw.mult
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--dump", "{missing}/x"],
+    ["solve", "--out", "{dir}"],
+    ["solve", "--out", "{missing}/x"],
+    ["lp", "--out", "{dir}"],
+    ["exact", "--out", "{dir}"],
+    ["sweep", "--trials", "2", "--out", "{dir}"],
+])
+def test_a_file_that_cannot_be_written_exits_3_with_empty_stdout(argv, ones3, tmp_path, capsys):
+    # solve --out DIR would write DIR.report, so DIR lies inside tmp_path
+    (tmp_path / "d").mkdir()
+    paths = {"dir": str(tmp_path / "d"), "missing": str(tmp_path / "missing")}
+    rc = cli.main([argv[0], ones3, *(arg.format(**paths) for arg in argv[1:])])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_malformed_instance_exits_3(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("4\n0 1 1\n1 0 1\n")

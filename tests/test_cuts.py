@@ -40,7 +40,7 @@ def test_all_cut_values_matches_direct_sums():
     assert masks.size == 2**6 - 2
     for idx in rng.integers(0, masks.size, 10):
         members = cuts.members_of(int(masks[idx]), 6)
-        o, i = cuts.cut_weights(6, arcs, members)
+        o, i = cuts.cut_weights(arcs, members)
         assert out_w[idx] == pytest.approx(o, abs=1e-12)
         assert in_w[idx] == pytest.approx(i, abs=1e-12)
 
@@ -99,7 +99,7 @@ def test_all_cut_values_agrees_with_cut_weights_on_random_masks(graph, data):
     for mask in data.draw(st.lists(st.integers(1, (1 << n) - 2), min_size=1, max_size=8)):
         # masks are 1..2^n - 2 in order, so mask m sits at index m - 1
         assert masks[mask - 1] == mask
-        o, i = cuts.cut_weights(n, arcs, cuts.members_of(mask, n))
+        o, i = cuts.cut_weights(arcs, cuts.members_of(mask, n))
         assert abs(out_w[mask - 1] - o) <= tol
         assert abs(in_w[mask - 1] - i) <= tol
 

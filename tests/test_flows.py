@@ -6,7 +6,7 @@ import itertools
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -27,22 +27,6 @@ def triangle(n: int = 3, mult: int = 1) -> IntegerMultiDigraph:
 
 def uniform_costs(n: int) -> instance.CostMatrix:
     return instance.CostMatrix(np.ones((n, n)) - np.eye(n))
-
-
-class UnionFind:
-    """Independent connectivity oracle."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, v: int) -> int:
-        while self.parent[v] != v:
-            self.parent[v] = self.parent[self.parent[v]]
-            v = self.parent[v]
-        return v
-
-    def union(self, a: int, b: int) -> None:
-        self.parent[self.find(a)] = self.find(b)
 
 
 def random_circulation(n: int, rng) -> dict[tuple[int, int], float]:
@@ -99,7 +83,7 @@ def test_multigraph_text_round_trip():
 def test_symmetrize_directed_triangle():
     y = flows.symmetrize(3, {(0, 1): 1.0, (1, 2): 1.0, (2, 0): 1.0})
     assert y == {(0, 1): 0.5, (1, 2): 0.5, (0, 2): 0.5}
-    assert sum(cut_weights(3, y, [0])) == pytest.approx(1.0)
+    assert sum(cut_weights(y, [0])) == pytest.approx(1.0)
 
 
 def test_symmetrize_two_cycle():
@@ -128,7 +112,7 @@ def test_symmetrize_preserves_all_cut_values():
         masks, out_w, _ = all_cut_values(8, arcs)
         for mask, out_value in zip(masks, out_w):
             members = [v for v in range(8) if mask >> v & 1]
-            assert sum(cut_weights(8, y, members)) == pytest.approx(
+            assert sum(cut_weights(y, members)) == pytest.approx(
                 out_value, abs=64 * 1e-12
             )
 
@@ -140,7 +124,7 @@ def min_cut(n, caps, s, t):
     """The flow value of s -> t on a fresh network and its minimal source
     side, weighed on caps."""
     value, side, _ = flows.max_flow(flows.residual_network(n, dict(sorted(caps.items()))), s, t)
-    return value, cut_record(n, caps, side)
+    return value, cut_record(caps, side)
 
 
 def test_max_flow_single_arc():
@@ -292,7 +276,7 @@ def rooted_min_cuts(n, caps, root):
     network, weighed on caps."""
     network = flows.residual_network(n, dict(sorted(caps.items())))
     return [
-        tuple(cut_record(n, caps, side) for side in flows.max_flow(network, root, t)[1:])
+        tuple(cut_record(caps, side) for side in flows.max_flow(network, root, t)[1:])
         for t in range(n)
         if t != root
     ]
@@ -422,7 +406,7 @@ def test_min_cost_flow_matches_exhaustive_search():
         except InfeasibleError as exc:
             assert expect is None
             cut = exc.certificate
-            out_w, in_w = cut_weights(7, {a: float(k) for a, k in g.mult.items()}, cut.members)
+            out_w, in_w = cut_weights({a: float(k) for a, k in g.mult.items()}, cut.members)
             assert in_w < out_w - in_w  # the cut really is violated
             checked += 1
             continue
@@ -686,30 +670,35 @@ def test_weak_connectivity_triangle_and_isolated_vertex():
     )
 
 
-def test_weak_component_of_a_start_vertex():
-    g = IntegerMultiDigraph(6, {(0, 1): 1, (2, 1): 3, (3, 4): 1, (4, 3): 1})
-    assert flows.weak_component(g, 0) == {0, 1, 2}
-    assert flows.weak_component(g, 4) == {3, 4}
-    assert flows.weak_component(g, 5) == {5}
+def test_components_in_order_of_their_smallest_vertex():
+    arcs = [(5, 1), (4, 3), (1, 0), (3, 4)]
+    assert flows.components(6, arcs) == [[0, 1, 5], [2], [3, 4]]
+    assert flows.components(2, []) == [[0], [1]]
+    assert flows.components(0, []) == []
 
 
-def test_weak_connectivity_agrees_with_union_find():
-    rng = np.random.default_rng(77)
-    for _ in range(30):
-        mult = {}
-        for _ in range(rng.integers(3, 12)):
-            v, w = rng.integers(0, 8, 2)
-            if v != w:
-                mult[(int(v), int(w))] = 1
-        g = IntegerMultiDigraph(8, mult)
-        uf = UnionFind(8)
-        for v, w in g.mult:
-            uf.union(v, w)
-        roots = {uf.find(v) for v in range(8)}
-        assert flows.is_weakly_connected(g) == (len(roots) == 1)
-        for v in range(8):
-            same = {u for u in range(8) if uf.find(u) == uf.find(v)}
-            assert flows.weak_component(g, v) == same
+@st.composite
+def vertex_pairs(draw):
+    """n in 0..10 and up to 2n vertex pairs, repeats and v == w allowed."""
+    n = draw(st.integers(0, 10))
+    if n == 0:
+        return 0, []
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(vertex_pairs())
+@example((0, []))
+def test_components_match_networkx(graph):
+    n, arcs = graph
+    oracle = nx.DiGraph()
+    oracle.add_nodes_from(range(n))
+    oracle.add_edges_from(arcs)
+    expect = sorted((sorted(part) for part in nx.weakly_connected_components(oracle)), key=min)
+    assert flows.components(n, arcs) == expect
+    g = IntegerMultiDigraph(n, {(v, w): 1 for v, w in arcs if v != w})
+    assert flows.is_weakly_connected(g) == (len(expect) <= 1)
 
 
 # ------------------------------------------- property tests against networkx

@@ -161,7 +161,7 @@ def two_direction_separate(n, arcs):
     for t in range(1, n):
         for s, dest in ((0, t), (t, 0)):
             _, side, _ = flows.max_flow(flows.residual_network(n, capacities), s, dest)
-            cut = cut_record(n, capacities, side)
+            cut = cut_record(capacities, side)
             if cut.out_weight < 1.0 - heldkarp.SEPARATION_TOL:
                 found[cut.members] = cut
     return sorted(found.values(), key=lambda r: (r.out_weight, r.members))
@@ -184,7 +184,7 @@ def one_network_separate(n, arcs):
     found = {}
     for t in range(1, n):
         for side in flows.max_flow(network, 0, t)[1:]:
-            cut = cut_record(n, capacities, side)
+            cut = cut_record(capacities, side)
             if cut.out_weight < 1.0 - heldkarp.SEPARATION_TOL:
                 found[cut.members] = cut
     return sorted(found.values(), key=lambda r: (r.out_weight, r.members))
@@ -470,7 +470,7 @@ def test_each_master_is_the_leading_block_of_the_next(n, seed):
     weights = dict(zip(zip(tails.tolist(), heads.tolist()), x.tolist()))
     for i, members in enumerate(cuts):
         assert a[rows + i, :cols] @ x == pytest.approx(
-            cut_record(n, weights, members).out_weight, abs=1e-12
+            cut_record(weights, members).out_weight, abs=1e-12
         )
 
 
@@ -575,6 +575,8 @@ def test_lp_text_round_trip(lp_n10, lp_cache):
         assert again.n == x.n
         assert again.objective == x.objective
         assert again.arcs == x.arcs
+    with pytest.raises(ValueError):
+        heldkarp.from_text("3\n")
 
 
 def test_lp_text_is_sorted_and_headed(lp_n10):

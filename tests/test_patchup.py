@@ -115,7 +115,7 @@ def test_patch_feasibility_matches_hoffman_condition():
             arcs = {a: float(k) for a, k in z.mult.items()}
             from atsp.cuts import cut_weights
 
-            out_w, in_w = cut_weights(9, arcs, cut.members)
+            out_w, in_w = cut_weights(arcs, cut.members)
             assert in_w < out_w - in_w
         assert got == expected
         feasible += got
@@ -207,6 +207,8 @@ def test_tour_text_round_trip():
     order, cost = patchup.tour_from_text(patchup.tour_to_text(t))
     assert order == t.order
     assert cost == t.cost
+    with pytest.raises(ValueError):
+        patchup.tour_from_text("3\n0 1 2\n")
 
 
 # ------------------------------------------------------------------ pipeline
