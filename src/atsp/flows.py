@@ -1,8 +1,9 @@
-"""Graph engine: multigraphs, max flows (both sides of a minimum cut, on a
-residual network that flows between many pairs share), the integral
-min-cost flow within a multigraph that balances it, Eulerian circuits,
-weak components (the package's one union-find), and the cut-value
-preserving symmetrization of balanced arc weights.
+"""Graph engine: multigraphs, max flows (Dinic's, on levels measured from
+the sink, giving both minimal sides of a minimum cut, on a residual network
+that flows between many pairs share), the integral min-cost flow within a
+multigraph that balances it, Eulerian circuits, weak components (the
+package's one union-find), and the cut-value preserving symmetrization of
+balanced arc weights.
 
 Flows return vertex sets, not weighed cuts: callers weigh the cuts they
 need with cuts.cut_record. Transshipment feasibility and the min-cost
@@ -153,35 +154,39 @@ def residual_network(n: int, capacities: Mapping[tuple[int, int], float]) -> Res
 def _dinic(
     heads: list[list[int]], to: list[int], cap: list[float], s: int, t: int
 ) -> tuple[float, list[int]]:
-    """Dinic's blocking flows from s to t; leaves the residual capacities
-    in cap and returns the flow value and the last level array. That
-    search misses t, so it runs to exhaustion: level[v] >= 0 exactly for
-    the vertices s reaches in the final residual network.
+    """Dinic's blocking flows from s to t, on levels measured from t;
+    leaves the residual capacities in cap and returns the flow value and
+    the last level array. That search misses s, so it runs to exhaustion:
+    level[v] >= 0 exactly for the vertices that reach t in the final
+    residual network.
 
-    Each phase searches depth first for augmenting paths in the level
-    graph, always taking the lowest-index usable arc of the current
-    vertex. The search keeps the path as an explicit arc stack, so its
-    depth is not bounded by the recursion limit; after a push it resumes
-    at the tail of the first arc the push emptied, which is where a
-    fresh search from s would get to.
+    Each phase searches backward from t over residual arcs, stopping once
+    s is labelled. Every labelled vertex then reaches t, so the push does
+    not walk into the dead ends that levels from s leave. It searches
+    depth first for augmenting paths from s, each step from a vertex at
+    level k to one at level k - 1, always taking the lowest-index usable
+    arc of the current vertex; levels from s admit the same shortest
+    paths and push them in the same order. The search keeps the path as
+    an explicit arc stack, so its depth is not bounded by the recursion
+    limit; after a push it resumes at the tail of the first arc the push
+    emptied, which is where a fresh search from s would get to.
     """
     n = len(heads)
     value = 0.0
     while True:
         level = [-1] * n
-        level[s] = 0
-        queue = [s]
-        for u in queue:
-            # vertices at t's level or deeper lead to no augmenting path
-            if 0 <= level[t] <= level[u]:
+        level[t] = 0
+        queue = [t]
+        for v in queue:
+            if level[s] >= 0:
                 break
-            below = level[u] + 1
-            for e in heads[u]:
-                v = to[e]
-                if cap[e] > _EPS and level[v] < 0:
-                    level[v] = below
-                    queue.append(v)
-        if level[t] < 0:
+            above = level[v] + 1
+            for e in heads[v]:
+                u = to[e]
+                if level[u] < 0 and cap[e ^ 1] > _EPS:
+                    level[u] = above
+                    queue.append(u)
+        if level[s] < 0:
             return value, level
         it = [0] * n
         path: list[int] = []
@@ -200,7 +205,7 @@ def _dinic(
                 del path[first:]
                 continue
             arcs = heads[u]
-            below = level[u] + 1
+            below = level[u] - 1
             i = it[u]
             end = len(arcs)
             while i < end:
@@ -219,20 +224,6 @@ def _dinic(
                 break
 
 
-def _residual_reach(heads, to, cap, start: int) -> tuple[int, ...]:
-    """Sorted vertices that reach start over residual arcs."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for e in heads[u]:
-            v = to[e]
-            if cap[e ^ 1] > _EPS and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return tuple(sorted(seen))
-
-
 def max_flow(
     network: ResidualNetwork, s: int, t: int
 ) -> tuple[float, tuple[int, ...], tuple[int, ...]]:
@@ -241,20 +232,30 @@ def max_flow(
 
     Returns (value, U, W), two minimum s-t cuts as sorted vertex tuples.
     U is the minimal source side, the vertices s reaches in the final
-    residual network, read off the last level search of Dinic's; its
-    outgoing capacity equals the value (exactly for integral capacities).
-    W is the minimal sink side, the vertices that reach t; its incoming
-    capacity equals the value. Neither depends on which maximum flow is
-    found. When the capacities are balanced at every vertex, every vertex
-    set has equal outgoing and incoming capacity, so W is then also the U
-    of the flow from t to s.
+    residual network, found by one forward search; its outgoing capacity
+    equals the value (exactly for integral capacities). W is the minimal
+    sink side, the vertices that reach t, read off the last level search
+    of Dinic's, which measures levels from t; its incoming capacity equals
+    the value. Neither depends on which maximum flow is found. When the
+    capacities are balanced at every vertex, every vertex set has equal
+    outgoing and incoming capacity, so W is then also the U of the flow
+    from t to s.
     """
     if s == t:
         raise ValueError("source equals sink")
     heads, to, cap = network.heads, network.to, network.cap.copy()
     value, level = _dinic(heads, to, cap, s, t)
-    source_side = tuple(v for v in range(len(heads)) if level[v] >= 0)
-    return value, source_side, _residual_reach(heads, to, cap, t)
+    reached = [False] * len(heads)
+    reached[s] = True
+    queue = [s]
+    for u in queue:
+        for e in heads[u]:
+            v = to[e]
+            if cap[e] > _EPS and not reached[v]:
+                reached[v] = True
+                queue.append(v)
+    source_side = tuple(v for v, r in enumerate(reached) if r)
+    return value, source_side, tuple(v for v, k in enumerate(level) if k >= 0)
 
 
 def _transshipment_network(

@@ -71,10 +71,8 @@ def round_once(x: FractionalCirculation, k: int, seed: int) -> IntegerMultiDigra
         arc = arcs[int(above[0])]
         raise WeightOutOfRangeError(f"arc {arc} has weight {x.arcs[arc]} > 1")
     rng = np.random.default_rng(seed)
-    counts = rng.binomial(k, np.clip(weights, 0.0, 1.0))
-    return IntegerMultiDigraph(
-        x.n, {arc: int(c) for arc, c in zip(arcs, counts) if c}
-    )
+    counts = rng.binomial(k, np.clip(weights, 0.0, 1.0)).tolist()
+    return IntegerMultiDigraph(x.n, {arc: c for arc, c in zip(arcs, counts) if c})
 
 
 @dataclass(frozen=True)
@@ -94,17 +92,18 @@ def check_near_balance(z: IntegerMultiDigraph) -> BalanceCheck:
     Raises TooLargeError beyond cuts.ENUMERATION_LIMIT vertices.
     """
     masks, out_w, in_w = all_cut_values(z.n, z.mult)
-    lo = np.minimum(out_w, in_w)
-    if lo.min() <= 0:
-        worst = int(np.argmax(lo <= 0))
+    # one fresh 2^n array, the smaller side, then in place the ratio of the
+    # larger to it; the larger overwrites out_w, so the worst cut is
+    # weighed again on z, exactly, as its weights are integers
+    ratio = np.minimum(out_w, in_w)
+    worst = int(np.argmin(ratio))
+    if ratio[worst] <= 0:
         worst_ratio = float("inf")
     else:
-        ratio = np.maximum(out_w, in_w)
-        ratio /= lo
+        np.divide(np.maximum(out_w, in_w, out=out_w), ratio, out=ratio)
         worst = int(np.argmax(ratio))
         worst_ratio = float(ratio[worst])
-    members = members_of(int(masks[worst]), z.n)
-    cut = CutRecord(members, float(out_w[worst]), float(in_w[worst]))
+    cut = cut_record(z.mult, members_of(int(masks[worst]), z.n))
     return BalanceCheck(worst_ratio <= BALANCE_RATIO_LIMIT, worst_ratio, cut)
 
 

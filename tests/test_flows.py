@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from networkx.algorithms.flow import preflow_push
 
 from atsp import flows, heldkarp, instance, rounding
 from atsp.cuts import all_cut_values, cut_record, cut_weights
@@ -170,27 +171,25 @@ def test_max_flow_matches_brute_force_on_random_digraphs():
 
 
 def recursive_dinic(n, caps, s, t):
-    """Reference Dinic with a recursive blocking-flow search: lowest-index
-    usable arc first, and a fresh search from s after every push. Returns
-    the flow value and the vertices s reaches in the final residual
-    network."""
+    """Reference Dinic with levels measured from t and a recursive
+    blocking-flow search: lowest-index usable arc first, each step one
+    level nearer t, and a fresh search from s after every push. Arc 2i is
+    the i-th arc in sorted order and 2i + 1 its reverse. Returns the flow
+    value, the last level array and the final residual capacities."""
     heads = [[] for _ in range(n)]
     to, cap = [], []
     for (u, v), c in sorted(caps.items()):
-        if u != v and c > 0.0:
-            heads[u].append(len(to))
-            to.append(v)
-            cap.append(c)
-            heads[v].append(len(to))
-            to.append(u)
-            cap.append(0.0)
+        heads[u].append(len(to))
+        heads[v].append(len(to) + 1)
+        to += (v, u)
+        cap += (c, 0.0)
 
     def push(u, limit, level, it):
         if u == t:
             return limit
         while it[u] < len(heads[u]):
             e = heads[u][it[u]]
-            if cap[e] > 1e-12 and level[to[e]] == level[u] + 1:
+            if cap[e] > 1e-12 and level[to[e]] == level[u] - 1:
                 pushed = push(to[e], min(limit, cap[e]), level, it)
                 if pushed > 1e-12:
                     cap[e] -= pushed
@@ -202,30 +201,24 @@ def recursive_dinic(n, caps, s, t):
     value = 0.0
     while True:
         level = [-1] * n
-        level[s] = 0
-        queue = [s]
-        for u in queue:
-            for e in heads[u]:
-                if cap[e] > 1e-12 and level[to[e]] < 0:
-                    level[to[e]] = level[u] + 1
+        level[t] = 0
+        queue = [t]
+        for v in queue:
+            for e in heads[v]:
+                if cap[e ^ 1] > 1e-12 and level[to[e]] < 0:
+                    level[to[e]] = level[v] + 1
                     queue.append(to[e])
-        if level[t] < 0:
-            break
+        if level[s] < 0:
+            return value, level, cap
         it = [0] * n
         while (pushed := push(s, float("inf"), level, it)) > 1e-12:
             value += pushed
-    reach, stack = {s}, [s]
-    while stack:
-        u = stack.pop()
-        for e in heads[u]:
-            if cap[e] > 1e-12 and to[e] not in reach:
-                reach.add(to[e])
-                stack.append(to[e])
-    return value, tuple(sorted(reach))
 
 
 def test_max_flow_takes_the_augmenting_paths_of_the_recursive_search():
-    # equal floats show the same paths were pushed in the same order
+    # equal residual floats show the same paths were pushed in the same
+    # order; forward levels admit the same shortest paths and push them in
+    # the same order, so only the last level array tells the two apart
     rng = np.random.default_rng(29)
     for trial in range(300):
         n = int(rng.integers(2, 12))
@@ -234,8 +227,10 @@ def test_max_flow_takes_the_augmenting_paths_of_the_recursive_search():
             u, v = (int(x) for x in rng.integers(0, n, 2))
             caps[(u, v)] = float(rng.uniform(0.0, 3.0)) if trial % 2 else float(rng.integers(0, 4))
         s, t = (int(x) for x in rng.choice(n, 2, replace=False))
-        value, side, _ = flows.max_flow(flows.residual_network(n, dict(sorted(caps.items()))), s, t)
-        assert (value, side) == recursive_dinic(n, caps, s, t)
+        network = flows.residual_network(n, dict(sorted(caps.items())))
+        cap = network.cap.copy()
+        value, level = flows._dinic(network.heads, network.to, cap, s, t)
+        assert (value, level, cap) == recursive_dinic(n, caps, s, t)
 
 
 def test_max_flow_on_a_long_path():
@@ -712,21 +707,78 @@ def digraphs(draw, max_n: int):
     return n, draw(st.dictionaries(arcs, st.integers(1, 4), min_size=n, max_size=3 * n))
 
 
-@settings(max_examples=50, deadline=None)
-@given(digraphs(max_n=9), st.data())
-def test_max_flow_matches_networkx(graph, data):
-    n, weights = graph
-    s, t = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-    # quarter capacities stay exact in binary
-    caps = {arc: k / 4 for arc, k in weights.items()}
+def preflow_push_cut_sides(graph, s, t):
+    """The value of networkx's preflow-push maximum flow, the vertices s
+    reaches and those that reach t in its residual network, as sorted
+    tuples."""
+    residual = preflow_push(graph, s, t)
+    usable = nx.DiGraph(
+        (u, v) for u, v, arc in residual.edges(data=True) if arc["capacity"] > arc["flow"]
+    )
+    usable.add_nodes_from(graph)
+    reached = nx.descendants(usable, s) | {s}
+    reaching = nx.ancestors(usable, t) | {t}
+    return residual.graph["flow_value"], tuple(sorted(reached)), tuple(sorted(reaching))
+
+
+@st.composite
+def flow_networks(draw):
+    """2..9 vertices, s != t, and integer or dyadic capacities on up to 3n
+    arcs; vertices may be isolated, arcs antiparallel, and s may have no
+    out-arcs."""
+    n = draw(st.integers(2, 9))
+    vertex = st.integers(0, n - 1)
+    s, t = draw(st.lists(vertex, min_size=2, max_size=2, unique=True))
+    scale = draw(st.sampled_from([1, 4, 1024]))
+    capacity = st.integers(1, 16).map(lambda k: k if scale == 1 else k / scale)
+    arcs = st.tuples(vertex, vertex).filter(lambda arc: arc[0] != arc[1])
+    caps = draw(st.dictionaries(arcs, capacity, max_size=3 * n))
+    if draw(st.booleans()):
+        caps = {arc: c for arc, c in caps.items() if arc[0] != s}
+    return n, caps, s, t
+
+
+@settings(max_examples=200, deadline=None)
+@given(flow_networks())
+@example((5, {(0, 1): 2, (1, 0): 1, (1, 2): 1, (2, 1): 3, (3, 1): 2}, 0, 2))
+@example((4, {(1, 0): 0.25, (1, 2): 0.5, (2, 1): 0.75}, 0, 2))
+def test_max_flow_matches_networkx(case):
+    n, caps, s, t = case
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(n))
+    graph.add_weighted_edges_from(((v, w, c) for (v, w), c in caps.items()), weight="capacity")
+    network = flows.residual_network(n, dict(sorted(caps.items())))
+    value, source_side, sink_side = flows.max_flow(network, s, t)
+    # preflow push shares nothing with Dinic's, and both minimal sides are
+    # the same whichever maximum flow is found
+    assert (value, source_side, sink_side) == preflow_push_cut_sides(graph, s, t)
+    assert cut_record(caps, source_side).out_weight == value
+    assert cut_record(caps, sink_side).in_weight == value
+
+
+@settings(max_examples=100, deadline=None)
+@given(digraphs(max_n=8), st.integers(0, 3))
+def test_transshipment_cut_is_the_complement_of_preflow_push_reach(graph, isolated):
+    n, mult = graph
+    g = IntegerMultiDigraph(n + isolated, mult)
+    size = g.n
+    # super source size feeds the vertices with more in- than out-degree,
+    # those with more out- than in-degree feed super sink size + 1
+    net = [0] * size
+    for (v, w), k in mult.items():
+        net[v] += k
+        net[w] -= k
     network = nx.DiGraph()
-    network.add_nodes_from(range(n))
-    network.add_weighted_edges_from(((v, w, c) for (v, w), c in caps.items()), weight="capacity")
-    expect = nx.maximum_flow_value(network, s, t)
-    value, cut = min_cut(n, caps, s, t)
-    assert value == pytest.approx(expect, abs=1e-9)
-    assert cut.out_weight == pytest.approx(expect, abs=1e-9)
-    assert s in cut.members and t not in cut.members
+    network.add_nodes_from(range(size + 2))
+    network.add_weighted_edges_from(((v, w, k) for (v, w), k in mult.items()), weight="capacity")
+    network.add_weighted_edges_from(((size, v, -d) for v, d in enumerate(net) if d < 0), weight="capacity")
+    network.add_weighted_edges_from(((v, size + 1, d) for v, d in enumerate(net) if d > 0), weight="capacity")
+    certificate = flows.transshipment_certificate(g)
+    value, reached, _ = preflow_push_cut_sides(network, size, size + 1)
+    if value == sum(d for d in net if d > 0):
+        assert certificate is None
+    else:
+        assert certificate.members == tuple(v for v in range(size) if v not in reached)
 
 
 def test_min_cost_flow_matches_networkx():
