@@ -18,7 +18,6 @@ from .errors import (
     DisconnectedError,
     InfeasibleError,
     IterationLimitError,
-    NegativeEntryError,
     NotBalancedError,
     PatchExceedsSampleError,
     RetriesExhaustedError,
@@ -27,8 +26,6 @@ from .errors import (
     SlacknessError,
     TooLargeError,
     UnboundedError,
-    UnsupportedKindError,
-    WeightOutOfRangeError,
 )
 from .flows import IntegerMultiDigraph
 from .heldkarp import FractionalCirculation
@@ -46,7 +43,6 @@ __all__ = [
     "InfeasibleError",
     "IntegerMultiDigraph",
     "IterationLimitError",
-    "NegativeEntryError",
     "NotBalancedError",
     "PatchExceedsSampleError",
     "PipelineReport",
@@ -58,8 +54,6 @@ __all__ = [
     "TooLargeError",
     "Tour",
     "UnboundedError",
-    "UnsupportedKindError",
     "ValidationReport",
-    "WeightOutOfRangeError",
     "__version__",
 ]

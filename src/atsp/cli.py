@@ -121,6 +121,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("need at least one scaling constant")
     for k_constant in k_constants:
         rounding.scale_k(m.n, rounding.RoundingConfig(k_constant=k_constant))
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     x = heldkarp.solve_lp(m)
     rows = oracle.connectivity_sweep(m, k_constants, args.trials, args.seed, x)
     _emit(f"# {_header('sweep', args)}\n" + oracle.sweep_to_text(rows), args.out)

@@ -37,22 +37,6 @@ class CutRecord:
             raise ValueError("cut must be a nonempty proper subset")
         object.__setattr__(self, "members", tuple(sorted(self.members)))
 
-    @property
-    def imbalance_ratio(self) -> float:
-        """max(out/in, in/out); infinite when either side is zero."""
-        lo = min(self.out_weight, self.in_weight)
-        hi = max(self.out_weight, self.in_weight)
-        if lo <= 0.0:
-            return float("inf")
-        return hi / lo
-
-
-def mask_of(members) -> int:
-    mask = 0
-    for v in members:
-        mask |= 1 << v
-    return mask
-
 
 def members_of(mask: int, n: int) -> tuple[int, ...]:
     return tuple(v for v in range(n) if mask >> v & 1)

@@ -1,18 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each ``AtspError`` is a failure of the algorithm, except ``TooLargeError``,
+which an exact or exhaustive oracle raises beyond its size gate. A bad
+argument is a ``ValueError``, not an ``AtspError``.
+"""
 
 from __future__ import annotations
 
 
 class AtspError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class NegativeEntryError(AtspError):
-    """A raw cost matrix contains a negative entry."""
-
-
-class UnsupportedKindError(AtspError):
-    """Unknown instance generator kind."""
+    """Base class for the package's own error types."""
 
 
 class InfeasibleError(AtspError):
@@ -58,10 +55,6 @@ class SingularBasisError(AtspError):
     def __init__(self, message: str, basic=None):
         super().__init__(message)
         self.basic = basic
-
-
-class WeightOutOfRangeError(AtspError):
-    """An arc weight passed to the rounding step exceeds 1."""
 
 
 class TooLargeError(AtspError):

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeEntryError, UnsupportedKindError
-
 TRIANGLE_TOL = 1e-9
 
 ASYMMETRIC_UNIFORM = "asymmetric-uniform"
@@ -117,11 +115,12 @@ def metric_closure(raw: np.ndarray) -> CostMatrix:
     """All-pairs-shortest-path closure of a nonnegative raw matrix.
 
     The result satisfies the triangle inequality up to float rounding and
-    is entrywise <= raw. Raises NegativeEntryError on negative input.
+    is entrywise <= raw. Raises ValueError on a negative entry or a nonzero
+    diagonal entry.
     """
     arr = np.asarray(raw, dtype=np.float64).copy()
     if np.any(arr < 0.0):
-        raise NegativeEntryError("raw costs must be nonnegative")
+        raise ValueError("raw costs must be nonnegative")
     if np.any(np.diag(arr) != 0.0):
         raise ValueError("raw diagonal must be zero")
     n = arr.shape[0]
@@ -142,7 +141,7 @@ def generate(kind: str, n: int, seed: int) -> CostMatrix:
     elif kind == CYCLE_HEAVY:
         raw, _ = _raw_cycle_heavy(n, rng)
     else:
-        raise UnsupportedKindError(f"unknown instance kind {kind!r}")
+        raise ValueError(f"unknown instance kind {kind!r}")
     return metric_closure(raw)
 
 
@@ -239,57 +238,4 @@ def save(m: CostMatrix, path) -> None:
 def load(path) -> CostMatrix:
     with open(path) as fh:
         return from_text(fh.read())
-
-
-def read_tsplib(path) -> CostMatrix:
-    """Read an explicit FULL_MATRIX TSPLIB instance (read-only support).
-
-    Diagonal entries, which TSPLIB files often set to a large sentinel,
-    are forced to zero since self-loops are forbidden here.
-    """
-    with open(path) as fh:
-        text = fh.read()
-    dimension = None
-    fmt = None
-    weight_type = None
-    lines = iter(text.splitlines())
-    numbers: list[float] = []
-    in_section = False
-    for ln in lines:
-        stripped = ln.strip()
-        if not stripped:
-            continue
-        upper = stripped.upper()
-        if in_section:
-            if upper == "EOF":
-                break
-            numbers.extend(float(tok) for tok in stripped.split())
-            continue
-        if ":" in stripped:
-            key, _, value = stripped.partition(":")
-            key = key.strip().upper()
-            value = value.strip()
-            if key == "DIMENSION":
-                dimension = int(value)
-            elif key == "EDGE_WEIGHT_TYPE":
-                weight_type = value.upper()
-            elif key == "EDGE_WEIGHT_FORMAT":
-                fmt = value.upper()
-        elif upper == "EDGE_WEIGHT_SECTION":
-            in_section = True
-        elif upper == "EOF":
-            break
-    if dimension is None:
-        raise ValueError("missing DIMENSION")
-    if weight_type != "EXPLICIT" or fmt != "FULL_MATRIX":
-        raise ValueError(
-            f"only EXPLICIT/FULL_MATRIX supported, got {weight_type}/{fmt}"
-        )
-    if len(numbers) != dimension * dimension:
-        raise ValueError(
-            f"expected {dimension * dimension} weights, found {len(numbers)}"
-        )
-    arr = np.array(numbers).reshape(dimension, dimension)
-    np.fill_diagonal(arr, 0.0)
-    return CostMatrix(arr)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cuts import CutRecord, all_cut_values, cut_record, members_of
-from .errors import RetriesExhaustedError, WeightOutOfRangeError
+from .errors import RetriesExhaustedError
 from .flows import IntegerMultiDigraph, components, transshipment_certificate
 from .heldkarp import FractionalCirculation
 
@@ -69,7 +69,7 @@ def round_once(x: FractionalCirculation, k: int, seed: int) -> IntegerMultiDigra
     above = np.flatnonzero(weights > 1.0 + WEIGHT_TOL)
     if above.size:
         arc = arcs[int(above[0])]
-        raise WeightOutOfRangeError(f"arc {arc} has weight {x.arcs[arc]} > 1")
+        raise ValueError(f"arc {arc} has weight {x.arcs[arc]} > 1")
     rng = np.random.default_rng(seed)
     counts = rng.binomial(k, np.clip(weights, 0.0, 1.0)).tolist()
     return IntegerMultiDigraph(x.n, {arc: c for arc, c in zip(arcs, counts) if c})

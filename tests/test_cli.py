@@ -120,20 +120,24 @@ def test_a_bad_scaling_constant_exits_3(argv, inst10, capsys):
     assert captured.err.startswith("error: ")
 
 
+# each case is (argv, the expected error message); a bad trial count is
+# checked before the LP too
 @pytest.mark.parametrize("argv", [
-    ["solve", "{inst}", "--k-const", "5e18"],
-    ["verify", "{inst}", "--k-const", "5e18"],
-    ["sweep", "{inst}", "--k-consts", "1,5e18", "--trials", "2"],
+    (["solve", "{inst}", "--k-const", "5e18"], "int64"),
+    (["verify", "{inst}", "--k-const", "5e18"], "int64"),
+    (["sweep", "{inst}", "--k-consts", "1,5e18", "--trials", "2"], "int64"),
+    (["sweep", "{inst}", "--trials", "0"], "--trials must be at least 1, got 0"),
 ])
 def test_a_scaling_constant_is_checked_before_the_lp(argv, inst10, monkeypatch, capsys):
     def unreachable(m):
-        raise AssertionError("the LP ran before the scaling constant was checked")
+        raise AssertionError("the LP ran before the arguments were checked")
 
+    argv, message = argv
     monkeypatch.setattr(heldkarp, "solve_lp", unreachable)
     assert cli.main([arg.format(inst=inst10) for arg in argv]) == cli.EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "int64" in captured.err
+    assert message in captured.err
 
 
 def off_diagonal(n: int, cost: float) -> np.ndarray:

@@ -781,52 +781,75 @@ def test_transshipment_cut_is_the_complement_of_preflow_push_reach(graph, isolat
         assert certificate.members == tuple(v for v in range(size) if v not in reached)
 
 
-def test_min_cost_flow_matches_networkx():
-    outcomes = {"feasible": 0, "infeasible": 0}
+def check_min_cost_flow_against_networkx(g: IntegerMultiDigraph, costs) -> bool:
+    """Compare the transshipment decision, its cut and the min-cost patch
+    with networkx's min-cost flow; return whether the patch is feasible."""
+    n = g.n
+    # the net inflow that balances g is g's own imbalance
+    b = flows.vertex_imbalances(g)
+    network = nx.DiGraph()
+    network.add_nodes_from((v, {"demand": b[v]}) for v in range(n))
+    network.add_edges_from(
+        (v, w, {"capacity": k, "weight": int(costs.c[v, w])}) for (v, w), k in g.mult.items()
+    )
+    try:
+        expect = nx.min_cost_flow_cost(network)
+    except nx.NetworkXUnfeasible:
+        expect = None
+    certificate = flows.transshipment_certificate(g)
+    assert (certificate is None) == (expect is not None)
+    if expect is None:
+        assert sum(b[v] for v in certificate.members) > certificate.in_weight
+        with pytest.raises(InfeasibleError) as raised:
+            flows.min_cost_flow(g, costs)
+        cut = raised.value.certificate
+        assert sum(b[v] for v in cut.members) > cut.in_weight
+        # both decisions read one network: the same cut, weighed the same
+        assert cut == certificate
+        return False
+    w = flows.min_cost_flow(g, costs)
+    assert w.total_cost(costs) == expect
+    assert all(k <= g.mult[arc] for arc, k in w.mult.items())
+    assert flows.vertex_imbalances(g + w) == [0] * n
+    return True
 
-    @settings(max_examples=50, deadline=None)
-    @given(digraphs(max_n=7), st.data())
-    def check(graph, data):
-        n, drawn = graph
-        # copies of reversed arcs cancel part of each imbalance, so that
-        # feasible cases are not rare
-        mult = dict(drawn)
-        for (v, w), k in drawn.items():
-            back = data.draw(st.integers(0, k))
-            if back:
-                mult[(w, v)] = mult.get((w, v), 0) + back
+
+@settings(max_examples=50, deadline=None)
+@given(digraphs(max_n=7), st.data())
+def test_min_cost_flow_matches_networkx(graph, data):
+    n, drawn = graph
+    # copies of reversed arcs cancel part of each imbalance, so that
+    # feasible cases are not rare
+    mult = dict(drawn)
+    for (v, w), k in drawn.items():
+        back = data.draw(st.integers(0, k))
+        if back:
+            mult[(w, v)] = mult.get((w, v), 0) + back
+    costs = instance.CostMatrix(data.draw(arrays(np.int64, (n, n), elements=st.integers(0, 9))))
+    check_min_cost_flow_against_networkx(IntegerMultiDigraph(n, mult), costs)
+
+
+# unbalanced multigraphs, five that can patch themselves and five that cannot
+FIXED_TRANSSHIPMENTS = [
+    (3, {(0, 1): 2, (1, 2): 1, (2, 0): 1}),
+    (3, {(0, 1): 1, (1, 2): 2, (2, 0): 1, (2, 1): 1, (1, 0): 1}),
+    (4, {(0, 1): 3, (1, 0): 2, (1, 2): 1, (2, 3): 1, (3, 1): 1, (0, 2): 1, (2, 0): 1}),
+    (4, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 0): 1, (0, 2): 1}),
+    (5, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 4): 1, (4, 0): 1, (0, 2): 2, (2, 0): 1, (3, 1): 1}),
+    (3, {(0, 1): 1, (1, 2): 1}),
+    (4, {(0, 1): 1, (1, 0): 1, (2, 3): 1}),
+    (4, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 0): 1, (0, 2): 3}),
+    (5, {(0, 1): 3, (1, 2): 1, (2, 3): 1, (3, 4): 1, (4, 0): 1}),
+    (5, {(0, 1): 1, (1, 2): 1, (2, 0): 1, (3, 4): 2}),
+]
+
+
+def test_min_cost_flow_matches_networkx_on_both_outcomes():
+    # the random draws above may miss either outcome; these take both
+    feasible = []
+    for n, mult in FIXED_TRANSSHIPMENTS:
         g = IntegerMultiDigraph(n, mult)
-        costs = instance.CostMatrix(
-            data.draw(arrays(np.int64, (n, n), elements=st.integers(0, 9)))
-        )
-        # the net inflow that balances g is g's own imbalance
-        b = flows.vertex_imbalances(g)
-        network = nx.DiGraph()
-        network.add_nodes_from((v, {"demand": b[v]}) for v in range(n))
-        network.add_edges_from(
-            (v, w, {"capacity": k, "weight": int(costs.c[v, w])}) for (v, w), k in mult.items()
-        )
-        try:
-            expect = nx.min_cost_flow_cost(network)
-        except nx.NetworkXUnfeasible:
-            expect = None
-        certificate = flows.transshipment_certificate(g)
-        assert (certificate is None) == (expect is not None)
-        if expect is None:
-            outcomes["infeasible"] += 1
-            assert sum(b[v] for v in certificate.members) > certificate.in_weight
-            with pytest.raises(InfeasibleError) as raised:
-                flows.min_cost_flow(g, costs)
-            cut = raised.value.certificate
-            assert sum(b[v] for v in cut.members) > cut.in_weight
-            # both decisions read one network: the same cut, weighed the same
-            assert cut == certificate
-            return
-        outcomes["feasible"] += 1
-        w = flows.min_cost_flow(g, costs)
-        assert w.total_cost(costs) == expect
-        assert all(k <= g.mult[arc] for arc, k in w.mult.items())
-        assert flows.vertex_imbalances(g + w) == [0] * n
-
-    check()
-    assert outcomes["feasible"] >= 5 and outcomes["infeasible"] >= 5, outcomes
+        assert any(flows.vertex_imbalances(g))
+        costs = instance.CostMatrix([[(3 * v + 7 * w) % 10 for w in range(n)] for v in range(n)])
+        feasible.append(check_min_cost_flow_against_networkx(g, costs))
+    assert feasible == [True] * 5 + [False] * 5
