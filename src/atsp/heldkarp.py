@@ -15,9 +15,14 @@ when no cut is violated by more than SEPARATION_TOL.
 
 The master is a function of the cut list, rebuilt by _master each round:
 the degree and balance rows, then one row x(delta_out(U)) - s_U = 1 per
-cut U, in list order, with its own surplus column s_U. The first master
-starts from the basis of a nearest-neighbour tour, which is primal
-feasible, so the primal simplex starts at once. Since the rows and
+cut U, in list order, with its own surplus column s_U. The first master,
+with no cut rows, is the assignment LP, the classic ATSP bound
+(Carpaneto, Dell'Amico & Toth, ACM TOMS 21, 1995). It starts from the
+optimal assignment, which _assignment finds together with its duals by
+shortest augmenting paths, joined into a basis by arcs of least reduced
+cost under those duals. That basis is primal feasible, so the primal
+simplex starts at once, and it is optimal whenever the joining arcs are
+tight, when the simplex only confirms it. Since the rows and
 columns keep their order, the previous master is the leading block of
 the next, and the previous optimal basis plus each new surplus column is
 a basis: the basis matrix is block triangular with -I in the new corner,
@@ -28,7 +33,9 @@ dual simplex re-optimizes from there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import sub
 from typing import Mapping
 
 import numpy as np
@@ -80,42 +87,90 @@ def _master(c: np.ndarray, tails: np.ndarray, heads: np.ndarray, cuts: list[tupl
     return a, b, np.concatenate([c[tails, heads], np.zeros(k)])
 
 
-def _nearest_neighbour_tour(c: np.ndarray) -> list[int]:
-    """Greedy tour from vertex 0, ties broken toward the lowest index."""
+def _assignment(c: np.ndarray) -> tuple[list[int], list[float], list[float]]:
+    """A minimum-cost assignment with no fixed points, and its duals:
+    (succ, u, v) with c[i, j] >= u[i] + v[j] for every i != j, tight on
+    every arc (i, succ[i]).
+
+    Column reduction sets v[j] = min c[i, j] over i != j and u[i] = min
+    c[i, j] - v[j]; each row then takes its first free tight column. Each
+    row still free grows one shortest augmenting path over the columns,
+    Dijkstra on the reduced costs, ties to the lowest column (Jonker &
+    Volgenant, Computing 38, 1987). At its end every settled column j, at
+    distance d[j] <= delta, the path's length, lowers v[j] by delta - d[j]
+    and its row raises u by as much: reduced costs stay >= 0, and the
+    path's arcs become tight.
+    """
     n = c.shape[0]
-    order = [0]
-    unvisited = np.ones(n, dtype=bool)
-    unvisited[0] = False
-    for _ in range(n - 1):
-        v = int(np.argmin(np.where(unvisited, c[order[-1]], np.inf)))
-        unvisited[v] = False
-        order.append(v)
-    return order
+    rows = c.tolist()
+    for i in range(n):
+        rows[i][i] = math.inf
+    v = [min(column) for column in zip(*rows)]
+    u = []
+    succ = [-1] * n
+    owner = [-1] * n
+    for i, row in enumerate(rows):
+        reduced = list(map(sub, row, v))
+        u.append(min(reduced))
+        j = reduced.index(u[i])
+        while owner[j] >= 0 and u[i] in reduced[j + 1 :]:
+            j = reduced.index(u[i], j + 1)
+        if owner[j] < 0:
+            succ[i], owner[j] = j, i
+    for free in [i for i in range(n) if succ[i] < 0]:
+        dist = [d - u[free] for d in map(sub, rows[free], v)]
+        via = [free] * n
+        todo = list(range(n))
+        settled = []
+        while True:
+            j = min(todo, key=dist.__getitem__)
+            delta = dist[j]
+            todo.remove(j)
+            if owner[j] < 0:
+                break
+            settled.append(j)
+            i = owner[j]
+            row, base = rows[i], delta - u[i]
+            for k in todo:
+                d = base + row[k] - v[k]
+                if d < dist[k]:
+                    dist[k], via[k] = d, i
+        for k in settled:
+            v[k] -= delta - dist[k]
+            u[owner[k]] += delta - dist[k]
+        u[free] += delta
+        while j >= 0:
+            i = via[j]
+            owner[j], succ[i], j = i, j, succ[i]
+    return succ, u, v
 
 
 def _tour_basis(c: np.ndarray, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """The sorted basic columns of a feasible basis of the degree rows:
-    the nearest-neighbour tour's n arcs, basic at 1, and the n-1 cheapest
-    arcs (ties to the lowest column), basic at 0, that join them into a
-    spanning tree of the bipartite out-vertex/in-vertex graph.
+    """The sorted basic columns of a primal feasible basis of the first
+    master: the optimal assignment's n arcs, basic at 1, and n-1 arcs,
+    basic at 0, that join them into a spanning tree of the bipartite
+    out-vertex/in-vertex graph. Kruskal takes the joining arcs in order of
+    reduced cost c[t, h] - u[t] - v[h] under the assignment's duals, then
+    cost, then column. When all n-1 are tight, the basis prices every arc
+    as the duals do, so it is optimal.
 
-    Each tour arc (v, w) starts a component {out v, in w}; arc (u, w)
-    joins the components of out u and of in w, which are the tour arcs
-    leaving u and entering w. A spanning tree is nonsingular for the
-    degree and balance rows, and for n >= 3 the tour has no 2-cycle, so
-    the arcs u != w connect every pair of components.
+    Each assignment arc (t, succ t) starts a component {out t, in succ t};
+    arc (t, h) joins the components of out t and of in h, the assignment
+    arcs leaving t and entering h. A spanning tree is nonsingular for the
+    degree and balance rows. For n >= 3 the arcs t != h join every pair of
+    components except the two arcs of a 2-cycle of the assignment; each
+    component misses at most one other, so the arcs connect them all.
     """
     n = c.shape[0]
     vertices = np.arange(n)
-    order = _nearest_neighbour_tour(c)
-    succ = np.empty(n, dtype=np.intp)
-    succ[order] = np.roll(order, -1)
+    succ, u, v = map(np.array, _assignment(c))
     pred = np.empty(n, dtype=np.intp)
     pred[succ] = vertices
-    # column of arc (v, w) in the row-major order of the off-diagonal arcs
+    cost = c[tails, heads]
+    # column of arc (t, succ t) in the row-major order of the off-diagonal arcs
     basic = (vertices * (n - 1) + succ - (succ > vertices)).tolist()
     parent = list(range(n))
-    for j in np.argsort(c[tails, heads], kind="stable").tolist():
+    for j in np.lexsort((cost, cost - u[tails] - v[heads])).tolist():
         root_out = _find(parent, int(tails[j]))
         root_in = _find(parent, int(pred[heads[j]]))
         if root_out != root_in:

@@ -305,9 +305,18 @@ def test_retries_exhausted_exits_2(tmp_path):
     assert 2 in exit_codes
 
 
-def test_simplex_iteration_cap_exits_2(inst10, capsys, monkeypatch):
+def test_simplex_iteration_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # the premise: the first master needs more than the one iteration that
+    # confirms an optimal start basis, so a cap of 1 stops it
+    m = instance.generate("euclidean-perturbed", 10, 3)
+    tails, heads = np.nonzero(~np.eye(m.n, dtype=bool))
+    a, b, cost = heldkarp._master(m.c, tails, heads, [])
+    start = heldkarp._tour_basis(m.c, tails, heads)
+    assert simplex.minimize(cost, a, b, start).iterations >= 2
+    path = tmp_path / "e10.txt"
+    instance.save(m, path)
     monkeypatch.setattr(simplex, "MAX_ITERATIONS", 1)
-    assert cli.main(["lp", inst10]) == cli.EXIT_ALGORITHMIC == 2
+    assert cli.main(["lp", str(path)]) == cli.EXIT_ALGORITHMIC == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: simplex stopped after 1 iterations\n"

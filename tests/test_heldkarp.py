@@ -410,34 +410,88 @@ def assert_arcs_in_support_range(x: heldkarp.FractionalCirculation) -> None:
         assert heldkarp.SUPPORT_EPS < value <= 1.0 + 1e-9
 
 
-def greedy_tour_point(c: np.ndarray) -> np.ndarray:
-    """The 0/1 point of the nearest-neighbour tour from vertex 0, ties to
-    the lowest index, as an n x n arc matrix."""
+def barred_assignment_cost(c: np.ndarray) -> float:
+    """Reference: scipy's minimum-cost assignment with the diagonal barred."""
+    from scipy.optimize import linear_sum_assignment
+
+    barred = np.array(c, dtype=np.float64)
+    np.fill_diagonal(barred, np.inf)
+    rows, cols = linear_sum_assignment(barred)
+    return float(barred[rows, cols].sum())
+
+
+def check_assignment(c: np.ndarray) -> None:
+    """_assignment returns a permutation without fixed points at the
+    reference's cost, and duals whose reduced costs are >= 0 off the
+    diagonal and 0 on the permutation's arcs."""
     n = c.shape[0]
-    order = [0]
-    while len(order) < n:
-        rest = [w for w in range(n) if w not in order]
-        order.append(min(rest, key=lambda w: (c[order[-1], w], w)))
-    point = np.zeros((n, n))
-    for k in range(n):
-        point[order[k], order[(k + 1) % n]] = 1.0
-    return point
+    succ, u, v = heldkarp._assignment(c)
+    assert sorted(succ) == list(range(n))
+    assert all(succ[i] != i for i in range(n))
+    reduced = c - np.array(u)[:, None] - np.array(v)
+    assert reduced[~np.eye(n, dtype=bool)].min() >= -1e-9
+    assert np.abs(reduced[np.arange(n), succ]).max() <= 1e-9
+    assert c[np.arange(n), succ].sum() == pytest.approx(
+        barred_assignment_cost(c), rel=1e-12, abs=1e-12
+    )
+
+
+ASSIGNMENT_CASES = {
+    **{f"{kind}-{n}": (lambda kind=kind, n=n: instance.generate(kind, n, 2))
+       for kind in instance.KINDS for n in (10, 15, 20, 200)},
+    **EDGE_CASES,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ASSIGNMENT_CASES))
+def test_assignment_is_optimal_with_tight_feasible_duals(case):
+    check_assignment(ASSIGNMENT_CASES[case]().c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8).flatmap(
+    lambda n: arrays(np.int64, (n, n), elements=st.integers(0, 3))
+))
+def test_assignment_of_tied_small_costs_is_optimal(raw):
+    # costs 0..3, the diagonal's too: ties and zero-cost arcs everywhere,
+    # and a diagonal the assignment must not read
+    check_assignment(raw.astype(np.float64))
 
 
 @pytest.mark.parametrize("case", sorted(CRASH_CASES))
 def test_tour_basis_is_a_nonsingular_basis_at_the_greedy_tour(case):
+    # the start basis: nonsingular, at the optimal assignment's point
     m = CRASH_CASES[case]()
     n = m.n
     tails, heads = np.nonzero(~np.eye(n, dtype=bool))
     basic = heldkarp._tour_basis(m.c, tails, heads)
     assert basic.tolist() == sorted(set(basic.tolist()))
     assert basic.size == 2 * n - 1 and 0 <= basic[0] and basic[-1] < tails.size
-    a, b, _ = heldkarp._master(m.c, tails, heads, [])
+    a, b, cost = heldkarp._master(m.c, tails, heads, [])
     square = a[:, basic]
     assert np.linalg.matrix_rank(square) == 2 * n - 1
     x = np.zeros(tails.size)
     x[basic] = np.linalg.solve(square, b)
-    assert np.array_equal(x, greedy_tour_point(m.c)[tails, heads])
+    succ, u, v = map(np.array, heldkarp._assignment(m.c))
+    point = np.zeros((n, n))
+    point[np.arange(n), succ] = 1.0
+    assert np.array_equal(x, point[tails, heads])
+    assert cost @ x == pytest.approx(barred_assignment_cost(m.c), rel=1e-12)
+    # the arcs at 0 form a minimum spanning tree, by reduced cost, of the
+    # graph whose vertices are the assignment's arcs, by tail, and where
+    # arc (t, h) joins t and the tail of the assignment arc into h
+    import networkx as nx
+
+    reduced = cost - u[tails] - v[heads]
+    pred = np.argsort(succ)
+    graph = nx.Graph()
+    for j in np.argsort(-reduced, kind="stable").tolist():
+        if tails[j] != pred[heads[j]]:
+            graph.add_edge(int(tails[j]), int(pred[heads[j]]), weight=reduced[j])
+    tree = nx.minimum_spanning_tree(graph)
+    at_zero = [j for j in basic.tolist() if x[j] == 0.0]
+    assert len(at_zero) == n - 1
+    assert reduced[at_zero].sum() == pytest.approx(tree.size(weight="weight"), abs=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -562,6 +616,39 @@ def test_lp_never_exceeds_the_exact_optimum(case):
     assert_arcs_in_support_range(x)
     if integral:
         assert x.objective == pytest.approx(m.n, abs=1e-9)
+
+
+def check_lp_invariants(m: instance.CostMatrix, rng: np.random.Generator) -> None:
+    """Three transformations whose effect on the LP optimum is known without
+    an oracle: relabelling the vertices leaves it unchanged, and so does a
+    potential shift c_uv + pi_u - pi_v, since x is balanced; a row shift
+    c_uv + a_u adds sum(a), since every out-degree is 1."""
+    n = m.n
+    base = heldkarp.solve_lp(m).objective
+    top = float(m.c.max())
+    label = rng.permutation(n)
+    relabelled = np.empty((n, n))
+    relabelled[np.ix_(label, label)] = m.c
+    pi = rng.uniform(-top, top, n)
+    a = rng.uniform(0.0, top, n)
+    for c, expected in (
+        (relabelled, base),
+        (m.c + pi[:, None] - pi, base),
+        (m.c + a[:, None], base + a.sum()),
+    ):
+        objective = heldkarp.solve_lp(instance.CostMatrix(c)).objective
+        assert objective == pytest.approx(expected, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(instance.KINDS), st.integers(3, 40), st.integers(0, 2**32 - 1))
+def test_lp_objective_obeys_relabelling_and_shifts(kind, n, seed):
+    check_lp_invariants(instance.generate(kind, n, seed % 97), np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("kind,n", [(kind, n) for n in (60, 100) for kind in instance.KINDS])
+def test_large_lp_objective_obeys_relabelling_and_shifts(kind, n):
+    check_lp_invariants(instance.generate(kind, n, 1), np.random.default_rng(n))
 
 
 # ------------------------------------------------------------- serialization
