@@ -25,7 +25,6 @@ from .errors import (
     SingularBasisError,
     SlacknessError,
     TooLargeError,
-    UnboundedError,
 )
 from .flows import IntegerMultiDigraph
 from .heldkarp import FractionalCirculation
@@ -53,7 +52,6 @@ __all__ = [
     "SlacknessError",
     "TooLargeError",
     "Tour",
-    "UnboundedError",
     "ValidationReport",
     "__version__",
 ]

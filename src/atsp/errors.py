@@ -26,21 +26,6 @@ class InfeasibleError(AtspError):
         self.certificate = certificate
 
 
-class UnboundedError(AtspError):
-    """An LP's objective decreases without bound.
-
-    ``column`` is the simplex's entering column and ``ray`` the direction it
-    opens: ray >= 0 with a_eq @ ray = 0 and c @ ray < 0, so from any
-    feasible x every x + t ray, t >= 0, is feasible and the cost falls
-    with t.
-    """
-
-    def __init__(self, message: str, column: int, ray):
-        super().__init__(message)
-        self.column = column
-        self.ray = ray
-
-
 class IterationLimitError(AtspError):
     """An iterative solver exceeded its iteration cap."""
 
@@ -135,12 +120,15 @@ class ShortcutCostError(AtspError):
 
 
 class SlacknessError(AtspError):
-    """A min-cost flow left a residual arc with negative reduced cost, so
-    the flow is not optimal.
+    """An optimality check found a negative reduced cost, so the solution
+    it checks is not optimal.
 
-    ``arc`` is the residual arc ``(u, v)`` of the successive-shortest-path
-    network (vertices n and n + 1 are its super source and sink), and
-    ``reduced_cost`` its reduced cost.
+    From a min-cost flow, ``arc`` is the residual arc ``(u, v)`` of the
+    successive-shortest-path network (vertices n and n + 1 are its super
+    source and sink). From the simplex, ``arc`` is the column that the
+    fresh pricing of its final basis finds below its tolerance, 1e-9 times
+    the largest |cost| but at least 1e-9: entering it would lower the
+    objective. ``reduced_cost`` is that arc's or column's reduced cost.
     """
 
     def __init__(self, message: str, arc=None, reduced_cost: float = 0.0):

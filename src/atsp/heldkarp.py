@@ -17,18 +17,18 @@ The master is a function of the cut list, rebuilt by _master each round:
 the degree and balance rows, then one row x(delta_out(U)) - s_U = 1 per
 cut U, in list order, with its own surplus column s_U. The first master,
 with no cut rows, is the assignment LP, the classic ATSP bound
-(Carpaneto, Dell'Amico & Toth, ACM TOMS 21, 1995). It starts from the
-optimal assignment, which _assignment finds together with its duals by
-shortest augmenting paths, joined into a basis by arcs of least reduced
-cost under those duals. That basis is primal feasible, so the primal
-simplex starts at once, and it is optimal whenever the joining arcs are
-tight, when the simplex only confirms it. Since the rows and
+(Carpaneto, Dell'Amico & Toth, ACM TOMS 21, 1995). _assignment solves it
+by shortest augmenting paths, and one more shortest-path search gives
+n - 1 arcs that join the assignment into a spanning tree; the search's
+duals are feasible and tight on all 2n - 1 arcs. That tree is the start
+basis: primal feasible at the assignment and dual feasible, so the
+simplex starts at the optimum and makes no pivot. Since the rows and
 columns keep their order, the previous master is the leading block of
 the next, and the previous optimal basis plus each new surplus column is
 a basis: the basis matrix is block triangular with -I in the new corner,
 the reduced costs are unchanged (the new rows' duals are 0), and only the
 violated cut rows are infeasible (s_U = x(delta_out(U)) - 1 < 0). The
-dual simplex re-optimizes from there.
+dual simplex re-optimizes from there; every master starts dual feasible.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 from . import simplex
 from .cuts import CutRecord, cut_record
 from .errors import IterationLimitError
-from .flows import _find, components, max_flow, require_balanced, residual_network
+from .flows import components, max_flow, require_balanced, residual_network
 from .instance import CostMatrix, content_lines
 
 BALANCE_TOL = 1e-7
@@ -87,19 +87,64 @@ def _master(c: np.ndarray, tails: np.ndarray, heads: np.ndarray, cuts: list[tupl
     return a, b, np.concatenate([c[tails, heads], np.zeros(k)])
 
 
-def _assignment(c: np.ndarray) -> tuple[list[int], list[float], list[float]]:
-    """A minimum-cost assignment with no fixed points, and its duals:
-    (succ, u, v) with c[i, j] >= u[i] + v[j] for every i != j, tight on
-    every arc (i, succ[i]).
+def _search(rows: list[list[float]], u: list[float], v: list[float],
+            succ: list[int], owner: list[int], start: int) -> list[int]:
+    """One shortest-path search over the columns from row ``start``:
+    Dijkstra on the reduced costs rows[i][k] - u[i] - v[k], ties to the
+    lowest column (Jonker & Volgenant, Computing 38, 1987). Returns via,
+    the row from which the search reached each column.
+
+    Each settled column reaches its owner row by the owner's tight
+    assignment arc. The search stops at the first free column or, when
+    no column is free, once every column is settled; delta is the
+    distance of the last column taken. Every settled column j then
+    lowers v[j] by delta - d[j] and its owner raises u by as much, as a
+    free start row raises u by delta: reduced costs stay >= 0, and each
+    arc (via[j], j) into a settled column becomes tight. A free start row
+    then augments: each row on the path to the free column takes the
+    column that the search reached from it.
+    """
+    n = len(rows)
+    dist = [d - u[start] for d in map(sub, rows[start], v)]
+    via = [start] * n
+    todo = list(range(n))
+    settled = []
+    while todo:
+        j = min(todo, key=dist.__getitem__)
+        delta = dist[j]
+        todo.remove(j)
+        if owner[j] < 0:
+            break
+        settled.append(j)
+        i = owner[j]
+        row, base = rows[i], delta - u[i]
+        for k in todo:
+            d = base + row[k] - v[k]
+            if d < dist[k]:
+                dist[k], via[k] = d, i
+    for k in settled:
+        v[k] -= delta - dist[k]
+        u[owner[k]] += delta - dist[k]
+    if succ[start] < 0:
+        u[start] += delta
+        while j >= 0:
+            i = via[j]
+            owner[j], succ[i], j = i, j, succ[i]
+    return via
+
+
+def _assignment(c: np.ndarray) -> tuple[list[int], list[tuple[int, int]], list[float], list[float]]:
+    """A minimum-cost assignment with no fixed points, n - 1 arcs that
+    join it into a spanning tree, and duals tight on all 2n - 1 arcs:
+    (succ, tree, u, v) with c[i, j] >= u[i] + v[j] for every i != j.
 
     Column reduction sets v[j] = min c[i, j] over i != j and u[i] = min
     c[i, j] - v[j]; each row then takes its first free tight column. Each
-    row still free grows one shortest augmenting path over the columns,
-    Dijkstra on the reduced costs, ties to the lowest column (Jonker &
-    Volgenant, Computing 38, 1987). At its end every settled column j, at
-    distance d[j] <= delta, the path's length, lowers v[j] by delta - d[j]
-    and its row raises u by as much: reduced costs stay >= 0, and the
-    path's arcs become tight.
+    row still free augments along one _search. A last _search from row 0,
+    with no column free, settles every column: the arcs (via[h], h), h !=
+    succ[0], join the assignment arcs into a spanning tree of the
+    bipartite row/column graph, as each column hangs from the row that
+    reached it and each row from its own column.
     """
     n = c.shape[0]
     rows = c.tolist()
@@ -118,67 +163,29 @@ def _assignment(c: np.ndarray) -> tuple[list[int], list[float], list[float]]:
         if owner[j] < 0:
             succ[i], owner[j] = j, i
     for free in [i for i in range(n) if succ[i] < 0]:
-        dist = [d - u[free] for d in map(sub, rows[free], v)]
-        via = [free] * n
-        todo = list(range(n))
-        settled = []
-        while True:
-            j = min(todo, key=dist.__getitem__)
-            delta = dist[j]
-            todo.remove(j)
-            if owner[j] < 0:
-                break
-            settled.append(j)
-            i = owner[j]
-            row, base = rows[i], delta - u[i]
-            for k in todo:
-                d = base + row[k] - v[k]
-                if d < dist[k]:
-                    dist[k], via[k] = d, i
-        for k in settled:
-            v[k] -= delta - dist[k]
-            u[owner[k]] += delta - dist[k]
-        u[free] += delta
-        while j >= 0:
-            i = via[j]
-            owner[j], succ[i], j = i, j, succ[i]
-    return succ, u, v
+        _search(rows, u, v, succ, owner, free)
+    via = _search(rows, u, v, succ, owner, 0)
+    tree = [(via[h], h) for h in range(n) if h != succ[0]]
+    return succ, tree, u, v
 
 
-def _tour_basis(c: np.ndarray, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """The sorted basic columns of a primal feasible basis of the first
-    master: the optimal assignment's n arcs, basic at 1, and n-1 arcs,
-    basic at 0, that join them into a spanning tree of the bipartite
-    out-vertex/in-vertex graph. Kruskal takes the joining arcs in order of
-    reduced cost c[t, h] - u[t] - v[h] under the assignment's duals, then
-    cost, then column. When all n-1 are tight, the basis prices every arc
-    as the duals do, so it is optimal.
+def _tour_basis(c: np.ndarray) -> np.ndarray:
+    """The sorted basic columns of an optimal basis of the first master:
+    the optimal assignment's n arcs, basic at 1, and the n - 1 tree arcs
+    of _assignment, basic at 0.
 
-    Each assignment arc (t, succ t) starts a component {out t, in succ t};
-    arc (t, h) joins the components of out t and of in h, the assignment
-    arcs leaving t and entering h. A spanning tree is nonsingular for the
-    degree and balance rows. For n >= 3 the arcs t != h join every pair of
-    components except the two arcs of a 2-cycle of the assignment; each
-    component misses at most one other, so the arcs connect them all.
+    A spanning tree of the bipartite out-vertex/in-vertex graph is a
+    nonsingular basis of the degree and balance rows, and its point is the
+    assignment, so the basis is primal feasible. Its duals are those of
+    _assignment, as every basic arc is tight under them, and they leave
+    no reduced cost below 0, so it is dual feasible too: the simplex
+    starts at the optimum.
     """
     n = c.shape[0]
-    vertices = np.arange(n)
-    succ, u, v = map(np.array, _assignment(c))
-    pred = np.empty(n, dtype=np.intp)
-    pred[succ] = vertices
-    cost = c[tails, heads]
-    # column of arc (t, succ t) in the row-major order of the off-diagonal arcs
-    basic = (vertices * (n - 1) + succ - (succ > vertices)).tolist()
-    parent = list(range(n))
-    for j in np.lexsort((cost, cost - u[tails] - v[heads])).tolist():
-        root_out = _find(parent, int(tails[j]))
-        root_in = _find(parent, int(pred[heads[j]]))
-        if root_out != root_in:
-            parent[root_out] = root_in
-            basic.append(j)
-            if len(basic) == 2 * n - 1:
-                break
-    return np.sort(basic)
+    succ, tree, _, _ = _assignment(c)
+    arcs = [*enumerate(succ), *tree]
+    # column of arc (t, h) in the row-major order of the off-diagonal arcs
+    return np.sort([t * (n - 1) + h - (h > t) for t, h in arcs])
 
 
 def separate(n: int, arcs: Mapping[tuple[int, int], float]) -> list[CutRecord]:
@@ -258,7 +265,7 @@ def solve_lp(m: CostMatrix) -> FractionalCirculation:
     n = m.n
     tails, heads = np.nonzero(~np.eye(n, dtype=bool))
     cuts: list[tuple[int, ...]] = []
-    basis = _tour_basis(m.c, tails, heads)
+    basis = _tour_basis(m.c)
     for _ in range(ROUNDS_PER_VERTEX * n):
         a, b, cost = _master(m.c, tails, heads, cuts)
         result = simplex.minimize(cost, a, b, basis)

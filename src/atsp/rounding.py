@@ -66,10 +66,11 @@ def round_once(x: FractionalCirculation, k: int, seed: int) -> IntegerMultiDigra
     """
     arcs = sorted(x.arcs)
     weights = np.array([x.arcs[arc] for arc in arcs], dtype=float)
-    above = np.flatnonzero(weights > 1.0 + WEIGHT_TOL)
-    if above.size:
-        arc = arcs[int(above[0])]
-        raise ValueError(f"arc {arc} has weight {x.arcs[arc]} > 1")
+    # a NaN weight fails both comparisons
+    outside = np.flatnonzero(~((weights >= -WEIGHT_TOL) & (weights <= 1.0 + WEIGHT_TOL)))
+    if outside.size:
+        arc = arcs[int(outside[0])]
+        raise ValueError(f"arc {arc} has weight {x.arcs[arc]}, not in [0, 1]")
     rng = np.random.default_rng(seed)
     counts = rng.binomial(k, np.clip(weights, 0.0, 1.0)).tolist()
     return IntegerMultiDigraph(x.n, {arc: c for arc, c in zip(arcs, counts) if c})

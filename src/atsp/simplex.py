@@ -1,27 +1,34 @@
-"""Dense simplex for standard-form LPs: minimize c @ x subject to
+"""Dense dual simplex for standard-form LPs: minimize c @ x subject to
 a_eq @ x = b_eq and x >= 0.
 
-Every solve starts from a full basis that the caller names: the basic
-column of each row. In a cutting-plane loop, the first master starts from
-a primal feasible basis and goes straight to the primal simplex. Every
-later master starts from the previous optimal basis plus the surplus
-column of each appended cut row: the old reduced costs are unchanged, so
-that basis is dual feasible, and it is primal infeasible on the violated
-cut rows only. The dual simplex restores primal feasibility, and the
-primal simplex then only confirms optimality. An LP in slack form,
-[A | I](x, s) = s0 with s0 >= 0, starts from its slack basis; a box
-x_j <= u_j is the row x_j + t_j = u_j with its own slack t_j.
+Every solve starts from a full basis that the caller names, the basic
+column of each row, and that basis must be dual feasible: no nonbasic
+reduced cost below -tol, where tol is _REDUCED_TOL times the largest
+|cost|, or _REDUCED_TOL when that is below 1, so that scaling the costs
+scales the test with them. A dual feasible basis bounds the
+objective below, so the LP is never unbounded. The dual simplex then
+pivots until every basic value is >= 0. In a cutting-plane loop, the
+first master starts from a basis that is optimal already, and every
+later master from the previous optimal basis plus the surplus column of
+each appended cut row: the old reduced costs are unchanged, so that
+basis is dual feasible, and it is primal infeasible on the violated cut
+rows only. An LP in slack form, [A | I](x, s) = s0 with c >= 0, starts
+from its slack basis; a box x_j <= u_j is the row x_j + t_j = u_j with
+its own slack t_j.
 
-Both loops pick the largest violation (Dantzig's rule). After a streak of
-degenerate pivots they use Bland's lowest-index rule until the next
-nondegenerate pivot, which rules out cycling while letting Dantzig
+The loop picks the most negative basic value (Dantzig's rule). After a
+streak of degenerate pivots it uses Bland's lowest-index rule until the
+next nondegenerate pivot, which rules out cycling while letting Dantzig
 pricing resume. The basis inverse is maintained by rank-one pivot updates
 and refactorized periodically to bound numerical drift; at the
 few-hundred-row scale this package needs, that is both fast and robust.
+The loop updates its reduced costs rather than pricing them each pivot,
+so at exit it prices the last basis afresh: that check proves it optimal.
 
 A solve returns an optimum or raises InfeasibleError (row multipliers),
-UnboundedError (entering column and ray) or, past MAX_ITERATIONS,
-IterationLimitError; errors.py states what each certificate proves.
+SlacknessError (a column the exit check prices below -tol) or,
+past MAX_ITERATIONS, IterationLimitError; errors.py states what each
+certificate proves.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, IterationLimitError, SingularBasisError, UnboundedError
+from .errors import InfeasibleError, IterationLimitError, SingularBasisError, SlacknessError
 
 MAX_ITERATIONS = 100_000
 
@@ -110,62 +117,32 @@ class _Tableau:
         x[self.basis] = self.basic_values()
         return x
 
-    def run(self, cost: np.ndarray) -> None:
-        """Primal simplex: from a primal feasible basis, minimize cost
-        until optimal; UnboundedError when no basic value falls as the
-        entering column rises."""
-        streak = 0
-        while True:
-            self.count_iteration()
-            xb = self.basic_values()
-            reduced = self.reduced_costs(cost)
-            candidates = np.nonzero(~self.basic & (reduced < -_REDUCED_TOL))[0]
-            if candidates.size == 0:
-                return
-            if streak > _DEGENERATE_STREAK:
-                enter = int(candidates[0])
-            else:
-                enter = int(candidates[np.argmax(np.abs(reduced[candidates]))])
-            d = self.binv @ self.a[:, enter]
-            falling = np.nonzero(d > _PIVOT_TOL)[0]
-            if falling.size == 0:
-                ray = np.zeros(self.a.shape[1])
-                ray[self.basis] = np.where(d < -_PIVOT_TOL, -d, 0.0)
-                ray[enter] = 1.0
-                raise UnboundedError(
-                    f"column {enter} enters with reduced cost "
-                    f"{reduced[enter]!r} and no basic value stops it",
-                    enter, ray,
-                )
-            ratios = xb[falling] / d[falling]
-            step = max(float(ratios.min()), 0.0)
-            ties = falling[ratios <= step + _STEP_TOL]
-            # Bland tie-break: smallest variable index among the tied rows
-            self._replace(int(ties[np.argmin(self.basis[ties])]), enter, d)
-            streak = streak + 1 if step <= _STEP_TOL else 0
+    def price(self, cost: np.ndarray) -> tuple[np.ndarray, int]:
+        """Fresh reduced costs, and the nonbasic column of least reduced
+        cost, ties to the lowest; a basic column when none is below 0."""
+        reduced = self.reduced_costs(cost)
+        return reduced, int(np.argmin(np.where(self.basic, 0.0, reduced)))
 
     def run_dual(self, cost: np.ndarray) -> None:
-        """Dual simplex: pivot until every basic value is >= 0. Returns at
-        once from a primal feasible basis; any other must be dual feasible
-        within _REDUCED_TOL, else ValueError. InfeasibleError when a
-        negative row has no nonbasic column that can raise it."""
-        xb = self.basic_values()
-        if not np.any(xb < -_FEASIBLE_TOL):
-            return
-        reduced = self.reduced_costs(cost)
-        wrong = np.where(self.basic, 0.0, -reduced)
-        worst = int(np.argmax(wrong))
-        if wrong[worst] > _REDUCED_TOL:
+        """Dual simplex: from a basis that is dual feasible within tol,
+        else ValueError, pivot until every basic value is >= 0.
+        InfeasibleError when a negative row has no nonbasic column that can
+        raise it; SlacknessError when pricing the last basis afresh finds a
+        reduced cost below -tol."""
+        tol = _REDUCED_TOL * max(1.0, float(np.abs(cost).max(initial=0.0)))
+        reduced, worst = self.price(cost)
+        if reduced[worst] < -tol:
             raise ValueError(
-                f"start basis is primal infeasible and not dual feasible: "
-                f"column {worst} has reduced cost {reduced[worst]!r}"
+                f"start basis is not dual feasible: column {worst} has "
+                f"reduced cost {float(reduced[worst])!r}"
             )
         streak = 0
         while True:
             self.count_iteration()
+            xb = self.basic_values()
             rows = np.nonzero(xb < -_FEASIBLE_TOL)[0]
             if rows.size == 0:
-                return
+                break
             bland = streak > _DEGENERATE_STREAK
             if bland:
                 pos = int(rows[np.argmin(self.basis[rows])])
@@ -200,24 +177,31 @@ class _Tableau:
             if self._pivots_since_refresh == 0:
                 reduced = self.reduced_costs(cost)
             streak = streak + 1 if step <= _STEP_TOL else 0
-            xb = self.basic_values()
+        # the loop keeps its reduced costs by updates; only a fresh pricing
+        # shows that the basis it ends at is optimal
+        reduced, worst = self.price(cost)
+        if reduced[worst] < -tol:
+            value = float(reduced[worst])
+            raise SlacknessError(
+                f"the simplex ended at a basis where column {worst} has "
+                f"reduced cost {value!r}",
+                worst, value,
+            )
 
 
 def minimize(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, start: np.ndarray) -> SimplexResult:
     """Minimize c @ x subject to a_eq @ x = b_eq and x >= 0.
 
-    ``start`` is a full basis of this LP: the basic column of each row.
-    The dual simplex first repairs a primal infeasible start, which must
-    be dual feasible within _REDUCED_TOL, else ValueError; then the primal
-    simplex optimizes, or only confirms optimality after the dual. Raises
-    the typed errors the module docstring names, and SingularBasisError
-    when a basis matrix, the start's included, cannot be inverted.
+    ``start`` is a full basis of this LP, the basic column of each row,
+    and must be dual feasible within the module docstring's tol, else
+    ValueError. Raises the typed errors the module docstring names, and
+    SingularBasisError when a basis matrix, the start's included, cannot
+    be inverted.
     """
     c = np.asarray(c, dtype=np.float64)
     a_eq = np.asarray(a_eq, dtype=np.float64)
     b_eq = np.asarray(b_eq, dtype=np.float64)
     tab = _Tableau(a_eq, b_eq, np.asarray(start))
     tab.run_dual(c)
-    tab.run(c)
     x = tab.solution()
     return SimplexResult(x, float(c @ x), tab.iterations, tab.basis.copy())

@@ -306,13 +306,21 @@ def test_retries_exhausted_exits_2(tmp_path):
 
 
 def test_simplex_iteration_cap_exits_2(tmp_path, capsys, monkeypatch):
-    # the premise: the first master needs more than the one iteration that
-    # confirms an optimal start basis, so a cap of 1 stops it
+    # the premise: some master of this LP needs more than the one
+    # iteration that finds an optimal basis, so a cap of 1 stops it
     m = instance.generate("euclidean-perturbed", 10, 3)
-    tails, heads = np.nonzero(~np.eye(m.n, dtype=bool))
-    a, b, cost = heldkarp._master(m.c, tails, heads, [])
-    start = heldkarp._tour_basis(m.c, tails, heads)
-    assert simplex.minimize(cost, a, b, start).iterations >= 2
+    iterations = []
+    minimize = simplex.minimize
+
+    def recorded(*args, **kwargs):
+        result = minimize(*args, **kwargs)
+        iterations.append(result.iterations)
+        return result
+
+    with monkeypatch.context() as patched:
+        patched.setattr(simplex, "minimize", recorded)
+        heldkarp.solve_lp(m)
+    assert max(iterations) >= 2
     path = tmp_path / "e10.txt"
     instance.save(m, path)
     monkeypatch.setattr(simplex, "MAX_ITERATIONS", 1)

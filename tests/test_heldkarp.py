@@ -422,15 +422,19 @@ def barred_assignment_cost(c: np.ndarray) -> float:
 
 def check_assignment(c: np.ndarray) -> None:
     """_assignment returns a permutation without fixed points at the
-    reference's cost, and duals whose reduced costs are >= 0 off the
-    diagonal and 0 on the permutation's arcs."""
+    reference's cost, n - 1 tree arcs off the diagonal, and duals whose
+    reduced costs are >= 0 off the diagonal and 0 on the permutation's
+    arcs and on the tree's."""
     n = c.shape[0]
-    succ, u, v = heldkarp._assignment(c)
+    succ, tree, u, v = heldkarp._assignment(c)
     assert sorted(succ) == list(range(n))
     assert all(succ[i] != i for i in range(n))
+    assert len(tree) == n - 1 and all(t != h for t, h in tree)
     reduced = c - np.array(u)[:, None] - np.array(v)
     assert reduced[~np.eye(n, dtype=bool)].min() >= -1e-9
     assert np.abs(reduced[np.arange(n), succ]).max() <= 1e-9
+    tails, heads = np.array(tree).T
+    assert np.abs(reduced[tails, heads]).max() <= 1e-9
     assert c[np.arange(n), succ].sum() == pytest.approx(
         barred_assignment_cost(c), rel=1e-12, abs=1e-12
     )
@@ -449,22 +453,24 @@ def test_assignment_is_optimal_with_tight_feasible_duals(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(2, 8).flatmap(
+@given(st.integers(3, 8).flatmap(
     lambda n: arrays(np.int64, (n, n), elements=st.integers(0, 3))
 ))
 def test_assignment_of_tied_small_costs_is_optimal(raw):
     # costs 0..3, the diagonal's too: ties and zero-cost arcs everywhere,
-    # and a diagonal the assignment must not read
+    # and a diagonal the assignment must not read; from n = 3, as the 2n - 2
+    # off-diagonal arcs of n = 2 hold no spanning tree
     check_assignment(raw.astype(np.float64))
 
 
 @pytest.mark.parametrize("case", sorted(CRASH_CASES))
 def test_tour_basis_is_a_nonsingular_basis_at_the_greedy_tour(case):
-    # the start basis: nonsingular, at the optimal assignment's point
+    # the start basis: nonsingular, at the optimal assignment's point, and
+    # dual feasible
     m = CRASH_CASES[case]()
     n = m.n
     tails, heads = np.nonzero(~np.eye(n, dtype=bool))
-    basic = heldkarp._tour_basis(m.c, tails, heads)
+    basic = heldkarp._tour_basis(m.c)
     assert basic.tolist() == sorted(set(basic.tolist()))
     assert basic.size == 2 * n - 1 and 0 <= basic[0] and basic[-1] < tails.size
     a, b, cost = heldkarp._master(m.c, tails, heads, [])
@@ -472,26 +478,26 @@ def test_tour_basis_is_a_nonsingular_basis_at_the_greedy_tour(case):
     assert np.linalg.matrix_rank(square) == 2 * n - 1
     x = np.zeros(tails.size)
     x[basic] = np.linalg.solve(square, b)
-    succ, u, v = map(np.array, heldkarp._assignment(m.c))
+    succ = heldkarp._assignment(m.c)[0]
     point = np.zeros((n, n))
     point[np.arange(n), succ] = 1.0
     assert np.array_equal(x, point[tails, heads])
     assert cost @ x == pytest.approx(barred_assignment_cost(m.c), rel=1e-12)
-    # the arcs at 0 form a minimum spanning tree, by reduced cost, of the
-    # graph whose vertices are the assignment's arcs, by tail, and where
-    # arc (t, h) joins t and the tail of the assignment arc into h
-    import networkx as nx
+    # the basis's own duals, B^T y = c_B, price every arc >= 0
+    y = np.linalg.solve(square.T, cost[basic])
+    assert (cost - y @ a).min() >= -1e-9
 
-    reduced = cost - u[tails] - v[heads]
-    pred = np.argsort(succ)
-    graph = nx.Graph()
-    for j in np.argsort(-reduced, kind="stable").tolist():
-        if tails[j] != pred[heads[j]]:
-            graph.add_edge(int(tails[j]), int(pred[heads[j]]), weight=reduced[j])
-    tree = nx.minimum_spanning_tree(graph)
-    at_zero = [j for j in basic.tolist() if x[j] == 0.0]
-    assert len(at_zero) == n - 1
-    assert reduced[at_zero].sum() == pytest.approx(tree.size(weight="weight"), abs=1e-9)
+
+@pytest.mark.parametrize("case", sorted(ASSIGNMENT_CASES))
+def test_first_master_starts_at_its_optimum(case):
+    # one iteration is the pricing that finds every basic value >= 0:
+    # the simplex makes no pivot
+    m = ASSIGNMENT_CASES[case]()
+    tails, heads = np.nonzero(~np.eye(m.n, dtype=bool))
+    a, b, cost = heldkarp._master(m.c, tails, heads, [])
+    result = simplex.minimize(cost, a, b, heldkarp._tour_basis(m.c))
+    assert result.iterations == 1
+    assert result.objective == pytest.approx(barred_assignment_cost(m.c), rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -619,10 +625,11 @@ def test_lp_never_exceeds_the_exact_optimum(case):
 
 
 def check_lp_invariants(m: instance.CostMatrix, rng: np.random.Generator) -> None:
-    """Three transformations whose effect on the LP optimum is known without
+    """Four transformations whose effect on the LP optimum is known without
     an oracle: relabelling the vertices leaves it unchanged, and so does a
     potential shift c_uv + pi_u - pi_v, since x is balanced; a row shift
-    c_uv + a_u adds sum(a), since every out-degree is 1."""
+    c_uv + a_u adds sum(a), since every out-degree is 1; and scaling the
+    costs scales it, which the simplex's tolerances must follow."""
     n = m.n
     base = heldkarp.solve_lp(m).objective
     top = float(m.c.max())
@@ -635,6 +642,7 @@ def check_lp_invariants(m: instance.CostMatrix, rng: np.random.Generator) -> Non
         (relabelled, base),
         (m.c + pi[:, None] - pi, base),
         (m.c + a[:, None], base + a.sum()),
+        (m.c * 1e9, base * 1e9),
     ):
         objective = heldkarp.solve_lp(instance.CostMatrix(c)).objective
         assert objective == pytest.approx(expected, rel=1e-9)

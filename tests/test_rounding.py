@@ -76,9 +76,11 @@ def test_round_once_zero_weight_never_sampled():
 
 
 def test_round_once_rejects_weight_above_one():
-    x = FractionalCirculation(3, {(0, 1): 1.1}, 0.0)
-    with pytest.raises(ValueError, match=r"arc \(0, 1\) has weight 1.1 > 1"):
-        rounding.round_once(x, 5, seed=0)
+    # and one below zero, or NaN: none is a probability
+    for weight in (1.1, -0.5, float("nan")):
+        x = FractionalCirculation(3, {(0, 1): weight}, 0.0)
+        with pytest.raises(ValueError, match=rf"arc \(0, 1\) has weight {weight}, not in \[0, 1\]"):
+            rounding.round_once(x, 5, seed=0)
 
 
 def scalar_round_once(x: FractionalCirculation, k: int, seed: int) -> dict:
@@ -105,7 +107,7 @@ def test_round_once_draws_the_scalar_per_arc_stream(fractional_x):
 
 def test_round_once_names_the_first_arc_above_one():
     x = FractionalCirculation(4, {(2, 3): 1.5, (0, 1): 0.5, (1, 2): 1.2}, 0.0)
-    with pytest.raises(ValueError, match=r"arc \(1, 2\) has weight 1.2 > 1"):
+    with pytest.raises(ValueError, match=r"arc \(1, 2\) has weight 1.2, not in \[0, 1\]"):
         rounding.round_once(x, 5, seed=0)
 
 

@@ -12,7 +12,7 @@ from atsp import (
     InfeasibleError,
     IterationLimitError,
     SingularBasisError,
-    UnboundedError,
+    SlacknessError,
     simplex,
 )
 
@@ -41,21 +41,25 @@ def _assert_certifies_infeasible(y, a, b):
     assert target < low - 1e-9 or target > high + 1e-9, (target, low, high)
 
 
-def _assert_certifies_unbounded(raised, c, a):
-    """Without the engine: the ray keeps a @ x fixed, lowers the cost and
-    moves columns only upward."""
-    r = raised.ray
-    assert r[raised.column] > 0.0
-    assert np.max(np.abs(a @ r)) <= 1e-9
-    assert c @ r < 0.0
-    assert np.all(r >= 0.0)
+def _assert_agrees_with_highs(c, a, b, start) -> str:
+    """Solve from start and check the outcome against HiGHS: the optimum,
+    or an infeasibility with its certificate. Returns the outcome."""
+    if _highs(c, a, b).status == 2:
+        with pytest.raises(InfeasibleError) as raised:
+            simplex.minimize(c, a, b, start)
+        _assert_certifies_infeasible(raised.value.certificate, a, b)
+        return "infeasible"
+    res = simplex.minimize(c, a, b, start)
+    _assert_matches_highs(res, c, a, b)
+    assert res.basis.size == a.shape[0]
+    return "optimal"
 
 
 def _slack_form(c, a, s0, upper):
     """The LP min c @ x s.t. A x + s = s0, x_j + t_j = u_j for each finite
     upper[j], and x, s, t >= 0, as (c, a_eq, b_eq) over the columns
-    (x, s, t); and its slack basis, s and t basic, which is primal
-    feasible at x = 0 when s0 >= 0."""
+    (x, s, t); and its slack basis, s and t basic, which is dual feasible
+    when c >= 0 and primal feasible at x = 0 when s0 >= 0."""
     m, nv = a.shape
     boxed = np.flatnonzero(np.isfinite(upper))
     box = np.zeros((boxed.size, nv))
@@ -78,27 +82,27 @@ def _lift(x, a, s0, upper):
 
 
 def test_tiny_known_optimum():
-    # min -x0 - 2 x1  s.t.  x0 + x1 <= 1.5, 0 <= x <= 2  ->  x = (0, 1.5)
+    # min x0 + 2 x1  s.t.  x0 + x1 >= 1.5, 0 <= x <= 2  ->  x = (1.5, 0)
     lp, start = _slack_form(
-        np.array([-1.0, -2.0]), np.ones((1, 2)), np.array([1.5]), np.full(2, 2.0)
+        np.array([1.0, 2.0]), -np.ones((1, 2)), np.array([-1.5]), np.full(2, 2.0)
     )
     res = simplex.minimize(*lp, start)
-    assert abs(res.objective + 3.0) < 1e-12
+    assert abs(res.objective - 1.5) < 1e-12
     # columns x0, x1, s, t0, t1; the boxes are slack, t = 2 - x
-    assert np.allclose(res.x, [0.0, 1.5, 0.0, 2.0, 0.5])
-    assert res.basis.tolist() == [1, 3, 4]
+    assert np.allclose(res.x, [1.5, 0.0, 0.0, 0.5, 2.0])
+    assert res.basis.tolist() == [0, 3, 4]
 
 
 def test_box_rows_bind():
-    # min -x0 - x1  s.t.  x0 + x1 <= 3, x <= 1: both end at their box, so
-    # the box slacks t leave the basis
+    # min x0 + 2 x1  s.t.  x0 + x1 >= 1.5, x <= 1: x0 ends at its box, so
+    # its box slack t0 leaves the basis, and x1 makes up the rest
     lp, start = _slack_form(
-        np.array([-1.0, -1.0]), np.ones((1, 2)), np.array([3.0]), np.ones(2)
+        np.array([1.0, 2.0]), -np.ones((1, 2)), np.array([-1.5]), np.ones(2)
     )
     res = simplex.minimize(*lp, start)
-    assert abs(res.objective + 2.0) < 1e-12
-    assert np.allclose(res.x, [1.0, 1.0, 1.0, 0.0, 0.0])
-    assert sorted(res.basis.tolist()) == [0, 1, 2]
+    assert abs(res.objective - 2.0) < 1e-12
+    assert np.allclose(res.x, [1.0, 0.5, 0.0, 0.0, 0.5])
+    assert sorted(res.basis.tolist()) == [0, 1, 4]
 
 
 def test_infeasible_detected():
@@ -111,21 +115,13 @@ def test_infeasible_detected():
     _assert_certifies_infeasible(raised.value.certificate, a, b)
 
 
-def test_unbounded_detected():
-    # min -x0 with x0 in no constraint
-    c, a = np.array([-1.0, 0.0]), np.array([[0.0, 1.0]])
-    with pytest.raises(UnboundedError) as raised:
-        simplex.minimize(c, a, np.array([1.0]), np.array([1]))
-    assert raised.value.column == 0
-    _assert_certifies_unbounded(raised.value, c, a)
-
-
 def test_degenerate_problem_terminates():
-    # rows of -1/0/1 with b = 0: the slack basis and many others share the
-    # point 0, so most pivots are degenerate
+    # rows of -1/0/1 that a 0/1 point meets with equality, and tied costs:
+    # many bases share each vertex, so many pivots are degenerate
     rng = np.random.default_rng(5)
     a = rng.integers(-1, 2, size=(6, 12)).astype(float)
-    lp, start = _slack_form(rng.normal(size=12), a, np.zeros(6), np.ones(12))
+    x_known = rng.integers(0, 2, size=12).astype(float)
+    lp, start = _slack_form(rng.integers(0, 2, size=12).astype(float), a, a @ x_known, np.ones(12))
     res = simplex.minimize(*lp, start)
     _assert_matches_highs(res, *lp)
 
@@ -133,8 +129,8 @@ def test_degenerate_problem_terminates():
 def test_iteration_cap_is_reported(monkeypatch):
     rng = np.random.default_rng(1)
     lp, start = _slack_form(
-        -rng.uniform(0.5, 1.5, 10), rng.normal(size=(4, 10)),
-        rng.uniform(0.5, 1.5, 4), np.ones(10),
+        rng.uniform(0.5, 1.5, 10), -rng.uniform(0.0, 1.0, (4, 10)),
+        -rng.uniform(0.5, 1.5, 4), np.ones(10),
     )
     assert simplex.minimize(*lp, start).iterations > 2
     monkeypatch.setattr(simplex, "MAX_ITERATIONS", 1)
@@ -143,25 +139,26 @@ def test_iteration_cap_is_reported(monkeypatch):
 
 
 def _random_slack_lp(rng):
-    """A normal LP in slack form; a fifth of the rows are tight at 0."""
+    """A normal LP in slack form with costs >= 0 and right-hand sides of
+    either sign; a fifth of the rows are tight at 0."""
     m = int(rng.integers(1, 6))
     nv = int(rng.integers(1, 9))
     upper = np.where(rng.random(nv) < 0.3, np.inf, rng.uniform(0.5, 3.0, nv))
-    s0 = np.where(rng.random(m) < 0.2, 0.0, rng.uniform(0.0, 2.0, m))
-    return _slack_form(rng.normal(size=nv), rng.normal(size=(m, nv)), s0, upper)
+    s0 = np.where(rng.random(m) < 0.2, 0.0, rng.uniform(-2.0, 2.0, m))
+    return _slack_form(np.abs(rng.normal(size=nv)), rng.normal(size=(m, nv)), s0, upper)
 
 
 def test_agrees_with_scipy_on_random_lps():
     rng = np.random.default_rng(0)
-    outcomes = {"optimal": 0, "unbounded": 0}
+    outcomes = {"optimal": 0, "infeasible": 0}
     for trial in range(120):
         (c, a, b), start = _random_slack_lp(rng)
         ref = _highs(c, a, b)
-        if ref.status == 3:
-            with pytest.raises(UnboundedError) as raised:
+        if ref.status == 2:
+            with pytest.raises(InfeasibleError) as raised:
                 simplex.minimize(c, a, b, start)
-            _assert_certifies_unbounded(raised.value, c, a)
-            outcomes["unbounded"] += 1
+            _assert_certifies_infeasible(raised.value.certificate, a, b)
+            outcomes["infeasible"] += 1
             continue
         assert ref.status == 0, trial
         res = simplex.minimize(c, a, b, start)
@@ -190,33 +187,10 @@ def _append_violated_rows(c, a, b, basis, g, h):
     return lp, np.concatenate([basis, np.arange(k) + a.shape[1]])
 
 
-@pytest.fixture
-def cleanup_pivots(monkeypatch):
-    """Pivots of each primal cleanup that runs after the dual simplex has
-    pivoted; from a primal feasible start the dual returns at once."""
-    counts = []
-    run_dual, run = simplex._Tableau.run_dual, simplex._Tableau.run
-
-    def dual(tab, *args):
-        run_dual(tab, *args)
-        tab.after_dual = tab.iterations > 0
-
-    def primal(tab, *args):
-        before = tab.iterations
-        run(tab, *args)
-        if tab.after_dual:
-            # the last iteration only finds no entering column
-            counts.append(tab.iterations - before - 1)
-
-    monkeypatch.setattr(simplex._Tableau, "run_dual", dual)
-    monkeypatch.setattr(simplex._Tableau, "run", primal)
-    return counts
-
-
 def _warm_start_trials(rng, degenerate: bool) -> int:
-    """Solve random boxed LPs in slack form, append rows the optimum
-    violates but a known point satisfies, and re-solve from the full start
-    basis."""
+    """Solve random boxed LPs in slack form from the slack basis, append
+    rows the optimum violates but a known point satisfies, and re-solve
+    from the full start basis."""
     checked = 0
     for _ in range(40):
         m = int(rng.integers(1, 5))
@@ -224,22 +198,20 @@ def _warm_start_trials(rng, degenerate: bool) -> int:
         upper = np.where(rng.random(nv) < 0.3, np.inf, rng.uniform(0.5, 3.0, nv))
         box = np.minimum(np.where(np.isfinite(upper), upper, 2.0), 2.0)
         if degenerate:
-            # 0/1 rows, tied costs and a point at its bounds that holds
-            # every row tight: many tied vertices
-            a = rng.integers(0, 2, size=(m, nv)).astype(float)
+            # 0/1 rows either way round, tied costs and a point at its
+            # bounds that holds every row tight: many tied vertices
+            a = rng.integers(0, 2, size=(m, nv)) * rng.choice([-1.0, 1.0], (m, 1))
             x_known = np.where(rng.random(nv) < 0.5, 0.0, box)
-            c = rng.integers(-2, 2, size=nv).astype(float)
+            c = rng.integers(0, 4, size=nv).astype(float)
         else:
             a = rng.normal(size=(m, nv))
             x_known = rng.uniform(0.0, 1.0, nv) * box
-            c = rng.normal(size=nv)
-        s0 = np.abs(a @ x_known)
+            c = np.abs(rng.normal(size=nv))
+        s0 = a @ x_known
         known = _lift(x_known, a, s0, upper)
         (c, a, b), slack_start = _slack_form(c, a, s0, upper)
-        try:
-            first = simplex.minimize(c, a, b, slack_start)
-        except UnboundedError:
-            continue
+        first = simplex.minimize(c, a, b, slack_start)
+        _assert_matches_highs(first, c, a, b)
         g = rng.integers(-1, 2, size=(3, c.size)).astype(float) if degenerate else rng.normal(size=(3, c.size))
         gap = g @ known - g @ first.x
         g[gap < 0] *= -1.0
@@ -256,27 +228,14 @@ def _warm_start_trials(rng, degenerate: bool) -> int:
 
 
 @pytest.mark.parametrize("degenerate", [False, True])
-def test_warm_start_with_appended_violated_rows_matches_highs(degenerate, cleanup_pivots):
+def test_warm_start_with_appended_violated_rows_matches_highs(degenerate):
     rng = np.random.default_rng(18 + 2 * degenerate)
     assert _warm_start_trials(rng, degenerate) >= 20
-    # the dual simplex ends at an optimal basis, so the cleanup has no work
-    assert len(cleanup_pivots) >= 20 and not any(cleanup_pivots)
-
-
-def test_primal_feasible_start_skips_to_phase_two():
-    # min x0 + 2 x1 + 3 x2  s.t.  x0 + x1 + x2 = 1: the start x2 = 1 is
-    # feasible but not optimal, so the primal simplex takes over
-    res = simplex.minimize(
-        np.array([1.0, 2.0, 3.0]), np.ones((1, 3)), np.ones(1), start=np.array([2])
-    )
-    assert res.iterations == 2
-    assert np.array_equal(res.x, [1.0, 0.0, 0.0])
-    assert res.basis.tolist() == [0]
 
 
 def test_dual_resolve_reports_an_unrepairable_row_infeasible():
     c, a, b = np.array([1.0, 2.0]), np.ones((1, 2)), np.ones(1)
-    first = simplex.minimize(c, a, b, np.array([1]))
+    first = simplex.minimize(c, a, b, np.array([0]))
     # x0 - x1 - s = 5 has no solution with x0 + x1 = 1
     lp, start = _append_violated_rows(
         c, a, b, first.basis, np.array([[1.0, -1.0]]), np.array([5.0])
@@ -287,41 +246,56 @@ def test_dual_resolve_reports_an_unrepairable_row_infeasible():
 
 
 def test_dual_resolve_infeasibility_matches_highs_and_is_certified():
-    # 0/1 rows and ties; appended rows ask for more than the optimum gives,
-    # often more than any point in the box can
+    # 0/1 rows either way round and ties; appended rows ask for more than
+    # the optimum gives, often more than any point in the box can
     rng = np.random.default_rng(3)
     outcomes = {"optimal": 0, "infeasible": 0}
     for trial in range(200):
         m, nv = int(rng.integers(1, 5)), int(rng.integers(2, 8))
-        a = rng.integers(0, 2, size=(m, nv)).astype(float)
+        a = rng.integers(0, 2, size=(m, nv)) * rng.choice([-1.0, 1.0], (m, 1))
         upper = rng.choice([1.0, 2.0, np.inf], nv)
         x_known = rng.choice([0.0, 0.5, 1.0], nv)
-        c = rng.choice([-2.0, -1.0, 0.0, 1.0], nv)
+        c = rng.choice([0.0, 1.0, 2.0], nv)
         (c, a, b), slack_start = _slack_form(c, a, a @ x_known, upper)
-        try:
-            first = simplex.minimize(c, a, b, slack_start)
-        except UnboundedError:
-            continue
+        first = simplex.minimize(c, a, b, slack_start)
+        _assert_matches_highs(first, c, a, b)
         g = rng.integers(-1, 2, size=(int(rng.integers(1, 4)), c.size)).astype(float)
         h = g @ first.x + rng.choice([0.5, 1.0, 3.0, 6.0], g.shape[0])
         lp, start = _append_violated_rows(c, a, b, first.basis, g, h)
-        if _highs(*lp).status == 2:
-            with pytest.raises(InfeasibleError) as raised:
-                simplex.minimize(*lp, start=start)
-            _assert_certifies_infeasible(raised.value.certificate, *lp[1:])
-            outcomes["infeasible"] += 1
-        else:
-            _assert_matches_highs(simplex.minimize(*lp, start=start), *lp)
-            outcomes["optimal"] += 1
+        outcomes[_assert_agrees_with_highs(*lp, start)] += 1
     assert min(outcomes.values()) >= 20
 
 
-def test_start_neither_primal_nor_dual_feasible_raises():
-    # the start x1 = -2 is negative and x0 at zero has a negative reduced cost
-    with pytest.raises(ValueError, match="not dual feasible"):
+def test_start_that_is_not_dual_feasible_raises():
+    # min x0 + 2 x1 + 3 x2  s.t.  x0 + x1 + x2 = b: at the start x2 = b,
+    # x0 has reduced cost -2, whether the start is feasible (b = 1) or not
+    for b in (1.0, -2.0):
+        with pytest.raises(ValueError, match="not dual feasible: column 0 has reduced cost -2.0"):
+            simplex.minimize(
+                np.array([1.0, 2.0, 3.0]), np.ones((1, 3)), np.array([b]), start=np.array([2])
+            )
+
+
+def test_exit_pricing_catches_reduced_costs_gone_wrong(monkeypatch):
+    # the loop's first pricing is corrupted to hide x0's reduced cost of -2
+    # at the start x2 = 1, which is feasible, so the loop makes no pivot;
+    # only the fresh pricing at exit sees that the basis is not optimal
+    priced = simplex._Tableau.reduced_costs
+    calls = []
+
+    def corrupted(tab, cost):
+        calls.append(cost)
+        reduced = priced(tab, cost)
+        return np.abs(reduced) if len(calls) == 1 else reduced
+
+    monkeypatch.setattr(simplex._Tableau, "reduced_costs", corrupted)
+    with pytest.raises(SlacknessError) as raised:
         simplex.minimize(
-            np.array([-1.0, 0.0]), np.ones((1, 2)), np.array([-2.0]), start=np.array([1])
+            np.array([1.0, 2.0, 3.0]), np.ones((1, 3)), np.ones(1), start=np.array([2])
         )
+    assert isinstance(raised.value, AtspError)
+    assert (raised.value.arc, raised.value.reduced_cost) == (0, -2.0)
+    assert len(calls) == 2
 
 
 def test_start_with_a_dependent_column_raises_singular_basis():
@@ -334,17 +308,18 @@ def test_start_with_a_dependent_column_raises_singular_basis():
 
 
 def _tied_degenerate_lp(rng, m: int, nv: int):
-    """min -sum(x) over 0/1 rows A x <= A x_known, x <= 1, in slack form:
-    all costs tied, and half the rows have b = 0, so the point 0 is shared
-    by many bases."""
+    """min sum(x) over 0/1 rows A x >= A x_known, x <= 1, in slack form,
+    with x_known lifted: all costs tied, and half the rows have b = 0, so
+    the point 0 is shared by many bases."""
     a = rng.integers(0, 2, size=(m, nv)).astype(float)
     x_known = (rng.random(nv) < 0.3).astype(float)
     a[: m // 2, x_known > 0] = 0.0
-    return _slack_form(-np.ones(nv), a, a @ x_known, np.ones(nv))
+    lp, start = _slack_form(np.ones(nv), -a, -a @ x_known, np.ones(nv))
+    return lp, start, _lift(x_known, -a, -a @ x_known, np.ones(nv))
 
 
 @pytest.mark.parametrize("streak", [0, simplex._DEGENERATE_STREAK])
-def test_degenerate_tied_lp_terminates_cold_and_warm(streak, monkeypatch, cleanup_pivots):
+def test_degenerate_tied_lp_terminates_cold_and_warm(streak, monkeypatch):
     # streak 0 hands every degenerate pivot to Bland's rule; the cold solve
     # starts from the slack basis, the warm one from its optimal basis
     monkeypatch.setattr(simplex, "_DEGENERATE_STREAK", streak)
@@ -353,15 +328,13 @@ def test_degenerate_tied_lp_terminates_cold_and_warm(streak, monkeypatch, cleanu
     rng = np.random.default_rng(23)
     warm_solves = 0
     for _ in range(30):
-        (c, a, b), slack_start = _tied_degenerate_lp(rng, 10, 24)
+        (c, a, b), slack_start, known = _tied_degenerate_lp(rng, 10, 24)
         cold = simplex.minimize(c, a, b, slack_start)
         _assert_matches_highs(cold, c, a, b)
-        # 0/1 rows through the slack start's vertex, each oriented to cut
-        # off cold.x
-        vertex = np.concatenate([np.zeros(c.size - b.size), b])
+        # 0/1 rows through the known point, each oriented to cut off cold.x
         g = rng.integers(0, 2, size=(4, c.size)).astype(float)
-        g[g @ vertex < g @ cold.x] *= -1.0
-        h = g @ vertex
+        g[g @ known < g @ cold.x] *= -1.0
+        h = g @ known
         violated = g @ cold.x < h - 1e-6
         if not violated.any():
             continue
@@ -370,12 +343,11 @@ def test_degenerate_tied_lp_terminates_cold_and_warm(streak, monkeypatch, cleanu
         _assert_matches_highs(warm, *lp)
         warm_solves += 1
     assert warm_solves >= 10
-    assert len(cleanup_pivots) == warm_solves and not any(cleanup_pivots)
 
 
-# property tests against HiGHS: LPs in slack form over 0/1 rows, tied
-# costs, a known point at its bounds or halfway, and rows that are sums
-# of others, so that many of them are tight at once
+# property tests against HiGHS: LPs in slack form over 0/1 rows either
+# way round, tied costs >= 0, a known point at its bounds or halfway, and
+# rows that are sums of others, so that many of them are tight at once
 
 
 def _matrix(draw, rows: int, cols: int, low: int, high: int) -> np.ndarray:
@@ -396,35 +368,29 @@ def lps(draw, max_redundant: int = 2):
     for _ in range(draw(st.integers(0, max_redundant))):
         picks = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3))
         a = np.vstack([a, a[picks].sum(axis=0)])
+    a *= _vector(draw, a.shape[0], [-1.0, 1.0])[:, None]
     upper = _vector(draw, nv, [1.0, 2.0, np.inf])
     x_known = _vector(draw, nv, [0.0, 0.5, 1.0])
-    c = _vector(draw, nv, [-2.0, -1.0, 0.0, 1.0])
+    c = _vector(draw, nv, [0.0, 1.0, 2.0])
     lp, start = _slack_form(c, a, a @ x_known, upper)
     return lp, start, _lift(x_known, a, a @ x_known, upper)
 
 
-@settings(max_examples=60, deadline=None)
-@given(lps())
-def test_cold_solve_matches_highs_on_degenerate_and_redundant_lps(problem):
+@settings(max_examples=80, deadline=None)
+@given(lps(), st.data())
+def test_cold_solve_matches_highs_on_degenerate_and_redundant_lps(problem, data):
     (c, a, b), start, _ = problem
-    if _highs(c, a, b).status == 3:
-        with pytest.raises(UnboundedError) as raised:
-            simplex.minimize(c, a, b, start)
-        _assert_certifies_unbounded(raised.value, c, a)
-        return
-    res = simplex.minimize(c, a, b, start)
-    _assert_matches_highs(res, c, a, b)
-    assert res.basis.size == a.shape[0]
+    # lowering right-hand sides below the known point's can leave no
+    # feasible point
+    b = b - _vector(data.draw, b.size, [0.0, 0.0, 0.0, 2.0])
+    _assert_agrees_with_highs(c, a, b, start)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(lps(max_redundant=0), st.data())
 def test_dual_resolve_matches_highs_after_appending_violated_rows(problem, data):
     (c, a, b), slack_start, known = problem
-    try:
-        first = simplex.minimize(c, a, b, slack_start)
-    except UnboundedError:
-        assume(False)
+    first = simplex.minimize(c, a, b, slack_start)
     g = _matrix(data.draw, data.draw(st.integers(1, 3)), c.size, -1, 1)
     # orient each row so the known point lies above the optimum
     g[g @ known < g @ first.x] *= -1.0
