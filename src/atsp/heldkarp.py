@@ -15,20 +15,25 @@ when no cut is violated by more than SEPARATION_TOL.
 
 The master is a function of the cut list, rebuilt by _master each round:
 the degree and balance rows, then one row x(delta_out(U)) - s_U = 1 per
-cut U, in list order, with its own surplus column s_U. The first master,
-with no cut rows, is the assignment LP, the classic ATSP bound
-(Carpaneto, Dell'Amico & Toth, ACM TOMS 21, 1995). _assignment solves it
-by shortest augmenting paths, and one more shortest-path search gives
-n - 1 arcs that join the assignment into a spanning tree; the search's
-duals are feasible and tight on all 2n - 1 arcs. That tree is the start
-basis: primal feasible at the assignment and dual feasible, so the
-simplex starts at the optimum and makes no pivot. Since the rows and
-columns keep their order, the previous master is the leading block of
-the next, and the previous optimal basis plus each new surplus column is
-a basis: the basis matrix is block triangular with -I in the new corner,
-the reduced costs are unchanged (the new rows' duals are 0), and only the
-violated cut rows are infeasible (s_U = x(delta_out(U)) - 1 < 0). The
-dual simplex re-optimizes from there; every master starts dual feasible.
+cut U, in list order, with its own surplus column s_U. The cut-free
+master is the assignment LP, the classic ATSP bound (Carpaneto,
+Dell'Amico & Toth, ACM TOMS 21, 1995). _assignment solves it by shortest
+augmenting paths, and one more shortest-path search gives n - 1 arcs
+that join the assignment into a spanning tree; the search's duals are
+feasible and tight on all 2n - 1 arcs. That tree basis is primal
+feasible at the assignment and dual feasible, so the cut-free master is
+optimal at it, and separating its integral point finds exactly the
+assignment's cycles. So the loop starts where that first round would
+end: with the cycles as its cut list, when there are two or more, and
+the tree basis plus their surplus columns; when the assignment is one
+tour, it starts with no cut, and its first master is optimal at its
+start. Since the rows and columns keep their order, the previous master
+is the leading block of the next, and the previous optimal basis plus
+each new surplus column is a basis: the basis matrix is block triangular
+with -I in the new corner, the reduced costs are unchanged (the new
+rows' duals are 0), and only the violated cut rows are infeasible (s_U =
+x(delta_out(U)) - 1 < 0). The dual simplex re-optimizes from there;
+every master starts dual feasible.
 """
 
 from __future__ import annotations
@@ -169,23 +174,32 @@ def _assignment(c: np.ndarray) -> tuple[list[int], list[tuple[int, int]], list[f
     return succ, tree, u, v
 
 
-def _tour_basis(c: np.ndarray) -> np.ndarray:
-    """The sorted basic columns of an optimal basis of the first master:
-    the optimal assignment's n arcs, basic at 1, and the n - 1 tree arcs
-    of _assignment, basic at 0.
+def _start(c: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The cutting-plane loop's start: its cut list, the cycles of the
+    optimal assignment when there are two or more, else none, and the
+    sorted basic columns of an optimal basis of the cut-free master, the
+    assignment's n arcs, basic at 1, and the n - 1 tree arcs of
+    _assignment, basic at 0, followed by one surplus column per cut.
 
     A spanning tree of the bipartite out-vertex/in-vertex graph is a
     nonsingular basis of the degree and balance rows, and its point is the
-    assignment, so the basis is primal feasible. Its duals are those of
-    _assignment, as every basic arc is tight under them, and they leave
-    no reduced cost below 0, so it is dual feasible too: the simplex
-    starts at the optimum.
+    assignment, so the tree basis is primal feasible. Its duals are those
+    of _assignment, as every basic arc is tight under them, and they leave
+    no reduced cost below 0, so it is dual feasible too: the cut-free
+    master is optimal at its start. Separating that integral point finds
+    exactly the assignment's cycles, in the order of their smallest
+    vertex, each with out-weight 0, so the cycles are the cuts the first
+    round would add, and the tree basis plus their surplus columns is the
+    basis it would hand to the second.
     """
     n = c.shape[0]
     succ, tree, _, _ = _assignment(c)
+    cycles = components(n, enumerate(succ))
+    cuts = [tuple(cycle) for cycle in cycles] if len(cycles) > 1 else []
     arcs = [*enumerate(succ), *tree]
     # column of arc (t, h) in the row-major order of the off-diagonal arcs
-    return np.sort([t * (n - 1) + h - (h > t) for t, h in arcs])
+    basic = np.sort([t * (n - 1) + h - (h > t) for t, h in arcs])
+    return cuts, np.concatenate([basic, n * (n - 1) + np.arange(len(cuts))])
 
 
 def separate(n: int, arcs: Mapping[tuple[int, int], float]) -> list[CutRecord]:
@@ -256,16 +270,17 @@ def solve_lp(m: CostMatrix) -> FractionalCirculation:
     """Solve the subtour relaxation by cutting planes; the point keeps the
     arcs above SUPPORT_EPS, the ones to_text writes.
 
-    The master objective is non-decreasing over the rounds, as cuts
-    accumulate. Raises IterationLimitError if the loop exceeds 50 rounds
-    per vertex, or if a round's violated cuts are all in the master
-    already (a numerical stall). A master the simplex cannot solve raises
-    its typed error, with its certificate.
+    The loop starts from _start: the assignment's cycles as cuts, unless
+    it is one tour, and an optimal basis of the cut-free master plus their
+    surplus columns. The master objective is non-decreasing over the
+    rounds, as cuts accumulate. Raises IterationLimitError if the loop
+    exceeds 50 rounds per vertex, or if a round's violated cuts are all in
+    the master already (a numerical stall). A master the simplex cannot
+    solve raises its typed error, with its certificate.
     """
     n = m.n
     tails, heads = np.nonzero(~np.eye(n, dtype=bool))
-    cuts: list[tuple[int, ...]] = []
-    basis = _tour_basis(m.c)
+    cuts, basis = _start(m.c)
     for _ in range(ROUNDS_PER_VERTEX * n):
         a, b, cost = _master(m.c, tails, heads, cuts)
         result = simplex.minimize(cost, a, b, basis)

@@ -7,14 +7,16 @@ reduced cost below -tol, where tol is _REDUCED_TOL times the largest
 |cost|, or _REDUCED_TOL when that is below 1, so that scaling the costs
 scales the test with them. A dual feasible basis bounds the
 objective below, so the LP is never unbounded. The dual simplex then
-pivots until every basic value is >= 0. In a cutting-plane loop, the
-first master starts from a basis that is optimal already, and every
-later master from the previous optimal basis plus the surplus column of
-each appended cut row: the old reduced costs are unchanged, so that
-basis is dual feasible, and it is primal infeasible on the violated cut
-rows only. An LP in slack form, [A | I](x, s) = s0 with c >= 0, starts
-from its slack basis; a box x_j <= u_j is the row x_j + t_j = u_j with
-its own slack t_j.
+pivots until every basic value is >= 0. In a cutting-plane loop, every
+master starts from an optimal basis of a smaller master plus the surplus
+column of each cut row appended since: the old reduced costs are
+unchanged, so that basis is dual feasible, and it is primal infeasible
+on the violated cut rows only. The first call's smaller master is the
+cut-free assignment LP, whose optimal basis the caller builds, and its
+cut rows, if any, are the assignment's cycles; when there are none, that
+first call starts at its optimum. An LP in slack form, [A | I](x, s) =
+s0 with c >= 0, starts from its slack basis; a box x_j <= u_j is the row
+x_j + t_j = u_j with its own slack t_j.
 
 The loop picks the most negative basic value (Dantzig's rule). After a
 streak of degenerate pivots it uses Bland's lowest-index rule until the
@@ -140,35 +142,39 @@ class _Tableau:
         while True:
             self.count_iteration()
             xb = self.basic_values()
-            rows = np.nonzero(xb < -_FEASIBLE_TOL)[0]
-            if rows.size == 0:
+            # Dantzig's row: the most negative basic value, ties to the
+            # lowest row, as argmin takes the first of equal minima
+            pos = int(xb.argmin())
+            if xb[pos] >= -_FEASIBLE_TOL:
                 break
             bland = streak > _DEGENERATE_STREAK
             if bland:
+                rows = np.flatnonzero(xb < -_FEASIBLE_TOL)
                 pos = int(rows[np.argmin(self.basis[rows])])
-            else:
-                pos = int(rows[np.argmax(-xb[rows])])
             # a nonbasic column rising from zero moves x_B[pos] by -alpha
             # per unit, so only a negative alpha raises it
             alpha = self.binv[pos] @ self.a
-            candidates = np.nonzero(~self.basic & (-alpha > _PIVOT_TOL))[0]
+            candidates = np.flatnonzero((alpha < -_PIVOT_TOL) & ~self.basic)
             if candidates.size == 0:
                 # row pos reads x_B[pos] + alpha @ x_N = y @ b < 0 for
                 # y = B^-1[pos], and no column x >= 0 makes its left side
                 # negative
                 raise InfeasibleError(
                     f"row {pos} cannot be repaired: basic column "
-                    f"{self.basis[pos]} is at {xb[pos]!r} < 0",
+                    f"{int(self.basis[pos])} is at {float(xb[pos])!r} < 0",
                     certificate=self.binv[pos].copy(),
                 )
             ratios = np.maximum(reduced[candidates], 0.0) / -alpha[candidates]
             step = float(ratios.min())
-            ties = candidates[ratios <= step + _STEP_TOL]
+            ties = ratios <= step + _STEP_TOL
             if bland:
-                enter = int(ties[0])
+                # the first tie: argmax takes the first True
+                enter = int(candidates[ties.argmax()])
             else:
-                # argmax takes the lowest index among equal magnitudes
-                enter = int(ties[np.argmax(np.abs(alpha[ties]))])
+                # argmax takes the lowest index among equal magnitudes,
+                # and every tie's |alpha| exceeds the -1 of the others
+                widest = np.where(ties, np.abs(alpha[candidates]), -1.0)
+                enter = int(candidates[widest.argmax()])
             # the reduced costs change by a multiple of the pivot row, which
             # zeroes the entering one; they are priced afresh whenever the
             # inverse is refactorized, so drift stays bounded

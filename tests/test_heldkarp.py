@@ -102,7 +102,7 @@ def test_solution_has_no_violated_cut_exhaustively(kind, lp_cache):
 
 
 def test_master_objective_is_monotone_in_cut_rounds(master_objectives):
-    heldkarp.solve_lp(instance.generate("cycle-heavy", 10, 7))
+    heldkarp.solve_lp(instance.generate("euclidean-perturbed", 15, 2))
     assert len(master_objectives) >= 2
     for a, b in zip(master_objectives, master_objectives[1:]):
         assert b >= a - 1e-9
@@ -367,6 +367,58 @@ def test_warm_started_rounds_match_highs(kind, n, master_objectives):
         assert b >= a - 1e-9
 
 
+def highs_networkx_objective(c: np.ndarray) -> float:
+    """Independent reference past the reach of subset enumeration: HiGHS
+    on the out- and in-degree equalities, adding the cut of every minimum
+    cut below 1 that networkx finds from vertex 0 to each other vertex and
+    back, until a round finds no cut it has not added before."""
+    import networkx as nx
+    from scipy.optimize import linprog
+
+    n = c.shape[0]
+    tails, heads = np.nonzero(~np.eye(n, dtype=bool))
+    a_eq = np.zeros((2 * n, tails.size))
+    a_eq[tails, np.arange(tails.size)] = 1.0
+    a_eq[n + heads, np.arange(tails.size)] = 1.0
+    added: set[frozenset[int]] = set()
+    cut_rows: list[np.ndarray] = []
+    while True:
+        res = linprog(
+            c[tails, heads],
+            A_ub=np.array(cut_rows) if cut_rows else None,
+            b_ub=-np.ones(len(cut_rows)) if cut_rows else None,
+            A_eq=a_eq, b_eq=np.ones(2 * n), bounds=(0.0, 1.0), method="highs",
+        )
+        assert res.status == 0
+        graph = nx.DiGraph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from(
+            (int(t), int(h), {"capacity": float(x)})
+            for t, h, x in zip(tails, heads, res.x) if x > 0.0
+        )
+        new = set()
+        for t in range(1, n):
+            for source, sink in ((0, t), (t, 0)):
+                value, (side, _) = nx.minimum_cut(graph, source, sink)
+                if value < 1.0 - 1e-9 and frozenset(side) not in added:
+                    new.add(frozenset(side))
+        if not new:
+            return float(res.fun)
+        for side in new:
+            inside = np.isin(np.arange(n), list(side))
+            cut_rows.append(-(inside[tails] & ~inside[heads]).astype(float))
+        added |= new
+
+
+@pytest.mark.parametrize("n", [20, 40])
+@pytest.mark.parametrize("kind", instance.KINDS)
+def test_lp_objective_matches_highs_with_networkx_cuts(kind, n):
+    m = instance.generate(kind, n, 1)
+    assert heldkarp.solve_lp(m).objective == pytest.approx(
+        highs_networkx_objective(m.c), rel=1e-9
+    )
+
+
 # ---------------------------------------------------------------- crash basis
 
 
@@ -463,41 +515,105 @@ def test_assignment_of_tied_small_costs_is_optimal(raw):
     check_assignment(raw.astype(np.float64))
 
 
+def tree_basis(c: np.ndarray) -> np.ndarray:
+    """The arc columns of _start's basis: the cut-free master's tree basis,
+    as the surplus columns of the seeded cuts come after every arc."""
+    n = c.shape[0]
+    return heldkarp._start(c)[1][: 2 * n - 1]
+
+
 @pytest.mark.parametrize("case", sorted(CRASH_CASES))
 def test_tour_basis_is_a_nonsingular_basis_at_the_greedy_tour(case):
-    # the start basis: nonsingular, at the optimal assignment's point, and
-    # dual feasible
+    # the start basis of the seeded master: nonsingular, at the optimal
+    # assignment's point, each cycle's surplus at -1, and dual feasible
     m = CRASH_CASES[case]()
     n = m.n
     tails, heads = np.nonzero(~np.eye(n, dtype=bool))
-    basic = heldkarp._tour_basis(m.c)
+    cuts, basic = heldkarp._start(m.c)
+    k = len(cuts)
     assert basic.tolist() == sorted(set(basic.tolist()))
-    assert basic.size == 2 * n - 1 and 0 <= basic[0] and basic[-1] < tails.size
-    a, b, cost = heldkarp._master(m.c, tails, heads, [])
+    assert basic.size == 2 * n - 1 + k and 0 <= basic[0]
+    assert basic[2 * n - 2] < tails.size
+    assert basic[2 * n - 1 :].tolist() == list(range(tails.size, tails.size + k))
+    a, b, cost = heldkarp._master(m.c, tails, heads, cuts)
     square = a[:, basic]
-    assert np.linalg.matrix_rank(square) == 2 * n - 1
-    x = np.zeros(tails.size)
+    assert np.linalg.matrix_rank(square) == 2 * n - 1 + k
+    x = np.zeros(a.shape[1])
     x[basic] = np.linalg.solve(square, b)
     succ = heldkarp._assignment(m.c)[0]
     point = np.zeros((n, n))
     point[np.arange(n), succ] = 1.0
-    assert np.array_equal(x, point[tails, heads])
+    assert np.array_equal(x[: tails.size], point[tails, heads])
+    assert np.array_equal(x[tails.size :], -np.ones(k))
     assert cost @ x == pytest.approx(barred_assignment_cost(m.c), rel=1e-12)
-    # the basis's own duals, B^T y = c_B, price every arc >= 0
+    # the basis's own duals, B^T y = c_B, price every column >= 0
     y = np.linalg.solve(square.T, cost[basic])
     assert (cost - y @ a).min() >= -1e-9
 
 
 @pytest.mark.parametrize("case", sorted(ASSIGNMENT_CASES))
 def test_first_master_starts_at_its_optimum(case):
-    # one iteration is the pricing that finds every basic value >= 0:
-    # the simplex makes no pivot
+    # the cut-free master from the tree basis: one iteration is the
+    # pricing that finds every basic value >= 0, so the simplex makes no
+    # pivot
     m = ASSIGNMENT_CASES[case]()
     tails, heads = np.nonzero(~np.eye(m.n, dtype=bool))
     a, b, cost = heldkarp._master(m.c, tails, heads, [])
-    result = simplex.minimize(cost, a, b, heldkarp._tour_basis(m.c))
+    result = simplex.minimize(cost, a, b, tree_basis(m.c))
     assert result.iterations == 1
     assert result.objective == pytest.approx(barred_assignment_cost(m.c), rel=1e-12)
+
+
+SEED_CASES = {
+    **{f"{kind}-{n}-{seed}": (lambda kind=kind, n=n, seed=seed: instance.generate(kind, n, seed))
+       for kind in instance.KINDS for n in (3, 4, 10, 15, 20, 60) for seed in (1, 2)},
+    **EDGE_CASES,
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEED_CASES))
+def test_seeded_cuts_are_the_first_rounds_cuts(case):
+    # what the first round would do from an empty cut list: solve the
+    # cut-free master from the tree basis and separate its point; the
+    # seeded cut list is its cuts, in order, and the seeded basis its
+    # basis plus their surplus columns
+    m = SEED_CASES[case]()
+    n = m.n
+    tails, heads = np.nonzero(~np.eye(n, dtype=bool))
+    a, b, cost = heldkarp._master(m.c, tails, heads, [])
+    result = simplex.minimize(cost, a, b, tree_basis(m.c))
+    positive = np.flatnonzero(result.x > 0.0)
+    arcs = dict(zip(zip(tails[positive].tolist(), heads[positive].tolist()),
+                    result.x[positive].tolist()))
+    found = [cut.members for cut in heldkarp.separate(n, arcs)]
+    cuts, basis = heldkarp._start(m.c)
+    assert cuts == found
+    assert np.array_equal(basis, np.concatenate([result.basis, tails.size + np.arange(len(cuts))]))
+    # the seed is empty exactly when the assignment is one tour
+    succ = heldkarp._assignment(m.c)[0]
+    v, length = succ[0], 1
+    while v != 0:
+        v, length = succ[v], length + 1
+    assert (cuts == []) == (length == n)
+
+
+PARITY_CASES = [
+    (kind, n, seed) for kind in instance.KINDS for n in (10, 15, 20) for seed in (1, 2, 3, 4)
+] + [(kind, n, 1) for kind in instance.KINDS for n in (60, 100)]
+
+
+@pytest.mark.parametrize("kind,n,seed", PARITY_CASES)
+def test_seeded_solve_equals_the_unseeded_solve(kind, n, seed, monkeypatch, master_objectives):
+    # the seed skips the cut-free master and nothing else: the same LP
+    # text, and one master fewer when the assignment has two or more cycles
+    m = instance.generate(kind, n, seed)
+    seeded = heldkarp.to_text(heldkarp.solve_lp(m))
+    seeded_masters = len(master_objectives)
+    cuts, basis = heldkarp._start(m.c)
+    monkeypatch.setattr(heldkarp, "_start", lambda c: ([], basis[: 2 * n - 1]))
+    master_objectives.clear()
+    assert heldkarp.to_text(heldkarp.solve_lp(m)) == seeded
+    assert len(master_objectives) == seeded_masters + bool(cuts)
 
 
 @settings(max_examples=60, deadline=None)

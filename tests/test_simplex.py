@@ -113,6 +113,8 @@ def test_infeasible_detected():
     with pytest.raises(InfeasibleError) as raised:
         simplex.minimize(np.zeros(4), a, b, np.array([0, 2, 3]))
     _assert_certifies_infeasible(raised.value.certificate, a, b)
+    # plain Python numbers, not numpy scalar reprs, in the message
+    assert "basic column 3 is at -3.0 < 0" in str(raised.value)
 
 
 def test_degenerate_problem_terminates():
