@@ -120,7 +120,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not k_constants:
         raise ValueError("need at least one scaling constant")
     for k_constant in k_constants:
-        rounding.scale_k(m.n, rounding.RoundingConfig(k_constant=k_constant))
+        rounding.scale_k(m.n, rounding.RoundingConfig(k_constant=k_constant, seed=args.seed))
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     x = heldkarp.solve_lp(m)

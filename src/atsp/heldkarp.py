@@ -49,7 +49,7 @@ from . import simplex
 from .cuts import CutRecord, cut_record
 from .errors import IterationLimitError
 from .flows import components, max_flow, require_balanced, residual_network
-from .instance import CostMatrix, content_lines
+from .instance import CostMatrix
 
 BALANCE_TOL = 1e-7
 SEPARATION_TOL = 1e-6
@@ -315,15 +315,3 @@ def to_text(x: FractionalCirculation) -> str:
         if value > SUPPORT_EPS:
             lines.append(f"{v} {w} {value!r}")
     return "\n".join(lines) + "\n"
-
-
-def from_text(text: str) -> FractionalCirculation:
-    lines = content_lines(text)
-    if not lines:
-        raise ValueError("empty circulation text")
-    n, objective = lines[0].split()
-    arcs: dict[tuple[int, int], float] = {}
-    for ln in lines[1:]:
-        v, w, value = ln.split()
-        arcs[(int(v), int(w))] = float(value)
-    return FractionalCirculation(int(n), arcs, float(objective))

@@ -44,6 +44,8 @@ class RoundingConfig:
             raise ValueError("k_constant must be positive and finite")
         if self.max_retries < 1:
             raise ValueError("max_retries must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def scale_k(n: int, cfg: RoundingConfig) -> int:

@@ -121,12 +121,15 @@ def test_a_bad_scaling_constant_exits_3(argv, inst10, capsys):
 
 
 # each case is (argv, the expected error message); a bad trial count is
-# checked before the LP too
+# checked before the LP too, and so is a negative seed
 @pytest.mark.parametrize("argv", [
     (["solve", "{inst}", "--k-const", "5e18"], "int64"),
     (["verify", "{inst}", "--k-const", "5e18"], "int64"),
     (["sweep", "{inst}", "--k-consts", "1,5e18", "--trials", "2"], "int64"),
     (["sweep", "{inst}", "--trials", "0"], "--trials must be at least 1, got 0"),
+    (["solve", "{inst}", "--seed", "-1"], "seed must be non-negative, got -1"),
+    (["verify", "{inst}", "--seed", "-1"], "seed must be non-negative, got -1"),
+    (["sweep", "{inst}", "--seed", "-1"], "seed must be non-negative, got -1"),
 ])
 def test_a_scaling_constant_is_checked_before_the_lp(argv, inst10, monkeypatch, capsys):
     def unreachable(m):

@@ -150,7 +150,11 @@ def _random_slack_lp(rng):
     return _slack_form(np.abs(rng.normal(size=nv)), rng.normal(size=(m, nv)), s0, upper)
 
 
-def test_agrees_with_scipy_on_random_lps():
+@pytest.mark.parametrize("refresh_every", [simplex._REFRESH_EVERY, 1])
+def test_agrees_with_scipy_on_random_lps(refresh_every, monkeypatch):
+    # refresh_every 1 recomputes the inverse and the reduced costs at
+    # every pivot, a path the default takes only after 100 pivots
+    monkeypatch.setattr(simplex, "_REFRESH_EVERY", refresh_every)
     rng = np.random.default_rng(0)
     outcomes = {"optimal": 0, "infeasible": 0}
     for trial in range(120):
@@ -282,15 +286,15 @@ def test_exit_pricing_catches_reduced_costs_gone_wrong(monkeypatch):
     # the loop's first pricing is corrupted to hide x0's reduced cost of -2
     # at the start x2 = 1, which is feasible, so the loop makes no pivot;
     # only the fresh pricing at exit sees that the basis is not optimal
-    priced = simplex._Tableau.reduced_costs
+    priced = simplex._reduced_costs
     calls = []
 
-    def corrupted(tab, cost):
+    def corrupted(cost, *state):
         calls.append(cost)
-        reduced = priced(tab, cost)
+        reduced = priced(cost, *state)
         return np.abs(reduced) if len(calls) == 1 else reduced
 
-    monkeypatch.setattr(simplex._Tableau, "reduced_costs", corrupted)
+    monkeypatch.setattr(simplex, "_reduced_costs", corrupted)
     with pytest.raises(SlacknessError) as raised:
         simplex.minimize(
             np.array([1.0, 2.0, 3.0]), np.ones((1, 3)), np.ones(1), start=np.array([2])
