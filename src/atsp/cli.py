@@ -13,8 +13,9 @@ output.
 Exit codes follow the error type: 0 success, 2 any other failure of the
 algorithm (an ``AtspError``: retries exhausted, a solver cap, a singular
 basis, an unbalanced point), 3 input error (a bad or unreadable file, a
-bad value, a usage error), 4 size limit exceeded for a requested oracle
-(``TooLargeError``), 5 a check of ``verify`` failed.
+bad value, a usage error), 4 size limit exceeded: for a requested oracle
+(``TooLargeError``), or memory (``MemoryError``, as from a dense LP
+master at large n), 5 a check of ``verify`` failed.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ VERIFY_ENUMERATION_LIMIT = 14
 
 def exit_code(exc: Exception) -> int:
     """The exit code for an error that ends a command."""
-    if isinstance(exc, TooLargeError):
+    if isinstance(exc, (TooLargeError, MemoryError)):
         return EXIT_TOO_LARGE
     if isinstance(exc, AtspError):
         return EXIT_ALGORITHMIC
@@ -250,8 +251,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (AtspError, OSError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except (AtspError, OSError, ValueError, MemoryError) as exc:
+        sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return exit_code(exc)
 
 

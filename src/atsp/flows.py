@@ -27,7 +27,7 @@ from .errors import (
     NotBalancedError,
     SlacknessError,
 )
-from .instance import CostMatrix, content_lines
+from .instance import CostMatrix
 
 _EPS = 1e-12
 # imbalance symmetrize accepts: LP points meet their balance rows to rounding
@@ -534,17 +534,3 @@ def to_text(g: IntegerMultiDigraph) -> str:
     lines = [f"{g.n} {len(arcs)}"]
     lines.extend(f"{v} {w} {k}" for v, w, k in arcs)
     return "\n".join(lines) + "\n"
-
-
-def from_text(text: str) -> IntegerMultiDigraph:
-    lines = content_lines(text)
-    if not lines:
-        raise ValueError("empty multigraph text")
-    n, m = (int(tok) for tok in lines[0].split())
-    if len(lines) != m + 1:
-        raise ValueError(f"expected {m} arcs, found {len(lines) - 1}")
-    mult: dict[tuple[int, int], int] = {}
-    for ln in lines[1:]:
-        v, w, k = (int(tok) for tok in ln.split())
-        mult[(v, w)] = mult.get((v, w), 0) + k
-    return IntegerMultiDigraph(n, mult)

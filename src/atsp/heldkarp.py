@@ -34,6 +34,19 @@ with -I in the new corner, the reduced costs are unchanged (the new
 rows' duals are 0), and only the violated cut rows are infeasible (s_U =
 x(delta_out(U)) - 1 < 0). The dual simplex re-optimizes from there;
 every master starts dual feasible.
+
+One basis inverse serves the whole loop. With the new cut rows C on the
+old basic columns, [[B, 0], [C, -I]] has the inverse [[B^-1, 0], [C B^-1,
+-I]], so each master's start inverse comes from the last master's final
+one, and the simplex refactorizes only where its residual check fails.
+The one inversion is of _start's basis, and its inverse is integral:
+adding each out-degree row to its vertex's balance row, an integral
+operation with an integral inverse, turns the degree and balance rows
+into the incidence matrix of the bipartite out-vertex/in-vertex graph
+with vertex 0's in-row dropped. That matrix is totally unimodular, so the
+tree basis has an integral inverse, and the seeded cut rows extend it by
+the formula above with integral C. Rounding LAPACK's inverse to integers
+makes it exact.
 """
 
 from __future__ import annotations
@@ -272,7 +285,8 @@ def solve_lp(m: CostMatrix) -> FractionalCirculation:
 
     The loop starts from _start: the assignment's cycles as cuts, unless
     it is one tour, and an optimal basis of the cut-free master plus their
-    surplus columns. The master objective is non-decreasing over the
+    surplus columns, with its basis inverse computed once and carried
+    across rounds. The master objective is non-decreasing over the
     rounds, as cuts accumulate. Raises IterationLimitError if the loop
     exceeds 50 rounds per vertex, or if a round's violated cuts are all in
     the master already (a numerical stall). A master the simplex cannot
@@ -281,9 +295,11 @@ def solve_lp(m: CostMatrix) -> FractionalCirculation:
     n = m.n
     tails, heads = np.nonzero(~np.eye(n, dtype=bool))
     cuts, basis = _start(m.c)
+    a, b, cost = _master(m.c, tails, heads, cuts)
+    # the start's inverse is integral (module docstring), so rint is exact
+    binv = np.rint(np.linalg.inv(a[:, basis]))
     for _ in range(ROUNDS_PER_VERTEX * n):
-        a, b, cost = _master(m.c, tails, heads, cuts)
-        result = simplex.minimize(cost, a, b, basis)
+        result = simplex.minimize(cost, a, b, basis, binv)
         positive = np.flatnonzero(result.x[: tails.size] > 0.0)
         arcs = dict(zip(
             zip(tails[positive].tolist(), heads[positive].tolist()),
@@ -299,9 +315,14 @@ def solve_lp(m: CostMatrix) -> FractionalCirculation:
                 f"every violated cut is pooled already, the most violated "
                 f"{violated[0].members}; numerical stall"
             )
-        # the next master starts with the new surplus columns basic
-        basis = np.concatenate([result.basis, a.shape[1] + np.arange(len(new))])
+        # the next master starts with the new surplus columns basic, and
+        # its basis inverse is [[B^-1, 0], [C B^-1, -I]] (module docstring)
+        rows, k = b.size, len(new)
+        basis = np.concatenate([result.basis, a.shape[1] + np.arange(k)])
         cuts += new
+        a, b, cost = _master(m.c, tails, heads, cuts)
+        binv = np.block([[result.binv, np.zeros((rows, k))],
+                         [a[rows:, result.basis] @ result.binv, -np.eye(k)]])
     raise IterationLimitError(
         f"cutting-plane loop exceeded {ROUNDS_PER_VERTEX * n} rounds"
     )

@@ -203,16 +203,10 @@ def to_text(m: CostMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def content_lines(text: str) -> list[str]:
-    """The stripped lines of a plain-text file, without blank lines and
-    ``#`` comment lines; every text format of this package reads these."""
-    lines = (ln.strip() for ln in text.splitlines())
-    return [ln for ln in lines if ln and not ln.startswith("#")]
-
-
 def from_text(text: str) -> CostMatrix:
-    """Parse the plain-text format; lines starting with ``#`` are skipped."""
-    lines = content_lines(text)
+    """Parse the plain-text format; blank lines and lines starting with
+    ``#`` are skipped."""
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty instance text")
     try:

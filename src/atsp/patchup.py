@@ -21,7 +21,7 @@ from .errors import (
     ShortcutCostError,
 )
 from .flows import IntegerMultiDigraph, euler_circuit, min_cost_flow
-from .instance import CostMatrix, content_lines
+from .instance import CostMatrix
 
 
 @dataclass(frozen=True)
@@ -207,14 +207,3 @@ def tour_to_text(tour: Tour) -> str:
     """Line 1 ``n cost``; line 2 the visiting order starting at vertex 0."""
     order = " ".join(str(v) for v in tour.order)
     return f"{len(tour.order)} {tour.cost!r}\n{order}\n"
-
-
-def tour_from_text(text: str) -> tuple[tuple[int, ...], float]:
-    lines = content_lines(text)
-    if len(lines) < 2:
-        raise ValueError("tour text needs a header and an order line")
-    n, cost = lines[0].split()
-    order = tuple(int(tok) for tok in lines[1].split())
-    if len(order) != int(n):
-        raise ValueError(f"expected {n} vertices, found {len(order)}")
-    return order, float(cost)

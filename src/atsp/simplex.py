@@ -14,9 +14,14 @@ The loop pivots until every basic value is >= 0. It picks the most
 negative basic value (Dantzig's rule). After a streak of degenerate
 pivots it uses Bland's lowest-index rule until the next nondegenerate
 pivot, which rules out cycling while letting Dantzig pricing resume. The
-basis inverse and the reduced costs are kept by rank-one pivot updates
-and recomputed every _REFRESH_EVERY pivots to bound numerical drift. At
-exit the last basis is priced afresh: that check proves it optimal.
+caller hands in the inverse of the start basis, and the loop keeps it and
+the reduced costs by rank-one pivot updates. Drift is checked, not
+scheduled: once every basic value is >= 0, the residual |B x_B - b| must
+be at most _FEASIBLE_TOL times the largest |b| (or _FEASIBLE_TOL when
+that is below 1), else the basis is refactorized and the loop goes on;
+it never refactorizes twice without a pivot between. The solve returns
+its last inverse, so a caller can carry it to the next LP. At exit the
+last basis is priced afresh: that check proves it optimal.
 
 A solve returns an optimum or raises InfeasibleError (row multipliers),
 SlacknessError (a column the exit check prices below -tol) or,
@@ -39,20 +44,21 @@ _FEASIBLE_TOL = 1e-9
 _PIVOT_TOL = 1e-10
 _STEP_TOL = 1e-10
 _DEGENERATE_STREAK = 30
-_REFRESH_EVERY = 100
 
 
 @dataclass(frozen=True)
 class SimplexResult:
-    """An optimum x, its objective, the iterations taken, and the basis:
-    the basic column of each row. ``iterations`` counts one per basis
-    change plus the final pass that finds every basic value >= 0, so a
-    solve changes its basis ``iterations - 1`` times."""
+    """An optimum x, its objective, the iterations taken, the basis (the
+    basic column of each row) and its inverse. ``iterations`` counts one
+    per basis change, one per refactorization, and the final pass that
+    finds every basic value >= 0, so a solve that does not refactorize
+    changes its basis ``iterations - 1`` times."""
 
     x: np.ndarray
     objective: float
     iterations: int
     basis: np.ndarray
+    binv: np.ndarray
 
 
 def _inverse(a: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -69,14 +75,15 @@ def _reduced_costs(cost: np.ndarray, a: np.ndarray, basis: np.ndarray, binv: np.
     return cost - (cost[basis] @ binv) @ a
 
 
-def minimize(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, start: np.ndarray) -> SimplexResult:
+def minimize(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, start: np.ndarray,
+             binv: np.ndarray) -> SimplexResult:
     """Minimize c @ x subject to a_eq @ x = b_eq and x >= 0.
 
     ``start`` is a full basis of this LP, the basic column of each row,
     and must be dual feasible within the module docstring's tol, else
-    ValueError. Raises the typed errors the module docstring names, and
-    SingularBasisError when a basis matrix, the start's included, cannot
-    be inverted.
+    ValueError; ``binv`` is the inverse of its basis matrix. Raises the
+    typed errors the module docstring names, and SingularBasisError when
+    a failed residual check finds a basis that cannot be inverted.
     """
     c = np.asarray(c, dtype=np.float64)
     a = np.asarray(a_eq, dtype=np.float64)
@@ -88,7 +95,7 @@ def minimize(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, start: np.ndarra
     basis = start.astype(np.intp)
     basic = np.zeros(nv, dtype=bool)
     basic[basis] = True
-    binv = _inverse(a, basis)
+    binv = np.array(binv, dtype=np.float64)
     tol = _REDUCED_TOL * max(1.0, float(np.abs(c).max(initial=0.0)))
     reduced = _reduced_costs(c, a, basis, binv)
     # the nonbasic column of least reduced cost, ties to the lowest; a
@@ -99,14 +106,19 @@ def minimize(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, start: np.ndarra
             f"start basis is not dual feasible: column {worst} has "
             f"reduced cost {float(reduced[worst])!r}"
         )
-    streak = 0
+    streak, fresh = 0, False
+    residual_tol = _FEASIBLE_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
     for iterations in range(1, MAX_ITERATIONS + 1):
         xb = binv @ b
         # Dantzig's row: the most negative basic value, ties to the
         # lowest row, as argmin takes the first of equal minima
         pos = int(xb.argmin())
         if xb[pos] >= -_FEASIBLE_TOL:
-            break
+            if fresh or np.abs(a[:, basis] @ xb - b).max() <= residual_tol:
+                break
+            binv, fresh = _inverse(a, basis), True
+            reduced = _reduced_costs(c, a, basis, binv)
+            continue
         bland = streak > _DEGENERATE_STREAK
         if bland:
             rows = np.flatnonzero(xb < -_FEASIBLE_TOL)
@@ -138,18 +150,14 @@ def minimize(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, start: np.ndarra
         basic[basis[pos]] = False
         basis[pos] = enter
         basic[enter] = True
-        if iterations % _REFRESH_EVERY:
-            # d = B^-1 times the entering column; the reduced costs change
-            # by the multiple of the pivot row that zeroes the entering one
-            d = binv @ a[:, enter]
-            row = binv[pos] / d[pos]
-            binv -= np.outer(d, row)
-            binv[pos] = row
-            reduced -= reduced[enter] / alpha[enter] * alpha
-        else:
-            binv = _inverse(a, basis)
-            reduced = _reduced_costs(c, a, basis, binv)
-        streak = streak + 1 if step <= _STEP_TOL else 0
+        # d = B^-1 times the entering column; the reduced costs change by
+        # the multiple of the pivot row that zeroes the entering one
+        d = binv @ a[:, enter]
+        row = binv[pos] / d[pos]
+        binv -= np.outer(d, row)
+        binv[pos] = row
+        reduced -= reduced[enter] / alpha[enter] * alpha
+        streak, fresh = streak + 1 if step <= _STEP_TOL else 0, False
     else:
         raise IterationLimitError(f"simplex stopped after {MAX_ITERATIONS} iterations")
     # the loop keeps its reduced costs by updates; only a fresh pricing
@@ -165,4 +173,4 @@ def minimize(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, start: np.ndarra
         )
     x = np.zeros(nv)
     x[basis] = xb
-    return SimplexResult(x, float(c @ x), iterations, basis)
+    return SimplexResult(x, float(c @ x), iterations, basis, binv)

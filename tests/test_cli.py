@@ -36,9 +36,10 @@ def test_solve_all_ones(ones3, tmp_path, capsys):
     out = tmp_path / "tour.txt"
     rc = cli.main(["solve", ones3, "--out", str(out)])
     assert rc == 0
-    order, cost = patchup.tour_from_text(out.read_text())
-    assert cost == pytest.approx(3.0)
-    assert sorted(order) == [0, 1, 2]
+    comment, header, order = out.read_text().splitlines()
+    assert comment.startswith("# atsp v")
+    assert header == f"3 {3.0!r}"
+    assert sorted(map(int, order.split())) == [0, 1, 2]
     report = (tmp_path / "tour.txt.report").read_text()
     assert "tourCost=3.0" in report
     assert report.startswith("# atsp v")
@@ -60,10 +61,17 @@ def test_solve_dump_writes_intermediate_graphs(ones3, tmp_path):
     prefix = tmp_path / "dump"
     rc = cli.main(["solve", ones3, "--dump", str(prefix)])
     assert rc == 0
-    z = flows.from_text((tmp_path / "dump.z.txt").read_text())
-    w = flows.from_text((tmp_path / "dump.w.txt").read_text())
-    zw = flows.from_text((tmp_path / "dump.zw.txt").read_text())
+    z, w, zw = (multigraph((tmp_path / f"dump.{g}.txt").read_text()) for g in ("z", "w", "zw"))
     assert (z + w).mult == zw.mult
+
+
+def multigraph(text: str) -> flows.IntegerMultiDigraph:
+    """A dump: a comment line, the header n m, then m lines v w mult."""
+    comment, header, *lines = text.splitlines()
+    assert comment.startswith("# atsp v")
+    n, m = map(int, header.split())
+    assert m == len(lines)
+    return flows.IntegerMultiDigraph(n, {(v, w): k for v, w, k in (map(int, ln.split()) for ln in lines)})
 
 
 @pytest.mark.parametrize("argv", [
@@ -471,6 +479,24 @@ def test_an_algorithmic_error_in_the_lp_exits_2(command, error, inst10, monkeypa
     assert captured.err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize("command", ["lp", "solve", "verify", "sweep"])
+@pytest.mark.parametrize("error", [
+    MemoryError("Unable to allocate 5.5 GiB for an array with shape (1399, 489300)"),
+    MemoryError(),
+])
+def test_a_master_too_large_for_memory_exits_4(command, error, inst10, monkeypatch, capsys):
+    # one dense master takes (2n - 1 + k) n (n - 1) 8 bytes, 5.5 GB at
+    # n = 700; the build fails here without allocating
+    def failing(*args):
+        raise error
+
+    monkeypatch.setattr(heldkarp, "_master", failing)
+    assert cli.main([command, inst10]) == cli.EXIT_TOO_LARGE == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {str(error) or 'MemoryError'}\n"
+
+
 def test_exit_code_follows_the_error_type():
     # every AtspError is a failure of the algorithm, except the size gate
     atsp_errors = [
@@ -483,6 +509,7 @@ def test_exit_code_follows_the_error_type():
         assert cli.exit_code(cls.__new__(cls)) == expected, cls
     for exc in (OSError(), FileNotFoundError(), ValueError()):
         assert cli.exit_code(exc) == cli.EXIT_INPUT == 3
+    assert cli.exit_code(MemoryError()) == cli.EXIT_TOO_LARGE
 
 
 @pytest.mark.parametrize("argv", [

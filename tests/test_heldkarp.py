@@ -515,6 +515,11 @@ def test_assignment_of_tied_small_costs_is_optimal(raw):
     check_assignment(raw.astype(np.float64))
 
 
+def minimize_from(cost, a, b, basis):
+    """simplex.minimize from basis, handed the inverse of its basis matrix."""
+    return simplex.minimize(cost, a, b, basis, np.linalg.inv(a[:, basis]))
+
+
 def tree_basis(c: np.ndarray) -> np.ndarray:
     """The arc columns of _start's basis: the cut-free master's tree basis,
     as the surplus columns of the seeded cuts come after every arc."""
@@ -559,7 +564,7 @@ def test_first_master_starts_at_its_optimum(case):
     m = ASSIGNMENT_CASES[case]()
     tails, heads = np.nonzero(~np.eye(m.n, dtype=bool))
     a, b, cost = heldkarp._master(m.c, tails, heads, [])
-    result = simplex.minimize(cost, a, b, tree_basis(m.c))
+    result = minimize_from(cost, a, b, tree_basis(m.c))
     assert result.iterations == 1
     assert result.objective == pytest.approx(barred_assignment_cost(m.c), rel=1e-12)
 
@@ -581,7 +586,7 @@ def test_seeded_cuts_are_the_first_rounds_cuts(case):
     n = m.n
     tails, heads = np.nonzero(~np.eye(n, dtype=bool))
     a, b, cost = heldkarp._master(m.c, tails, heads, [])
-    result = simplex.minimize(cost, a, b, tree_basis(m.c))
+    result = minimize_from(cost, a, b, tree_basis(m.c))
     positive = np.flatnonzero(result.x > 0.0)
     arcs = dict(zip(zip(tails[positive].tolist(), heads[positive].tolist()),
                     result.x[positive].tolist()))
@@ -617,18 +622,35 @@ def test_seeded_solve_equals_the_unseeded_solve(kind, n, seed, monkeypatch, mast
 
 
 # the 36 grid LPs and 3 kinds at n = 60
-REFRESH_CASES = [case for case in PARITY_CASES if case[1] <= 60]
+CARRY_CASES = [case for case in PARITY_CASES if case[1] <= 60]
 
 
-def test_refactorizing_at_every_pivot_keeps_the_lp_objectives(monkeypatch):
-    # the default refactorizes every 100 pivots, which these masters
-    # never reach; at 1 every pivot recomputes the inverse and the
-    # reduced costs, which may end at another optimal vertex
-    problems = [instance.generate(*case) for case in REFRESH_CASES]
-    default = [heldkarp.solve_lp(m).objective for m in problems]
-    monkeypatch.setattr(simplex, "_REFRESH_EVERY", 1)
-    for case, m, objective in zip(REFRESH_CASES, problems, default):
-        assert heldkarp.solve_lp(m).objective == pytest.approx(objective, rel=1e-9), case
+def test_every_master_starts_from_its_basis_inverse(monkeypatch):
+    # the start basis's inverse is exactly integral, each later master's
+    # comes from the last one's by the block formula, and no residual
+    # check fails, so no master refactorizes
+    inner, inverse, starts, refactorized = simplex.minimize, simplex._inverse, [], []
+
+    def checked(cost, a, b, start, binv):
+        if not starts:
+            assert np.array_equal(binv, np.rint(binv))
+        assert np.abs(binv - np.linalg.inv(a[:, start])).max() <= 1e-9
+        starts.append(start.size)
+        result = inner(cost, a, b, start, binv)
+        assert np.abs(result.binv - np.linalg.inv(a[:, result.basis])).max() <= 1e-9
+        return result
+
+    def counted(*args):
+        refactorized.append(args)
+        return inverse(*args)
+
+    monkeypatch.setattr(simplex, "minimize", checked)
+    monkeypatch.setattr(simplex, "_inverse", counted)
+    for case in CARRY_CASES:
+        starts.clear()
+        heldkarp.solve_lp(instance.generate(*case))
+        assert starts, case
+    assert refactorized == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -788,6 +810,72 @@ def test_lp_objective_obeys_relabelling_and_shifts(kind, n, seed):
 @pytest.mark.parametrize("kind,n", [(kind, n) for n in (60, 100) for kind in instance.KINDS])
 def test_large_lp_objective_obeys_relabelling_and_shifts(kind, n):
     check_lp_invariants(instance.generate(kind, n, 1), np.random.default_rng(n))
+
+
+# hostile families, written from the published descriptions of the DIMACS
+# ATSP generators (Cirasella, Johnson, McGeoch & Zhang, ALENEX 2001;
+# Johnson et al., in The Traveling Salesman Problem and Its Variations,
+# 2002); each goes through metric_closure. Their integer costs give the
+# ties, zero-cost arcs and degenerate LPs that the generator kinds lack.
+
+
+def tmat(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random integers in [0, 10^6), closed under shortest paths."""
+    return rng.integers(0, 10**6, (n, n)).astype(np.float64)
+
+
+def shop(n: int, rng: np.random.Generator, machines: int = 50) -> np.ndarray:
+    """No-wait flow shop: job i takes p[i, k] in [0, 1000) on machine k,
+    and c[i, j] is the least delay from starting job i to starting job j
+    so that j never waits between machines behind i."""
+    p = rng.integers(0, 1000, (n, machines))
+    done = np.cumsum(p, axis=1)
+    # job i leaves machine k at done[i, k]; j reaches it at done[j, k-1]
+    return (done[:, None, :] - (done - p)[None, :, :]).max(axis=2).astype(np.float64)
+
+
+def superstring(n: int, rng: np.random.Generator, length: int = 10) -> np.ndarray:
+    """Like `super`: random binary strings, and c[i, j] is the length that
+    string j adds after string i at their largest proper overlap."""
+    words = ["".join(map(str, row)) for row in rng.integers(0, 2, (n, length))]
+    raw = np.zeros((n, n))
+    for i, s in enumerate(words):
+        for j, t in enumerate(words):
+            if i != j:
+                raw[i, j] = length - max(k for k in range(length) if s.endswith(t[:k]))
+    return raw
+
+
+def coin_grid(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Like `coin`: points on a sqrt(n) grid, so some coincide and their
+    arcs cost 0, at Manhattan distance plus one per unit uphill."""
+    side = max(2, int(np.sqrt(n)))
+    x, y = rng.integers(0, side, (2, n))
+    dy = y[None, :] - y[:, None]
+    return (np.abs(x[None, :] - x[:, None]) + np.abs(dy) + np.maximum(dy, 0)).astype(np.float64)
+
+
+FAMILIES = {"tmat": tmat, "shop": shop, "super": superstring, "coin": coin_grid}
+
+
+def hostile(family: str, n: int, seed: int) -> instance.CostMatrix:
+    raw = FAMILIES[family](n, np.random.default_rng(seed))
+    np.fill_diagonal(raw, 0.0)
+    return instance.metric_closure(raw)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(FAMILIES)), st.integers(3, 30), st.integers(0, 2**32 - 1))
+def test_hostile_family_lp_matches_highs_with_networkx_cuts(family, n, seed):
+    m = hostile(family, n, seed)
+    assert heldkarp.solve_lp(m).objective == pytest.approx(
+        highs_networkx_objective(m.c), rel=1e-9, abs=1e-9
+    )
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_large_hostile_family_lp_obeys_relabelling_and_shifts(family):
+    check_lp_invariants(hostile(family, 60, 1), np.random.default_rng(60))
 
 
 # ------------------------------------------------------------- serialization

@@ -203,12 +203,13 @@ def test_tour_canonical_rotation_and_validation():
 
 
 def test_tour_text_round_trip():
-    t = patchup.Tour((0, 2, 1), 7.25)
-    order, cost = patchup.tour_from_text(patchup.tour_to_text(t))
-    assert order == t.order
-    assert cost == t.cost
-    with pytest.raises(ValueError):
-        patchup.tour_from_text("3\n0 1 2\n")
+    # the header n cost, with the cost's shortest round-trip repr, then
+    # the order from vertex 0
+    t = patchup.Tour((2, 1, 0), 0.1 + 0.2)
+    header, order = patchup.tour_to_text(t).splitlines()
+    assert header == "3 0.30000000000000004"
+    assert float(header.split()[1]) == t.cost
+    assert order == "0 2 1"
 
 
 # ------------------------------------------------------------------ pipeline

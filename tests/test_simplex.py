@@ -17,6 +17,11 @@ from atsp import (
 )
 
 
+def _minimize(c, a, b, start):
+    """simplex.minimize from start, handed the inverse of its basis."""
+    return simplex.minimize(c, a, b, start, np.linalg.inv(a[:, start]))
+
+
 def _highs(c, a, b):
     return linprog(c, A_eq=a, b_eq=b, bounds=(0.0, None), method="highs")
 
@@ -46,10 +51,10 @@ def _assert_agrees_with_highs(c, a, b, start) -> str:
     or an infeasibility with its certificate. Returns the outcome."""
     if _highs(c, a, b).status == 2:
         with pytest.raises(InfeasibleError) as raised:
-            simplex.minimize(c, a, b, start)
+            _minimize(c, a, b, start)
         _assert_certifies_infeasible(raised.value.certificate, a, b)
         return "infeasible"
-    res = simplex.minimize(c, a, b, start)
+    res = _minimize(c, a, b, start)
     _assert_matches_highs(res, c, a, b)
     assert res.basis.size == a.shape[0]
     return "optimal"
@@ -86,7 +91,7 @@ def test_tiny_known_optimum():
     lp, start = _slack_form(
         np.array([1.0, 2.0]), -np.ones((1, 2)), np.array([-1.5]), np.full(2, 2.0)
     )
-    res = simplex.minimize(*lp, start)
+    res = _minimize(*lp, start)
     assert abs(res.objective - 1.5) < 1e-12
     # columns x0, x1, s, t0, t1; the boxes are slack, t = 2 - x
     assert np.allclose(res.x, [1.5, 0.0, 0.0, 0.5, 2.0])
@@ -99,7 +104,7 @@ def test_box_rows_bind():
     lp, start = _slack_form(
         np.array([1.0, 2.0]), -np.ones((1, 2)), np.array([-1.5]), np.ones(2)
     )
-    res = simplex.minimize(*lp, start)
+    res = _minimize(*lp, start)
     assert abs(res.objective - 2.0) < 1e-12
     assert np.allclose(res.x, [1.0, 0.5, 0.0, 0.0, 0.5])
     assert sorted(res.basis.tolist()) == [0, 1, 4]
@@ -111,7 +116,7 @@ def test_infeasible_detected():
     a = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
     b = np.array([5.0, 1.0, 1.0])
     with pytest.raises(InfeasibleError) as raised:
-        simplex.minimize(np.zeros(4), a, b, np.array([0, 2, 3]))
+        _minimize(np.zeros(4), a, b, np.array([0, 2, 3]))
     _assert_certifies_infeasible(raised.value.certificate, a, b)
     # plain Python numbers, not numpy scalar reprs, in the message
     assert "basic column 3 is at -3.0 < 0" in str(raised.value)
@@ -124,7 +129,7 @@ def test_degenerate_problem_terminates():
     a = rng.integers(-1, 2, size=(6, 12)).astype(float)
     x_known = rng.integers(0, 2, size=12).astype(float)
     lp, start = _slack_form(rng.integers(0, 2, size=12).astype(float), a, a @ x_known, np.ones(12))
-    res = simplex.minimize(*lp, start)
+    res = _minimize(*lp, start)
     _assert_matches_highs(res, *lp)
 
 
@@ -134,10 +139,10 @@ def test_iteration_cap_is_reported(monkeypatch):
         rng.uniform(0.5, 1.5, 10), -rng.uniform(0.0, 1.0, (4, 10)),
         -rng.uniform(0.5, 1.5, 4), np.ones(10),
     )
-    assert simplex.minimize(*lp, start).iterations > 2
+    assert _minimize(*lp, start).iterations > 2
     monkeypatch.setattr(simplex, "MAX_ITERATIONS", 1)
     with pytest.raises(IterationLimitError, match="after 1 iterations"):
-        simplex.minimize(*lp, start)
+        _minimize(*lp, start)
 
 
 def _random_slack_lp(rng):
@@ -150,11 +155,7 @@ def _random_slack_lp(rng):
     return _slack_form(np.abs(rng.normal(size=nv)), rng.normal(size=(m, nv)), s0, upper)
 
 
-@pytest.mark.parametrize("refresh_every", [simplex._REFRESH_EVERY, 1])
-def test_agrees_with_scipy_on_random_lps(refresh_every, monkeypatch):
-    # refresh_every 1 recomputes the inverse and the reduced costs at
-    # every pivot, a path the default takes only after 100 pivots
-    monkeypatch.setattr(simplex, "_REFRESH_EVERY", refresh_every)
+def test_agrees_with_scipy_on_random_lps():
     rng = np.random.default_rng(0)
     outcomes = {"optimal": 0, "infeasible": 0}
     for trial in range(120):
@@ -162,22 +163,56 @@ def test_agrees_with_scipy_on_random_lps(refresh_every, monkeypatch):
         ref = _highs(c, a, b)
         if ref.status == 2:
             with pytest.raises(InfeasibleError) as raised:
-                simplex.minimize(c, a, b, start)
+                _minimize(c, a, b, start)
             _assert_certifies_infeasible(raised.value.certificate, a, b)
             outcomes["infeasible"] += 1
             continue
         assert ref.status == 0, trial
-        res = simplex.minimize(c, a, b, start)
+        res = _minimize(c, a, b, start)
         outcomes["optimal"] += 1
         scale = max(1.0, abs(ref.fun))
         assert abs(res.objective - ref.fun) <= 1e-7 * scale, trial
         assert np.max(np.abs(a @ res.x - b)) <= 1e-7, trial
         assert np.all(res.x >= -1e-9), trial
-        # the returned basis is optimal: a re-solve from it only prices
-        again = simplex.minimize(c, a, b, res.basis)
+        # the returned inverse is the returned basis's, and that basis is
+        # optimal: a re-solve from the two only prices
+        assert np.max(np.abs(res.binv @ a[:, res.basis] - np.eye(b.size))) <= 1e-9, trial
+        again = simplex.minimize(c, a, b, res.basis, res.binv)
         assert again.iterations == 1, trial
         assert np.max(np.abs(again.x - res.x)) <= 1e-9, trial
     assert min(outcomes.values()) >= 10
+
+
+def test_a_corrupted_inverse_refactorizes_once_and_keeps_the_optimum(monkeypatch):
+    # re-solves from optimal bases, handed an inverse with noise on the
+    # rows of positive basic columns of cost 0: the duals stay exact and
+    # x_B stays >= 0, so only the residual check sees the noise, and one
+    # refactorization restores the optimum with no pivot
+    inverse, calls = simplex._inverse, []
+
+    def counted(*args):
+        calls.append(args)
+        return inverse(*args)
+
+    monkeypatch.setattr(simplex, "_inverse", counted)
+    rng = np.random.default_rng(0)
+    corrupted = 0
+    for trial in range(120):
+        (c, a, b), start = _random_slack_lp(rng)
+        if _highs(c, a, b).status != 0:
+            continue
+        res = _minimize(c, a, b, start)
+        rows = (c[res.basis] == 0.0) & (res.x[res.basis] > 1e-3)
+        if not rows.any():
+            continue
+        noise = rows[:, None] * 1e-6 * rng.standard_normal(res.binv.shape)
+        calls.clear()
+        again = simplex.minimize(c, a, b, res.basis, res.binv + noise)
+        assert len(calls) == 1 and again.iterations == 2, trial
+        assert np.array_equal(again.basis, res.basis), trial
+        assert np.max(np.abs(again.x - res.x)) <= 1e-9, trial
+        corrupted += 1
+    assert corrupted >= 20
 
 
 def _append_violated_rows(c, a, b, basis, g, h):
@@ -216,7 +251,7 @@ def _warm_start_trials(rng, degenerate: bool) -> int:
         s0 = a @ x_known
         known = _lift(x_known, a, s0, upper)
         (c, a, b), slack_start = _slack_form(c, a, s0, upper)
-        first = simplex.minimize(c, a, b, slack_start)
+        first = _minimize(c, a, b, slack_start)
         _assert_matches_highs(first, c, a, b)
         g = rng.integers(-1, 2, size=(3, c.size)).astype(float) if degenerate else rng.normal(size=(3, c.size))
         gap = g @ known - g @ first.x
@@ -226,7 +261,7 @@ def _warm_start_trials(rng, degenerate: bool) -> int:
             continue
         h = g @ known if degenerate else (g @ first.x + g @ known) / 2
         lp, start = _append_violated_rows(c, a, b, first.basis, g, h)
-        warm = simplex.minimize(*lp, start=start)
+        warm = _minimize(*lp, start)
         _assert_matches_highs(warm, *lp)
         assert warm.basis.size == lp[1].shape[0]
         checked += 1
@@ -241,13 +276,13 @@ def test_warm_start_with_appended_violated_rows_matches_highs(degenerate):
 
 def test_dual_resolve_reports_an_unrepairable_row_infeasible():
     c, a, b = np.array([1.0, 2.0]), np.ones((1, 2)), np.ones(1)
-    first = simplex.minimize(c, a, b, np.array([0]))
+    first = _minimize(c, a, b, np.array([0]))
     # x0 - x1 - s = 5 has no solution with x0 + x1 = 1
     lp, start = _append_violated_rows(
         c, a, b, first.basis, np.array([[1.0, -1.0]]), np.array([5.0])
     )
     with pytest.raises(InfeasibleError) as raised:
-        simplex.minimize(*lp, start=start)
+        _minimize(*lp, start)
     _assert_certifies_infeasible(raised.value.certificate, *lp[1:])
 
 
@@ -263,7 +298,7 @@ def test_dual_resolve_infeasibility_matches_highs_and_is_certified():
         x_known = rng.choice([0.0, 0.5, 1.0], nv)
         c = rng.choice([0.0, 1.0, 2.0], nv)
         (c, a, b), slack_start = _slack_form(c, a, a @ x_known, upper)
-        first = simplex.minimize(c, a, b, slack_start)
+        first = _minimize(c, a, b, slack_start)
         _assert_matches_highs(first, c, a, b)
         g = rng.integers(-1, 2, size=(int(rng.integers(1, 4)), c.size)).astype(float)
         h = g @ first.x + rng.choice([0.5, 1.0, 3.0, 6.0], g.shape[0])
@@ -277,7 +312,7 @@ def test_start_that_is_not_dual_feasible_raises():
     # x0 has reduced cost -2, whether the start is feasible (b = 1) or not
     for b in (1.0, -2.0):
         with pytest.raises(ValueError, match="not dual feasible: column 0 has reduced cost -2.0"):
-            simplex.minimize(
+            _minimize(
                 np.array([1.0, 2.0, 3.0]), np.ones((1, 3)), np.array([b]), start=np.array([2])
             )
 
@@ -296,7 +331,7 @@ def test_exit_pricing_catches_reduced_costs_gone_wrong(monkeypatch):
 
     monkeypatch.setattr(simplex, "_reduced_costs", corrupted)
     with pytest.raises(SlacknessError) as raised:
-        simplex.minimize(
+        _minimize(
             np.array([1.0, 2.0, 3.0]), np.ones((1, 3)), np.ones(1), start=np.array([2])
         )
     assert isinstance(raised.value, AtspError)
@@ -305,10 +340,13 @@ def test_exit_pricing_catches_reduced_costs_gone_wrong(monkeypatch):
 
 
 def test_start_with_a_dependent_column_raises_singular_basis():
-    # columns 0 and 2 are equal, so they cannot both be basic
+    # columns 0 and 2 are equal, so they cannot both be basic; the claimed
+    # inverse puts x_B = (1, 0) >= 0, whose B x_B = (1, 2) misses b, so the
+    # residual check refactorizes, which finds the basis singular
     a = np.array([[1.0, 0.0, 1.0], [2.0, 1.0, 2.0]])
+    claimed = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(SingularBasisError) as raised:
-        simplex.minimize(np.ones(3), a, np.array([1.0, 2.0]), start=np.array([0, 2]))
+        simplex.minimize(np.ones(3), a, np.array([1.0, 3.0]), np.array([0, 2]), claimed)
     assert isinstance(raised.value, AtspError)
     assert raised.value.basic.tolist() == [0, 2]
 
@@ -335,7 +373,7 @@ def test_degenerate_tied_lp_terminates_cold_and_warm(streak, monkeypatch):
     warm_solves = 0
     for _ in range(30):
         (c, a, b), slack_start, known = _tied_degenerate_lp(rng, 10, 24)
-        cold = simplex.minimize(c, a, b, slack_start)
+        cold = _minimize(c, a, b, slack_start)
         _assert_matches_highs(cold, c, a, b)
         # 0/1 rows through the known point, each oriented to cut off cold.x
         g = rng.integers(0, 2, size=(4, c.size)).astype(float)
@@ -345,7 +383,7 @@ def test_degenerate_tied_lp_terminates_cold_and_warm(streak, monkeypatch):
         if not violated.any():
             continue
         lp, start = _append_violated_rows(c, a, b, cold.basis, g[violated], h[violated])
-        warm = simplex.minimize(*lp, start=start)
+        warm = _minimize(*lp, start)
         _assert_matches_highs(warm, *lp)
         warm_solves += 1
     assert warm_solves >= 10
@@ -396,7 +434,7 @@ def test_cold_solve_matches_highs_on_degenerate_and_redundant_lps(problem, data)
 @given(lps(max_redundant=0), st.data())
 def test_dual_resolve_matches_highs_after_appending_violated_rows(problem, data):
     (c, a, b), slack_start, known = problem
-    first = simplex.minimize(c, a, b, slack_start)
+    first = _minimize(c, a, b, slack_start)
     g = _matrix(data.draw, data.draw(st.integers(1, 3)), c.size, -1, 1)
     # orient each row so the known point lies above the optimum
     g[g @ known < g @ first.x] *= -1.0
@@ -404,5 +442,5 @@ def test_dual_resolve_matches_highs_after_appending_violated_rows(problem, data)
     violated = g @ first.x < h - 1e-6
     assume(violated.any())
     lp, start = _append_violated_rows(c, a, b, first.basis, g[violated], h[violated])
-    warm = simplex.minimize(*lp, start=start)
+    warm = _minimize(*lp, start)
     _assert_matches_highs(warm, *lp)
