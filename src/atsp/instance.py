@@ -87,21 +87,32 @@ class ValidationReport:
         return text
 
 
+# the most elements in a block of validate's triangle check, 8 MB of
+# float64; once n * n exceeds it, a block is one row
+_BLOCK_ELEMENTS = 1 << 20
+
+
 # a path sum that overflows to inf is no shortcut, so it needs no warning
 @np.errstate(over="ignore")
 def validate(m: CostMatrix) -> ValidationReport:
     """Count the violated triangles (i, k, j), beyond TRIANGLE_TOL, and the
     negative and nonzero-diagonal entries, and report whether n times the
-    largest cost, which bounds every tour's cost, overflows. Never raises."""
+    largest cost, which bounds every tour's cost, overflows. The triangles
+    are checked for a block of rows i at once, all (k, j) per row, with as
+    many rows per block as _BLOCK_ELEMENTS allows, and at least one. Never
+    raises."""
     c = m.c
     n = m.n
     triangles = 0
-    # the triples (i, k, j) where c[i][j] exceeds the path through k, all
-    # (k, j) at once per i; a triple with a repeated vertex is no triangle
-    for i in range(n):
-        bad = c[i, None, :] > c[i, :, None] + c + TRIANGLE_TOL
-        bad[i, :] = bad[:, i] = False
-        np.fill_diagonal(bad, False)
+    rows = max(1, _BLOCK_ELEMENTS // (n * n))
+    v = np.arange(n)
+    for lo in range(0, n, rows):
+        block = c[lo : lo + rows]
+        i, b = v[lo : lo + rows], v[: block.shape[0]]
+        # bad[b, k, j]: c[i][j] exceeds the path through k, for i = lo + b;
+        # a triple with a repeated vertex is no triangle
+        bad = block[:, None, :] > block[:, :, None] + c + TRIANGLE_TOL
+        bad[b, i, :] = bad[b, :, i] = bad[:, v, v] = False
         triangles += int(np.count_nonzero(bad))
     return ValidationReport(
         negative_entries=int(np.count_nonzero(c < 0.0)),

@@ -11,17 +11,27 @@ c >= 0, starts from its slack basis; a box x_j <= u_j is the row
 x_j + t_j = u_j with its own slack t_j.
 
 The loop pivots until every basic value is >= 0. It picks the most
-negative basic value (Dantzig's rule). After a streak of degenerate
-pivots it uses Bland's lowest-index rule until the next nondegenerate
-pivot, which rules out cycling while letting Dantzig pricing resume. The
-caller hands in the inverse of the start basis, and the loop keeps it and
-the reduced costs by rank-one pivot updates. Drift is checked, not
-scheduled: once every basic value is >= 0, the residual |B x_B - b| must
-be at most _FEASIBLE_TOL times the largest |b| (or _FEASIBLE_TOL when
-that is below 1), else the basis is refactorized and the loop goes on;
-it never refactorizes twice without a pivot between. The solve returns
-its last inverse, so a caller can carry it to the next LP. At exit the
-last basis is priced afresh: that check proves it optimal.
+negative basic value (Dantzig's rule). After more than
+_DEGENERATE_STREAK degenerate pivots in a row it uses Bland's
+lowest-index rule until the next nondegenerate pivot, which rules out
+cycling while letting Dantzig pricing resume. The entering column has
+the least ratio of reduced cost, clamped at 0, to |alpha| > _PIVOT_TOL;
+ratios within _STEP_TOL of it tie, and the tie of widest |alpha| enters
+(under Bland's rule, the lowest-index tie). The caller hands in the
+inverse of the start basis, and the loop keeps it and the reduced costs
+by rank-one pivot updates. Drift is checked, not scheduled: once every
+basic value is >= 0, the residual |B x_B - b| must be at most
+_FEASIBLE_TOL times the largest |b| (or _FEASIBLE_TOL when that is below
+1), else the basis is refactorized and the loop goes on; it never
+refactorizes twice without a pivot between. The solve returns its last
+inverse, so a caller can carry it to the next LP. At exit the last basis
+is priced afresh: that check proves it optimal.
+
+At desk scale a pivot costs about its count of numpy calls, so the loop
+keeps a nonbasic mask in step with the basis and runs the ratio test in
+place. Each floating-point operation is the one a plain form with a call
+per step would make, so every pivot, x and inverse is bitwise that of
+the reference loop in the tests.
 
 A solve returns an optimum or raises InfeasibleError (row multipliers),
 SlacknessError (a column the exit check prices below -tol) or,
@@ -93,14 +103,14 @@ def minimize(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, start: np.ndarra
     if start.shape != (m,):
         raise ValueError(f"start basis names {start.size} basic columns for {m} rows")
     basis = start.astype(np.intp)
-    basic = np.zeros(nv, dtype=bool)
-    basic[basis] = True
+    nonbasic = np.ones(nv, dtype=bool)
+    nonbasic[basis] = False
     binv = np.array(binv, dtype=np.float64)
     tol = _REDUCED_TOL * max(1.0, float(np.abs(c).max(initial=0.0)))
     reduced = _reduced_costs(c, a, basis, binv)
     # the nonbasic column of least reduced cost, ties to the lowest; a
     # basic column when none is below 0
-    worst = int(np.argmin(np.where(basic, 0.0, reduced)))
+    worst = int(np.argmin(np.where(nonbasic, reduced, 0.0)))
     if reduced[worst] < -tol:
         raise ValueError(
             f"start basis is not dual feasible: column {worst} has "
@@ -126,7 +136,9 @@ def minimize(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, start: np.ndarra
         # a nonbasic column rising from zero moves x_B[pos] by -alpha
         # per unit, so only a negative alpha raises it
         alpha = binv[pos] @ a
-        candidates = np.flatnonzero((alpha < -_PIVOT_TOL) & ~basic)
+        mask = alpha < -_PIVOT_TOL
+        mask &= nonbasic
+        candidates = mask.nonzero()[0]
         if candidates.size == 0:
             # row pos reads x_B[pos] + alpha @ x_N = y @ b < 0 for
             # y = B^-1[pos], and no column x >= 0 makes its left side
@@ -136,25 +148,28 @@ def minimize(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, start: np.ndarra
                 f"{int(basis[pos])} is at {float(xb[pos])!r} < 0",
                 certificate=binv[pos].copy(),
             )
-        ratios = np.maximum(reduced[candidates], 0.0) / -alpha[candidates]
+        # the ratio test in place: -alpha is |alpha| on the candidates
+        width = -alpha[candidates]
+        ratios = reduced[candidates]
+        np.maximum(ratios, 0.0, out=ratios)
+        ratios /= width
         step = float(ratios.min())
         ties = ratios <= step + _STEP_TOL
         if bland:
             # the first tie: argmax takes the first True
             enter = int(candidates[ties.argmax()])
         else:
-            # argmax takes the lowest index among equal magnitudes,
-            # and every tie's |alpha| exceeds the -1 of the others
-            widest = np.where(ties, np.abs(alpha[candidates]), -1.0)
-            enter = int(candidates[widest.argmax()])
-        basic[basis[pos]] = False
+            # argmax takes the lowest index among equal widths, and
+            # every tie's width exceeds the -1 of the others
+            enter = int(candidates[np.where(ties, width, -1.0).argmax()])
+        nonbasic[basis[pos]] = True
         basis[pos] = enter
-        basic[enter] = True
+        nonbasic[enter] = False
         # d = B^-1 times the entering column; the reduced costs change by
         # the multiple of the pivot row that zeroes the entering one
         d = binv @ a[:, enter]
         row = binv[pos] / d[pos]
-        binv -= np.outer(d, row)
+        binv -= d[:, None] * row
         binv[pos] = row
         reduced -= reduced[enter] / alpha[enter] * alpha
         streak, fresh = streak + 1 if step <= _STEP_TOL else 0, False
@@ -163,7 +178,7 @@ def minimize(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, start: np.ndarra
     # the loop keeps its reduced costs by updates; only a fresh pricing
     # shows that the basis it ends at is optimal
     reduced = _reduced_costs(c, a, basis, binv)
-    worst = int(np.argmin(np.where(basic, 0.0, reduced)))
+    worst = int(np.argmin(np.where(nonbasic, reduced, 0.0)))
     if reduced[worst] < -tol:
         value = float(reduced[worst])
         raise SlacknessError(

@@ -878,6 +878,28 @@ def test_large_hostile_family_lp_obeys_relabelling_and_shifts(family):
     check_lp_invariants(hostile(family, 60, 1), np.random.default_rng(60))
 
 
+def test_every_master_pivots_as_the_reference_loop(monkeypatch, same_as_reference):
+    # every master of the 36 grid LPs and of the hostile families at n = 20
+    # returns or raises bitwise what the reference loop does
+    minimize, masters = simplex.minimize, []
+
+    def checked(*args):
+        masters.append(args)
+        got = same_as_reference(minimize, *args)
+        if isinstance(got, Exception):
+            raise got
+        return got
+
+    monkeypatch.setattr(simplex, "minimize", checked)
+    for case in PARITY_CASES:
+        if case[1] <= 20:
+            heldkarp.solve_lp(instance.generate(*case))
+    for family in sorted(FAMILIES):
+        for seed in (1, 2):
+            heldkarp.solve_lp(hostile(family, 20, seed))
+    assert len(masters) > 36 + 8
+
+
 # ------------------------------------------------------------- serialization
 
 

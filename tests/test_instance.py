@@ -124,6 +124,36 @@ def test_validate_matches_the_reference_loop_near_the_tolerance(seed):
     assert report.triangle_violations and report.negative_entries
 
 
+def near_overflow_matrix(n: int, seed: int) -> instance.CostMatrix:
+    """Costs of 1 and 2 mixed with 0.5e308, 1e308 and 1.7e308: some path
+    sums overflow to inf, which is no shortcut, and some stay finite and
+    below a direct cost, which is."""
+    rng = np.random.default_rng(seed)
+    c = rng.choice([1.0, 2.0, 0.5e308, 1e308, 1.7e308], size=(n, n))
+    np.fill_diagonal(c, 0.0)
+    return instance.CostMatrix(c)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_validate_in_blocks_of_rows_matches_the_reference_loop(rows, monkeypatch):
+    # blocks of `rows` rows, so an n >= 4 matrix takes several, and the
+    # last one is short when rows does not divide n
+    cases = [instance.generate(kind, n, seed) for kind in instance.KINDS for n in (3, 10, 20) for seed in (1, 2)]
+    cases += [near_boundary_matrix(3 + seed, seed) for seed in range(12)]
+    for m in cases:
+        monkeypatch.setattr(instance, "_BLOCK_ELEMENTS", rows * m.n * m.n)
+        assert instance.validate(m) == reference_validate(m)
+    for n in (3, 7, 10):
+        m = near_overflow_matrix(n, n)
+        monkeypatch.setattr(instance, "_BLOCK_ELEMENTS", rows * n * n)
+        report = instance.validate(m)
+        with np.errstate(over="ignore"):
+            reference = reference_validate(m)
+        assert report == dataclasses.replace(reference, tour_cost_overflow=True)
+        assert report.triangle_violations
+
+
 def test_closure_keeps_already_metric_matrix():
     m = all_ones(4)
     closed = instance.metric_closure(m.c)

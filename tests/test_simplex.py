@@ -444,3 +444,105 @@ def test_dual_resolve_matches_highs_after_appending_violated_rows(problem, data)
     lp, start = _append_violated_rows(c, a, b, first.basis, g[violated], h[violated])
     warm = _minimize(*lp, start)
     _assert_matches_highs(warm, *lp)
+
+
+# pins of the pivot rules: each LP below is small enough to follow by hand
+# and turns on one rule or tolerance of the pivot loop
+
+
+def _bland_lp(k: int):
+    """k rows -x_i + s_i = -(10 + i), each repaired by one degenerate
+    pivot (every cost is 0), then three rows s = -1, -2, -3 that nothing
+    repairs. Their basic columns are 2k + 2, 2k and 2k + 1: the first row
+    by position, the lowest basic column and the most negative value are
+    three different rows."""
+    a = np.zeros((k + 3, 2 * k + 3))
+    a[np.arange(k), np.arange(k)] = -1.0
+    a[np.arange(k), k + np.arange(k)] = 1.0
+    start = np.concatenate([k + np.arange(k), [2 * k + 2, 2 * k, 2 * k + 1]])
+    a[np.arange(k, k + 3), start[k:]] = 1.0
+    b = np.concatenate([-10.0 - np.arange(k), [-1.0, -2.0, -3.0]])
+    return np.zeros(2 * k + 3), a, b, start
+
+
+@pytest.mark.parametrize("k, row, column, value", [
+    # after 30 degenerate pivots Dantzig's rule still picks the row: the
+    # most negative value
+    (30, 32, 61, -3.0),
+    # after 31, Bland's rule picks it: the lowest basic column
+    (31, 32, 62, -2.0),
+])
+def test_bland_takes_the_row_after_a_streak_of_30_degenerate_pivots(k, row, column, value):
+    c, a, b, start = _bland_lp(k)
+    with pytest.raises(InfeasibleError) as raised:
+        _minimize(c, a, b, start)
+    assert f"row {row} cannot be repaired: basic column {column} is at {value!r} < 0" in str(raised.value)
+    assert np.array_equal(raised.value.certificate, np.eye(k + 3)[row])
+    _assert_certifies_infeasible(raised.value.certificate, a, b)
+
+
+@pytest.mark.parametrize("costs, enter", [
+    # equal ratios: the wider pivot, |alpha| 2 against 1
+    ((1.0, 2.0), 1),
+    # ratios within _STEP_TOL of the least are ties
+    ((1.0, 2.0 + 1e-11), 1),
+    # and ratios beyond it are not
+    ((1.0, 2.0 + 1e-9), 0),
+    # a reduced cost below 0 but within the start check's tolerance has
+    # ratio 0, not a negative one
+    ((-5e-10, 0.0), 1),
+])
+def test_the_entering_column_is_the_widest_of_the_tied_ratios(costs, enter):
+    # min c @ x s.t. x0 + 2 x1 >= 1: one pivot, with ratios c0 / 1 and c1 / 2
+    lp, start = _slack_form(np.array(costs), -np.array([[1.0, 2.0]]), np.array([-1.0]), np.full(2, np.inf))
+    res = _minimize(*lp, start)
+    assert res.basis.tolist() == [enter]
+    assert res.x[enter] == (1.0, 0.5)[enter]
+
+
+@pytest.mark.parametrize("entry", [1e-5, 1e-11])
+def test_a_pivot_entry_must_exceed_the_pivot_tolerance(entry):
+    # min x0 s.t. entry * x0 >= 1: an entry of 1e-5 is pivoted on, one of
+    # 1e-11, below _PIVOT_TOL, is float noise, so the row is unrepairable
+    lp, start = _slack_form(np.ones(1), -np.array([[entry]]), np.array([-1.0]), np.full(1, np.inf))
+    if entry > 1e-10:
+        res = _minimize(*lp, start)
+        assert res.basis.tolist() == [0]
+        assert res.x[0] == pytest.approx(1.0 / entry, rel=1e-12)
+    else:
+        with pytest.raises(InfeasibleError, match="row 0 cannot be repaired"):
+            _minimize(*lp, start)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_the_start_check_tolerance_scales_with_the_largest_cost(scale, factor):
+    # costs (scale, -factor * tol) from a feasible slack start: tol is
+    # _REDUCED_TOL = 1e-9 times the largest |cost|, at least 1e-9, so half
+    # of it below 0 passes and twice it does not
+    tol = 1e-9 * scale
+    lp, start = _slack_form(np.array([scale, -factor * tol]), -np.ones((1, 2)), np.ones(1), np.full(2, np.inf))
+    if factor < 1.0:
+        assert _minimize(*lp, start).iterations == 1
+    else:
+        with pytest.raises(ValueError, match="not dual feasible: column 1"):
+            _minimize(*lp, start)
+
+
+@pytest.mark.parametrize("streak", [0, simplex._DEGENERATE_STREAK])
+def test_minimize_equals_the_reference_loop_on_degenerate_lps(streak, monkeypatch, same_as_reference):
+    # 0/1 rows either way round, tied costs, a known point at its bounds or
+    # halfway, and right-hand sides lowered below it, so some LPs are
+    # infeasible; streak 0 hands every degenerate pivot to Bland's rule
+    monkeypatch.setattr(simplex, "_DEGENERATE_STREAK", streak)
+    rng = np.random.default_rng(27)
+    outcomes = {simplex.SimplexResult: 0, InfeasibleError: 0}
+    for _ in range(100):
+        m, nv = int(rng.integers(2, 8)), int(rng.integers(2, 12))
+        a = rng.integers(-1, 2, size=(m, nv)).astype(float)
+        x_known = rng.choice([0.0, 0.5, 1.0], nv)
+        s0 = a @ x_known - rng.choice([0.0, 0.0, 0.0, 2.0], m)
+        (c, a, b), start = _slack_form(rng.choice([0.0, 1.0, 2.0], nv), a, s0, rng.choice([1.0, 2.0, np.inf], nv))
+        got = same_as_reference(simplex.minimize, c, a, b, start, np.linalg.inv(a[:, start]))
+        outcomes[type(got)] += 1
+    assert min(outcomes.values()) >= 10
