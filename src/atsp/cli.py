@@ -15,7 +15,8 @@ algorithm (an ``AtspError``: retries exhausted, a solver cap, a singular
 basis, an unbalanced point), 3 input error (a bad or unreadable file, a
 bad value, a usage error), 4 size limit exceeded: for a requested oracle
 (``TooLargeError``), or memory (``MemoryError``, as from a dense LP
-master at large n), 5 a check of ``verify`` failed.
+master at large n), 5 a check of ``verify`` failed, where an ``AtspError``
+of the pipeline after the LP fails a check too.
 """
 
 from __future__ import annotations
@@ -27,17 +28,13 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import __version__, flows, heldkarp, instance, oracle, patchup, rounding
-from .cuts import all_cut_values
-from .errors import AtspError, CostSandwichError, RetriesExhaustedError, TooLargeError
+from .errors import AtspError, CostSandwichError, TooLargeError
 
 EXIT_OK = 0
 EXIT_ALGORITHMIC = 2
 EXIT_INPUT = 3
 EXIT_TOO_LARGE = 4
 EXIT_VERIFY_FAILED = 5
-
-# exhaustive cut checks in `verify` stay fast up to this size
-VERIFY_ENUMERATION_LIMIT = 14
 
 
 def exit_code(exc: Exception) -> int:
@@ -136,9 +133,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     n = m.n
     checks: list[tuple[str, bool]] = []
 
-    def check(name: str, ok: bool) -> None:
+    def check(name: str, ok: bool) -> bool:
         checks.append((name, ok))
         sys.stdout.write(f"{'ok  ' if ok else 'FAIL'} {name}\n")
+        return ok
 
     x = heldkarp.solve_lp(m)
     outflow = np.zeros(n)
@@ -146,48 +144,33 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for (v, w), value in x.arcs.items():
         outflow[v] += value
         inflow[w] += value
-    balance = float(np.max(np.abs(outflow - inflow)))
-    degree = float(np.max(np.abs(outflow - 1.0)))
-    check("lp vertex balance within 1e-7", balance <= 1e-7)
-    check("lp out-degree one within 1e-7", degree <= 1e-7)
-    check("lp separation finds no violated cut", not heldkarp.separate(n, x.arcs))
-
-    if n <= VERIFY_ENUMERATION_LIMIT:
-        _, out_w, in_w = all_cut_values(n, x.arcs)
-        check("exhaustive subtour feasibility", float(out_w.min()) >= 1.0 - 1e-6)
-        check(
-            "exhaustive cut balance (eulerian identity)",
-            float(np.max(np.abs(out_w - in_w))) <= n * 1e-7,
-        )
-        # a set's symmetrized weight is the weight of the pairs it
-        # separates, in either direction
-        _, y_out, y_in = all_cut_values(n, flows.symmetrize(n, x.arcs))
-        check(
-            "symmetrized cut weights match directed ones",
-            float(np.max(np.abs(y_out + y_in - out_w))) <= 1e-9,
-        )
-    else:
-        sys.stdout.write(
-            f"note exhaustive cut checks skipped (n={n} > {VERIFY_ENUMERATION_LIMIT})\n"
-        )
+    net = outflow - inflow
+    slack = float(np.abs(net).sum())
+    check("lp vertex balance within 1e-7", float(np.abs(net).max()) <= 1e-7)
+    check("lp out-degree one within 1e-7", float(np.max(np.abs(outflow - 1.0))) <= 1e-7)
+    # a set's out-weight minus its in-weight is the sum of its vertices'
+    # net, so over all sets the largest such gap is half the slack
+    check("lp cut balance within 2e-9", slack / 2.0 <= 2e-9)
+    # out(U) = (y(U) + net(U)) / 2 >= (min cut of y - slack / 2) / 2
+    weight, members = oracle.min_cut(n, x.arcs)
+    if not check("lp subtour cuts at least 1 - 1e-6", (weight - slack / 2.0) / 2.0 >= 1.0 - 1e-6):
+        out_weight = (weight + float(net[list(members)].sum())) / 2.0
+        vertices = " ".join(map(str, members))
+        sys.stdout.write(f"     cut out-weight {out_weight!r} on vertices {vertices}\n")
 
     sandwich = "pipeline sandwich lp <= tour <= costZ + costW <= 2 costZ"
     try:
         run = patchup.run_from_lp(m, x, cfg)
-    except RetriesExhaustedError:
-        check("pipeline produced a tour", False)
     except CostSandwichError:
         check(sandwich, False)
+    except AtspError as exc:
+        check(f"pipeline produced a tour ({type(exc).__name__})", False)
     else:
-        check(sandwich, run.report.sandwich_failure() is None)
-        check(
-            "tour cost at least lp objective",
-            run.tour.cost >= run.report.lp_objective - 1e-6,
-        )
-        check(
-            "tour cost at most twice sample cost",
-            run.report.tour_cost <= 2.0 * run.report.cost_z + 1e-9,
-        )
+        # the chain's links add up to tour <= 2 costZ + 2e-9; the tour
+        # keeps its own bound of 1e-9
+        report = run.report
+        check(sandwich, report.sandwich_failure() is None
+              and report.tour_cost <= 2.0 * report.cost_z + 1e-9)
 
     if all(ok for _, ok in checks):
         sys.stdout.write(f"verify passed ({len(checks)} checks)\n")

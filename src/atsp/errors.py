@@ -62,7 +62,7 @@ class RetriesExhaustedError(AtspError):
 
 class NotBalancedError(AtspError):
     """Arc weights are not balanced at every vertex: an LP point beyond
-    the symmetrization tolerance, or a multigraph handed to the Euler
+    separation's balance tolerance, or a multigraph handed to the Euler
     circuit with any in-degree != out-degree.
 
     ``vertex`` is the vertex with the largest absolute imbalance (ties to

@@ -1,9 +1,8 @@
 """Graph engine: multigraphs, max flows (Dinic's, on levels measured from
 the sink, giving both minimal sides of a minimum cut, on a residual network
 that flows between many pairs share), the integral min-cost flow within a
-multigraph that balances it, Eulerian circuits, weak components (the
-package's one union-find), and the cut-value preserving symmetrization of
-balanced arc weights.
+multigraph that balances it, Eulerian circuits, and weak components (the
+package's one union-find).
 
 Flows return vertex sets, not weighed cuts: callers weigh the cuts they
 need with cuts.cut_record. Transshipment feasibility and the min-cost
@@ -30,8 +29,6 @@ from .errors import (
 from .instance import CostMatrix
 
 _EPS = 1e-12
-# imbalance symmetrize accepts: LP points meet their balance rows to rounding
-SYMMETRIZE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -101,25 +98,6 @@ def require_balanced(n: int, arcs: Mapping[tuple[int, int], float], tol: float) 
             worst, net[worst],
         )
     return net
-
-
-def symmetrize(n: int, arcs: Mapping[tuple[int, int], float]) -> dict[tuple[int, int], float]:
-    """Average each arc with its reverse: the half-sum of the two
-    directions on each pair (lo, hi), lo < hi, that carries weight.
-
-    Requires vertex balance within SYMMETRIZE_TOL, since only balanced
-    weights have direction-free cut values: then a set's outgoing weight
-    equals the weight of the pairs it separates,
-    sum(cuts.cut_weights(y, members)).
-    """
-    require_balanced(n, arcs, SYMMETRIZE_TOL)
-    y: dict[tuple[int, int], float] = {}
-    for (v, w), weight in arcs.items():
-        if weight == 0.0:
-            continue
-        pair = (v, w) if v < w else (w, v)
-        y[pair] = y.get(pair, 0.0) + weight / 2.0
-    return y
 
 
 @dataclass(frozen=True)

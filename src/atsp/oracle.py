@@ -1,6 +1,7 @@
 """Exact and brute-force references: exact tours by subset dynamic
-programming, small-cut counting over every cut, and the empirical
-connectivity sweep over scaling factors.
+programming, small-cut counting over every cut, the global minimum cut by
+maximum-adjacency phases, and the empirical connectivity sweep over
+scaling factors.
 
 These are the independent oracles the probabilistic pipeline is tested
 against; none of them shares code with the algorithms they check beyond
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -79,6 +80,44 @@ def count_small_cuts(x: FractionalCirculation, alpha: float) -> int:
         raise ValueError("alpha must be at least 1")
     _, out_w, _ = all_cut_values(x.n, x.arcs)
     return int(np.count_nonzero(out_w <= alpha + 1e-9))
+
+
+def min_cut(n: int, arcs: Mapping[tuple[int, int], float]) -> tuple[float, tuple[int, ...]]:
+    """The global minimum cut of y = x + x^T, where x is the arc weights
+    arcs over n >= 2 vertices: the least weight of the arcs that cross a
+    set in either direction, and that set's side without vertex 0.
+
+    Maximum-adjacency phases (Stoer & Wagner, J. ACM 44, 1997): each phase
+    orders the super-vertices from 0's, always adding the one most tightly
+    joined to those before it (ties to the lowest index). The last one, cut
+    from the rest, is a minimum cut between it and the one before, and the
+    two merge; some phase meets a global minimum cut. Between phase cuts of
+    equal weight, the lexicographically smaller side wins. Uses numpy alone,
+    so it shares no code with the separation and the flows it checks.
+    """
+    y = np.zeros((n, n))
+    for (v, w), value in arcs.items():
+        y[v, w] += value
+        y[w, v] += value
+    sides = [(v,) for v in range(n)]
+    alive = np.ones(n, dtype=bool)
+    best = (math.inf, ())
+    for phase in range(n - 1):
+        # the start, super-vertex 0, absorbs only, so it never ends a phase
+        key = np.where(alive, y[0], -math.inf)
+        key[0] = -math.inf
+        s = t = 0
+        for _ in range(n - 1 - phase):
+            s, t = t, key.argmax()
+            weight = key[t]
+            key += y[t]
+            key[t] = -math.inf
+        best = min(best, (float(weight), sides[t]))
+        sides[s] = tuple(sorted(sides[s] + sides[t]))
+        y[s] += y[t]
+        y[:, s] += y[:, t]
+        alive[t] = False
+    return best
 
 
 @dataclass(frozen=True)

