@@ -3,8 +3,11 @@
 Pipeline: solve the subtour LP relaxation by cutting planes, scale the
 fractional point by K and sample an integer multigraph, patch it balanced
 with a min-cost transshipment inside itself, then shortcut the Euler walk
-to a tour. The oracle layer (exact dynamic programming, exhaustive cut
-enumeration) makes the probabilistic claims testable at small n.
+to a tour. The oracle layer checks the claims: exact tours by dynamic
+programming and small-cut counting by exhaustive cut enumeration at small
+n, and the global minimum cut of the LP point at any n. Its connectivity
+sweep measures how often the rounding connects and balances its sample
+across scaling constants.
 """
 
 from __future__ import annotations

@@ -24,29 +24,34 @@ feasible and tight on all 2n - 1 arcs. That tree basis is primal
 feasible at the assignment and dual feasible, so the cut-free master is
 optimal at it, and separating its integral point finds exactly the
 assignment's cycles. So the loop starts where that first round would
-end: with the cycles as its cut list, when there are two or more, and
-the tree basis plus their surplus columns; when the assignment is one
-tour, it starts with no cut, and its first master is optimal at its
-start. Since the rows and columns keep their order, the previous master
-is the leading block of the next, and the previous optimal basis plus
-each new surplus column is a basis: the basis matrix is block triangular
-with -I in the new corner, the reduced costs are unchanged (the new
-rows' duals are 0), and only the violated cut rows are infeasible (s_U =
-x(delta_out(U)) - 1 < 0). The dual simplex re-optimizes from there;
-every master starts dual feasible.
+end: from the tree basis, with the cycles as its cut list when there are
+two or more, and with none when the assignment is one tour.
+
+Each round opens with one growth step: the cut rows that the last basis
+does not cover, the cycles in the first round and the violated cuts in
+every later one, join with their surplus columns basic. Since the rows
+and columns keep their order, the previous master is the leading block
+of the next, and the previous basis plus each new surplus column is a
+basis: the basis matrix is block triangular with -I in the new corner,
+the reduced costs are unchanged (the new rows' duals are 0), and only
+the new cut rows can be infeasible (s_U = x(delta_out(U)) - 1 < 0). With
+no new row the step changes nothing, and a one-tour assignment's first
+master is optimal at its start. The dual simplex re-optimizes from
+there; every master starts dual feasible.
 
 One basis inverse serves the whole loop. With the new cut rows C on the
 old basic columns, [[B, 0], [C, -I]] has the inverse [[B^-1, 0], [C B^-1,
--I]], so each master's start inverse comes from the last master's final
-one, and the simplex refactorizes only where its residual check fails.
-The one inversion is of _start's basis, and its inverse is integral:
+-I]], so the growth step extends the inverse in hand, the tree basis's
+in the first round and the last master's final one after, and the
+simplex refactorizes only where its residual check fails. The one
+inversion is of the tree basis, the square block of the degree and
+balance rows on the 2n - 1 tree columns, and its inverse is integral:
 adding each out-degree row to its vertex's balance row, an integral
 operation with an integral inverse, turns the degree and balance rows
 into the incidence matrix of the bipartite out-vertex/in-vertex graph
-with vertex 0's in-row dropped. That matrix is totally unimodular, so the
-tree basis has an integral inverse, and the seeded cut rows extend it by
-the formula above with integral C. Rounding LAPACK's inverse to integers
-makes it exact.
+with vertex 0's in-row dropped. That matrix is totally unimodular, so
+rounding LAPACK's inverse of the tree basis to integers makes it exact,
+and the first growth step extends it with integral C, exactly.
 """
 
 from __future__ import annotations
@@ -188,11 +193,10 @@ def _assignment(c: np.ndarray) -> tuple[list[int], list[tuple[int, int]], list[f
 
 
 def _start(c: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """The cutting-plane loop's start: its cut list, the cycles of the
-    optimal assignment when there are two or more, else none, and the
-    sorted basic columns of an optimal basis of the cut-free master, the
-    assignment's n arcs, basic at 1, and the n - 1 tree arcs of
-    _assignment, basic at 0, followed by one surplus column per cut.
+    """The cutting-plane loop's start: the cycles of the optimal
+    assignment, when there are two or more, else none, and the sorted
+    columns of an optimal basis of the cut-free master, the assignment's n
+    arcs, basic at 1, and the n - 1 tree arcs of _assignment, basic at 0.
 
     A spanning tree of the bipartite out-vertex/in-vertex graph is a
     nonsingular basis of the degree and balance rows, and its point is the
@@ -202,17 +206,14 @@ def _start(c: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
     master is optimal at its start. Separating that integral point finds
     exactly the assignment's cycles, in the order of their smallest
     vertex, each with out-weight 0, so the cycles are the cuts the first
-    round would add, and the tree basis plus their surplus columns is the
-    basis it would hand to the second.
+    round would add.
     """
     n = c.shape[0]
     succ, tree, _, _ = _assignment(c)
     cycles = components(n, enumerate(succ))
     cuts = [tuple(cycle) for cycle in cycles] if len(cycles) > 1 else []
-    arcs = [*enumerate(succ), *tree]
     # column of arc (t, h) in the row-major order of the off-diagonal arcs
-    basic = np.sort([t * (n - 1) + h - (h > t) for t, h in arcs])
-    return cuts, np.concatenate([basic, n * (n - 1) + np.arange(len(cuts))])
+    return cuts, np.sort([t * (n - 1) + h - (h > t) for t, h in [*enumerate(succ), *tree]])
 
 
 def separate(n: int, arcs: Mapping[tuple[int, int], float]) -> list[CutRecord]:
@@ -284,21 +285,29 @@ def solve_lp(m: CostMatrix) -> FractionalCirculation:
     arcs above SUPPORT_EPS, the ones to_text writes.
 
     The loop starts from _start: the assignment's cycles as cuts, unless
-    it is one tour, and an optimal basis of the cut-free master plus their
-    surplus columns, with its basis inverse computed once and carried
-    across rounds. The master objective is non-decreasing over the
-    rounds, as cuts accumulate. Raises IterationLimitError if the loop
-    exceeds 50 rounds per vertex, or if a round's violated cuts are all in
-    the master already (a numerical stall). A master the simplex cannot
-    solve raises its typed error, with its certificate.
+    it is one tour, and the tree basis of the cut-free master, whose
+    inverse is the only one computed; each round's growth step adds the
+    new cut rows to it (module docstring). The master objective is
+    non-decreasing over the rounds, as cuts accumulate. Raises
+    IterationLimitError if the loop exceeds 50 rounds per vertex, or if a
+    round's violated cuts are all in the master already (a numerical
+    stall). A master the simplex cannot solve raises its typed error, with
+    its certificate.
     """
     n = m.n
     tails, heads = np.nonzero(~np.eye(n, dtype=bool))
     cuts, basis = _start(m.c)
     a, b, cost = _master(m.c, tails, heads, cuts)
-    # the start's inverse is integral (module docstring), so rint is exact
-    binv = np.rint(np.linalg.inv(a[:, basis]))
+    # the tree basis has an integral inverse (module docstring), so rint is exact
+    binv = np.rint(np.linalg.inv(a[: 2 * n - 1, basis]))
     for _ in range(ROUNDS_PER_VERTEX * n):
+        # the k cut rows past those the basis covers join with their
+        # surplus columns basic, and the inverse grows to [[B^-1, 0],
+        # [C B^-1, -I]]
+        k = b.size - basis.size
+        binv = np.concatenate([np.concatenate([binv, np.zeros((basis.size, k))], axis=1),
+                               np.concatenate([a[basis.size :, basis] @ binv, -np.eye(k)], axis=1)])
+        basis = np.concatenate([basis, np.arange(a.shape[1] - k, a.shape[1])])
         result = simplex.minimize(cost, a, b, basis, binv)
         positive = np.flatnonzero(result.x[: tails.size] > 0.0)
         arcs = dict(zip(
@@ -315,14 +324,9 @@ def solve_lp(m: CostMatrix) -> FractionalCirculation:
                 f"every violated cut is pooled already, the most violated "
                 f"{violated[0].members}; numerical stall"
             )
-        # the next master starts with the new surplus columns basic, and
-        # its basis inverse is [[B^-1, 0], [C B^-1, -I]] (module docstring)
-        rows, k = b.size, len(new)
-        basis = np.concatenate([result.basis, a.shape[1] + np.arange(k)])
+        basis, binv = result.basis, result.binv
         cuts += new
         a, b, cost = _master(m.c, tails, heads, cuts)
-        binv = np.block([[result.binv, np.zeros((rows, k))],
-                         [a[rows:, result.basis] @ result.binv, -np.eye(k)]])
     raise IterationLimitError(
         f"cutting-plane loop exceeded {ROUNDS_PER_VERTEX * n} rounds"
     )

@@ -1,11 +1,16 @@
-"""Exact and brute-force references: exact tours by subset dynamic
-programming, small-cut counting over every cut, the global minimum cut by
-maximum-adjacency phases, and the empirical connectivity sweep over
-scaling factors.
+"""Exact and brute-force references, and one measurement: exact tours by
+subset dynamic programming, small-cut counting over every cut, the global
+minimum cut by maximum-adjacency phases, and the empirical connectivity
+sweep over scaling factors.
 
-These are the independent oracles the probabilistic pipeline is tested
-against; none of them shares code with the algorithms they check beyond
-the instance and graph containers.
+The first three are the oracles the pipeline is tested against. min_cut
+uses numpy alone. exact_atsp shares only the containers and
+patchup.make_tour, which prices its tour, and count_small_cuts enumerates
+with cuts.all_cut_values, which rounding's near-balance check also calls.
+connectivity_sweep is no oracle: it runs the algorithm's own
+rounding.round_once, flows.is_weakly_connected and
+flows.transshipment_certificate, so it measures the rounding across
+scaling constants rather than checking it.
 """
 
 from __future__ import annotations

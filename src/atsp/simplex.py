@@ -41,6 +41,7 @@ certificate proves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +60,12 @@ _DEGENERATE_STREAK = 30
 @dataclass(frozen=True)
 class SimplexResult:
     """An optimum x, its objective, the iterations taken, the basis (the
-    basic column of each row) and its inverse. ``iterations`` counts one
-    per basis change, one per refactorization, and the final pass that
-    finds every basic value >= 0, so a solve that does not refactorize
-    changes its basis ``iterations - 1`` times."""
+    basic column of each row) and its inverse. The objective is the
+    exactly rounded sum of the basic terms c_B x_B, so no BLAS reduction
+    order moves it. ``iterations`` counts one per basis change, one per
+    refactorization, and the final pass that finds every basic value >=
+    0, so a solve that does not refactorize changes its basis
+    ``iterations - 1`` times."""
 
     x: np.ndarray
     objective: float
@@ -188,4 +191,4 @@ def minimize(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, start: np.ndarra
         )
     x = np.zeros(nv)
     x[basis] = xb
-    return SimplexResult(x, float(c @ x), iterations, basis, binv)
+    return SimplexResult(x, math.fsum(c[basis] * xb), iterations, basis, binv)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -162,7 +163,7 @@ def _reference_minimize(c, a_eq, b_eq, start, binv):
         )
     x = np.zeros(nv)
     x[basis] = xb
-    return simplex.SimplexResult(x, float(c @ x), iterations, basis, binv)
+    return simplex.SimplexResult(x, math.fsum(c[basis] * xb), iterations, basis, binv)
 
 
 def _bits(value):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from atsp import cli, errors, flows, heldkarp, instance, patchup, rounding, simplex
+from atsp import cli, errors, flows, heldkarp, instance, oracle, patchup, rounding, simplex
 
 
 @pytest.fixture()
@@ -412,6 +412,35 @@ def test_verify_holds_the_tour_within_1e_9_of_twice_the_sample_cost(
     instance.save(instance.generate("asymmetric-uniform", 8, 2), path)
     assert cli.main(["verify", str(path)]) == cli.EXIT_VERIFY_FAILED
     assert "FAIL pipeline sandwich" in capsys.readouterr().out
+
+
+def test_verify_subtracts_half_the_imbalance_from_the_min_cut(tmp_path, capsys, monkeypatch):
+    # the 4-cycle 0 1 2 3 at weight 1 - eps, 1e-10 above 1 - 1e-6, plus
+    # the 2-cycles {0, 1} and {2, 3} at eps, and 1e-9 more on arc (1, 0):
+    # a point in [0, 1] whose min cut of y = x + x^T clears 2 (1 - 1e-6) by
+    # less than half the slack, so only the slack term fails it
+    eps, extra = 1e-6 - 1e-10, 1e-9
+    arcs = {(0, 1): 1.0, (1, 2): 1.0 - eps, (2, 3): 1.0, (3, 0): 1.0 - eps,
+            (1, 0): eps + extra, (3, 2): eps}
+    m = instance.generate("asymmetric-uniform", 4, 1)
+    objective = sum(x * m.c[arc] for arc, x in arcs.items())
+    monkeypatch.setattr(heldkarp, "solve_lp",
+                        lambda m: heldkarp.FractionalCirculation(4, arcs, objective))
+    net = np.zeros(4)
+    for (v, w), x in arcs.items():
+        net[v] += x
+        net[w] -= x
+    slack = float(np.abs(net).sum())
+    weight, _ = oracle.min_cut(4, arcs)
+    assert slack <= 4e-9
+    assert 2.0 * (1.0 - 1e-6) <= weight < 2.0 * (1.0 - 1e-6) + slack / 2.0
+    path = tmp_path / "v4.txt"
+    instance.save(m, path)
+    assert cli.main(["verify", str(path)]) == cli.EXIT_VERIFY_FAILED == 5
+    lines = capsys.readouterr().out.splitlines()
+    assert "ok   lp cut balance within 2e-9" in lines
+    assert "FAIL lp subtour cuts at least 1 - 1e-6" in lines
+    assert lines[-1] == "verify FAILED"
 
 
 def test_verify_solves_the_lp_once(tmp_path, capsys, monkeypatch):

@@ -49,8 +49,23 @@ def random_circulation(n: int, rng) -> dict[tuple[int, int], float]:
 def test_multigraph_rejects_self_loops_and_negative_multiplicity():
     with pytest.raises(ValueError):
         IntegerMultiDigraph(3, {(1, 1): 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"-2 on arc \(0, 1\)"):
         IntegerMultiDigraph(3, {(0, 1): -2})
+
+
+@pytest.mark.parametrize("k", [1.5, 2.9, 0.5, 2.0, np.float64(1.0), "2", float("inf"), float("nan"), None])
+def test_multigraph_rejects_a_multiplicity_that_is_not_an_integer(k):
+    # no float, not even an integral one, no string and no None is a
+    # count, so none is truncated, parsed or left to overflow
+    mult = {(0, 1): 1, (1, 2): k, (2, 0): 1}
+    with pytest.raises(ValueError, match=r"arc \(1, 2\) is not a nonnegative integer"):
+        IntegerMultiDigraph(3, mult)
+
+
+def test_multigraph_takes_python_and_numpy_integers():
+    g = IntegerMultiDigraph(3, {(0, 1): np.int64(2), (1, 2): 2, (2, 0): np.uint8(0)})
+    assert g.mult == {(0, 1): 2, (1, 2): 2}
+    assert all(type(k) is int for k in g.mult.values())
 
 
 def test_multigraph_addition_merges_multiplicities():

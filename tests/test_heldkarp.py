@@ -521,26 +521,28 @@ def minimize_from(cost, a, b, basis):
 
 
 def tree_basis(c: np.ndarray) -> np.ndarray:
-    """The arc columns of _start's basis: the cut-free master's tree basis,
-    as the surplus columns of the seeded cuts come after every arc."""
-    n = c.shape[0]
-    return heldkarp._start(c)[1][: 2 * n - 1]
+    """_start's basis: the tree basis of the cut-free master."""
+    return heldkarp._start(c)[1]
 
 
 @pytest.mark.parametrize("case", sorted(CRASH_CASES))
 def test_tour_basis_is_a_nonsingular_basis_at_the_greedy_tour(case):
-    # the start basis of the seeded master: nonsingular, at the optimal
-    # assignment's point, each cycle's surplus at -1, and dual feasible
+    # the tree basis: 2n - 1 arc columns, nonsingular with an exactly
+    # integral inverse; the first growth step adds the cycles' surplus
+    # columns, and that basis of the seeded master is nonsingular, at the
+    # optimal assignment's point, each cycle's surplus at -1, and dual
+    # feasible
     m = CRASH_CASES[case]()
     n = m.n
     tails, heads = np.nonzero(~np.eye(n, dtype=bool))
-    cuts, basic = heldkarp._start(m.c)
+    cuts, tree = heldkarp._start(m.c)
     k = len(cuts)
-    assert basic.tolist() == sorted(set(basic.tolist()))
-    assert basic.size == 2 * n - 1 + k and 0 <= basic[0]
-    assert basic[2 * n - 2] < tails.size
-    assert basic[2 * n - 1 :].tolist() == list(range(tails.size, tails.size + k))
+    assert tree.tolist() == sorted(set(tree.tolist()))
+    assert tree.size == 2 * n - 1 and 0 <= tree[0] and tree[-1] < tails.size
     a, b, cost = heldkarp._master(m.c, tails, heads, cuts)
+    block = a[: 2 * n - 1, tree]
+    assert np.array_equal(np.rint(np.linalg.inv(block)) @ block, np.eye(2 * n - 1))
+    basic = np.concatenate([tree, tails.size + np.arange(k)])
     square = a[:, basic]
     assert np.linalg.matrix_rank(square) == 2 * n - 1 + k
     x = np.zeros(a.shape[1])
@@ -580,8 +582,9 @@ SEED_CASES = {
 def test_seeded_cuts_are_the_first_rounds_cuts(case):
     # what the first round would do from an empty cut list: solve the
     # cut-free master from the tree basis and separate its point; the
-    # seeded cut list is its cuts, in order, and the seeded basis its
-    # basis plus their surplus columns
+    # seeded cut list is its cuts, in order, and the tree basis is the
+    # basis it ends at, which the first growth step extends by their
+    # surplus columns
     m = SEED_CASES[case]()
     n = m.n
     tails, heads = np.nonzero(~np.eye(n, dtype=bool))
@@ -591,9 +594,9 @@ def test_seeded_cuts_are_the_first_rounds_cuts(case):
     arcs = dict(zip(zip(tails[positive].tolist(), heads[positive].tolist()),
                     result.x[positive].tolist()))
     found = [cut.members for cut in heldkarp.separate(n, arcs)]
-    cuts, basis = heldkarp._start(m.c)
+    cuts, tree = heldkarp._start(m.c)
     assert cuts == found
-    assert np.array_equal(basis, np.concatenate([result.basis, tails.size + np.arange(len(cuts))]))
+    assert np.array_equal(tree, result.basis)
     # the seed is empty exactly when the assignment is one tour
     succ = heldkarp._assignment(m.c)[0]
     v, length = succ[0], 1
@@ -614,8 +617,8 @@ def test_seeded_solve_equals_the_unseeded_solve(kind, n, seed, monkeypatch, mast
     m = instance.generate(kind, n, seed)
     seeded = heldkarp.to_text(heldkarp.solve_lp(m))
     seeded_masters = len(master_objectives)
-    cuts, basis = heldkarp._start(m.c)
-    monkeypatch.setattr(heldkarp, "_start", lambda c: ([], basis[: 2 * n - 1]))
+    cuts, tree = heldkarp._start(m.c)
+    monkeypatch.setattr(heldkarp, "_start", lambda c: ([], tree))
     master_objectives.clear()
     assert heldkarp.to_text(heldkarp.solve_lp(m)) == seeded
     assert len(master_objectives) == seeded_masters + bool(cuts)
@@ -623,6 +626,23 @@ def test_seeded_solve_equals_the_unseeded_solve(kind, n, seed, monkeypatch, mast
 
 # the 36 grid LPs and 3 kinds at n = 60
 CARRY_CASES = [case for case in PARITY_CASES if case[1] <= 60]
+
+
+def test_lapack_inverts_only_the_tree_basis(monkeypatch):
+    # every cut row, the assignment's cycles too, joins by the growth
+    # step, so one inversion per LP is of the 2n - 1 square tree block
+    inverse, shapes = np.linalg.inv, []
+
+    def recorded(square):
+        shapes.append(square.shape)
+        return inverse(square)
+
+    monkeypatch.setattr(np.linalg, "inv", recorded)
+    for kind, n, seed in CARRY_CASES:
+        if n <= 20:
+            shapes.clear()
+            heldkarp.solve_lp(instance.generate(kind, n, seed))
+            assert shapes == [(2 * n - 1, 2 * n - 1)], (kind, n, seed)
 
 
 def test_every_master_starts_from_its_basis_inverse(monkeypatch):
