@@ -123,12 +123,14 @@ class SlacknessError(AtspError):
     """An optimality check found a negative reduced cost, so the solution
     it checks is not optimal.
 
-    From a min-cost flow, ``arc`` is the residual arc ``(u, v)`` of the
+    Both engines check against -1e-9 at unit scale, on the costs times the
+    power of two that puts the largest |cost| in [1, 2). From a min-cost
+    flow, ``arc`` is the residual arc ``(u, v)`` of the
     successive-shortest-path network (vertices n and n + 1 are its super
     source and sink). From the simplex, ``arc`` is the column that the
-    fresh pricing of its final basis finds below its tolerance, 1e-9 times
-    the largest |cost| but at least 1e-9: entering it would lower the
-    objective. ``reduced_cost`` is that arc's or column's reduced cost.
+    fresh pricing of its final basis finds below that bound: entering it
+    would lower the objective. ``reduced_cost`` is that arc's or column's
+    reduced cost, in the caller's units.
     """
 
     def __init__(self, message: str, arc=None, reduced_cost: float = 0.0):

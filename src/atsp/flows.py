@@ -16,9 +16,12 @@ tie-breaking, so identical inputs give identical outputs.
 from __future__ import annotations
 
 import heapq
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .cuts import CutRecord, cut_record
 from .errors import (
@@ -280,6 +283,12 @@ def min_cost_flow(g: IntegerMultiDigraph, costs: CostMatrix) -> IntegerMultiDigr
     is checked on every flow it ships; a balanced g gets the empty w.
     Raises InfeasibleError carrying a violated cut exactly when no such w
     exists.
+
+    The search runs on the arcs' costs times one exact power of two that
+    puts the largest in [1, 2), so its tie tolerance _EPS and the 1e-9
+    slackness check mean the same at any unit of cost, and costs scaled by
+    a power of two give the same w. A SlacknessError reports its reduced
+    cost in the caller's units.
     """
     n = g.n
     reduction = _transshipment_network(g)
@@ -289,11 +298,10 @@ def min_cost_flow(g: IntegerMultiDigraph, costs: CostMatrix) -> IntegerMultiDigr
     size = n + 2
     source, sink = n, n + 1
     heads, to, cap = network.heads, network.to, network.cap
-    cost: list[float] = []
-    c = costs.c
-    for v, w in arcs:
-        price = float(c[v, w])
-        cost += (price, -price)
+    # the flow's unit: an exact power of two puts the largest price in [1, 2)
+    prices = costs.c.take([v * n + w for v, w in arcs])
+    shift = 1 - math.frexp(float(prices.max()))[1]
+    cost = np.ldexp(np.column_stack([prices, -prices]), shift).ravel().tolist()
     cost += (0.0, -0.0) * (len(to) // 2 - len(arcs))
     inf = float("inf")
     heappop, heappush = heapq.heappop, heapq.heappush
@@ -348,17 +356,19 @@ def min_cost_flow(g: IntegerMultiDigraph, costs: CostMatrix) -> IntegerMultiDigr
             cap[e ^ 1] += bottleneck
         shipped += bottleneck
     flow = {arc: cap[2 * i + 1] for i, arc in enumerate(arcs) if cap[2 * i + 1] > 0}
-    _check_slackness(heads, to, cap, cost, potential)
+    _check_slackness(heads, to, cap, cost, potential, shift)
     return IntegerMultiDigraph(n, flow)
 
 
-def _check_slackness(heads, to, cap, cost, potential) -> None:
-    # optimality certificate: no residual arc has negative reduced cost
+def _check_slackness(heads, to, cap, cost, potential, shift: int) -> None:
+    # optimality certificate: no residual arc has negative reduced cost;
+    # the costs are the caller's times 2^shift
     for u in range(len(heads)):
         for e in heads[u]:
             if cap[e] > 0:
                 reduced = cost[e] + potential[u] - potential[to[e]]
                 if reduced <= -1e-9:
+                    reduced = math.ldexp(reduced, -shift)
                     raise SlacknessError(
                         f"complementary slackness violated on residual arc "
                         f"({u}, {to[e]}): reduced cost {reduced!r}",

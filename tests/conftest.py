@@ -88,12 +88,14 @@ def per_arc_cuts():
 def _reference_minimize(c, a_eq, b_eq, start, binv):
     """Reference dual simplex: simplex.minimize written with a `basic`
     mask, np.flatnonzero, np.abs and np.outer, one numpy call per step.
-    It reads the engine's tolerances and helpers, so a pivot loop that
+    It reads the engine's tolerance and helpers, so a pivot loop that
     keeps every floating-point operation returns or raises bitwise what
     this does."""
     c = np.asarray(c, dtype=np.float64)
     a = np.asarray(a_eq, dtype=np.float64)
     b = np.asarray(b_eq, dtype=np.float64)
+    cs, bs = simplex._unit_shift(c), simplex._unit_shift(b)
+    c, b = np.ldexp(c, cs), np.ldexp(b, bs)
     start = np.asarray(start)
     m, nv = a.shape
     if start.shape != (m,):
@@ -102,40 +104,38 @@ def _reference_minimize(c, a_eq, b_eq, start, binv):
     basic = np.zeros(nv, dtype=bool)
     basic[basis] = True
     binv = np.array(binv, dtype=np.float64)
-    tol = simplex._REDUCED_TOL * max(1.0, float(np.abs(c).max(initial=0.0)))
     reduced = simplex._reduced_costs(c, a, basis, binv)
     worst = int(np.argmin(np.where(basic, 0.0, reduced)))
-    if reduced[worst] < -tol:
+    if reduced[worst] < -simplex._TOL:
         raise ValueError(
             f"start basis is not dual feasible: column {worst} has "
-            f"reduced cost {float(reduced[worst])!r}"
+            f"reduced cost {math.ldexp(reduced[worst], -cs)!r}"
         )
     streak, fresh = 0, False
-    residual_tol = simplex._FEASIBLE_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
     for iterations in range(1, simplex.MAX_ITERATIONS + 1):
         xb = binv @ b
         pos = int(xb.argmin())
-        if xb[pos] >= -simplex._FEASIBLE_TOL:
-            if fresh or np.abs(a[:, basis] @ xb - b).max() <= residual_tol:
+        if xb[pos] >= -simplex._TOL:
+            if fresh or np.abs(a[:, basis] @ xb - b).max() <= simplex._TOL:
                 break
             binv, fresh = simplex._inverse(a, basis), True
             reduced = simplex._reduced_costs(c, a, basis, binv)
             continue
         bland = streak > simplex._DEGENERATE_STREAK
         if bland:
-            rows = np.flatnonzero(xb < -simplex._FEASIBLE_TOL)
+            rows = np.flatnonzero(xb < -simplex._TOL)
             pos = int(rows[np.argmin(basis[rows])])
         alpha = binv[pos] @ a
-        candidates = np.flatnonzero((alpha < -simplex._PIVOT_TOL) & ~basic)
+        candidates = np.flatnonzero((alpha < -simplex._TOL) & ~basic)
         if candidates.size == 0:
             raise InfeasibleError(
                 f"row {pos} cannot be repaired: basic column "
-                f"{int(basis[pos])} is at {float(xb[pos])!r} < 0",
+                f"{int(basis[pos])} is at {math.ldexp(xb[pos], -bs)!r} < 0",
                 certificate=binv[pos].copy(),
             )
         ratios = np.maximum(reduced[candidates], 0.0) / -alpha[candidates]
         step = float(ratios.min())
-        ties = ratios <= step + simplex._STEP_TOL
+        ties = ratios <= step + simplex._TOL
         if bland:
             enter = int(candidates[ties.argmax()])
         else:
@@ -149,21 +149,21 @@ def _reference_minimize(c, a_eq, b_eq, start, binv):
         binv -= np.outer(d, row)
         binv[pos] = row
         reduced -= reduced[enter] / alpha[enter] * alpha
-        streak, fresh = streak + 1 if step <= simplex._STEP_TOL else 0, False
+        streak, fresh = streak + 1 if step <= simplex._TOL else 0, False
     else:
         raise IterationLimitError(f"simplex stopped after {simplex.MAX_ITERATIONS} iterations")
     reduced = simplex._reduced_costs(c, a, basis, binv)
     worst = int(np.argmin(np.where(basic, 0.0, reduced)))
-    if reduced[worst] < -tol:
-        value = float(reduced[worst])
+    if reduced[worst] < -simplex._TOL:
+        value = math.ldexp(reduced[worst], -cs)
         raise SlacknessError(
             f"the simplex ended at a basis where column {worst} has "
             f"reduced cost {value!r}",
             worst, value,
         )
     x = np.zeros(nv)
-    x[basis] = xb
-    return simplex.SimplexResult(x, math.fsum(c[basis] * xb), iterations, basis, binv)
+    x[basis] = np.ldexp(xb, -bs)
+    return simplex.SimplexResult(x, math.ldexp(math.fsum(c[basis] * xb), -cs - bs), iterations, basis, binv)
 
 
 def _bits(value):

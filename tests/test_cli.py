@@ -290,6 +290,33 @@ def test_lp_prints_objective_and_support(ones3, capsys):
     assert len(lines) == 4  # three support arcs
 
 
+def test_lp_in_a_tiny_unit_stays_at_most_the_optimum(tmp_path, capsys):
+    # costs of order 1e-10: the simplex works in the unit of its largest
+    # cost, so the bound is that of the same LP in any unit
+    path = tmp_path / "tiny.txt"
+    m = instance.generate(instance.EUCLIDEAN_PERTURBED, 12, 1)
+    instance.save(instance.CostMatrix(m.c * 1e-12), path)
+    assert cli.main(["lp", str(path)]) == 0
+    lp = float(capsys.readouterr().out.splitlines()[1].split()[1])
+    assert cli.main(["exact", str(path)]) == 0
+    optimum = float(capsys.readouterr().out.splitlines()[1].split()[1])
+    assert lp <= optimum
+
+
+def test_solve_in_a_power_of_two_unit_prints_the_same_tour(tmp_path, capsys):
+    # the LP and the patch-up flow both work in the unit of their largest
+    # cost, so costs times 2^20 give the same run
+    m = instance.generate(instance.CYCLE_HEAVY, 12, 1)
+    instance.save(m, tmp_path / "unit.txt")
+    instance.save(instance.CostMatrix(np.ldexp(m.c, 20)), tmp_path / "large.txt")
+    for seed in ("1", "2", "3"):
+        orders = []
+        for name in ("unit.txt", "large.txt"):
+            assert cli.main(["solve", str(tmp_path / name), "--seed", seed]) == 0, (name, seed)
+            orders.append(capsys.readouterr().out.splitlines()[-1])
+        assert orders[0] == orders[1], seed
+
+
 def test_exact_command(inst10, capsys):
     assert cli.main(["exact", inst10]) == 0
     out = capsys.readouterr().out

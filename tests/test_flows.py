@@ -335,7 +335,7 @@ def test_negative_reduced_cost_raises_with_the_residual_arc():
     # residual arc 0 -> 1 with capacity left and reduced cost -1
     heads, to, cap, cost = [[0], [1]], [1, 0], [1, 0], [-1.0, 1.0]
     with pytest.raises(SlacknessError) as caught:
-        flows._check_slackness(heads, to, cap, cost, [0.0, 0.0])
+        flows._check_slackness(heads, to, cap, cost, [0.0, 0.0], 0)
     assert (caught.value.arc, caught.value.reduced_cost) == ((0, 1), -1.0)
 
 
@@ -496,6 +496,25 @@ def test_min_cost_flow_matches_the_full_dijkstra_loop_on_rounded_samples():
                     assert got == full_dijkstra_ssp(z, costs, b), (kind, k_const, seed)
                     outcomes.add(got[0])
     assert outcomes == {"flow", "cut"}
+
+
+def test_min_cost_flow_does_not_depend_on_the_unit_of_its_costs(lp_cache):
+    # the search prices arcs in the unit that puts the largest price in
+    # [1, 2), so costs times a power of two give the same flow or cut
+    for kind, n in ((instance.CYCLE_HEAVY, 40), (instance.ASYMMETRIC_UNIFORM, 30)):
+        m = instance.generate(kind, n, 1)
+        x = lp_cache(kind, n, 1)
+        for k_const in (rounding.DEFAULT_K_CONSTANT, 2.0):
+            k = rounding.scale_k(n, rounding.RoundingConfig(k_constant=k_const))
+            for seed in range(10):
+                z = rounding.round_once(x, k, seed)
+                outcomes = []
+                for shift in (0, -40, 20, 40):
+                    try:
+                        outcomes.append(flows.min_cost_flow(z, instance.CostMatrix(np.ldexp(m.c, shift))).mult)
+                    except InfeasibleError as exc:
+                        outcomes.append(exc.certificate.members)
+                assert outcomes[1:] == outcomes[:1] * 3, (kind, k_const, seed)
 
 
 # ----------------------------------------------------------- transshipment

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -830,6 +832,39 @@ def test_lp_objective_obeys_relabelling_and_shifts(kind, n, seed):
 @pytest.mark.parametrize("kind,n", [(kind, n) for n in (60, 100) for kind in instance.KINDS])
 def test_large_lp_objective_obeys_relabelling_and_shifts(kind, n):
     check_lp_invariants(instance.generate(kind, n, 1), np.random.default_rng(n))
+
+
+def test_the_lp_does_not_depend_on_the_unit_of_its_costs(monkeypatch):
+    # the simplex scales the costs by the power of two that puts the
+    # largest in [1, 2), so on the 36 grid LPs costs times 2^k take the
+    # same pivots to the same point, at exactly 2^k times the objective;
+    # other units round the costs differently, but keep the objective
+    minimize, iterations = simplex.minimize, []
+
+    def counted(*args):
+        result = minimize(*args)
+        iterations.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(simplex, "minimize", counted)
+    for kind, n, seed in PARITY_CASES:
+        if n > 20:
+            continue
+        m = instance.generate(kind, n, seed)
+        iterations.clear()
+        base = heldkarp.solve_lp(m)
+        base_iterations = iterations.copy()
+        for k in (-40, 40):
+            iterations.clear()
+            x = heldkarp.solve_lp(instance.CostMatrix(np.ldexp(m.c, k)))
+            assert [(arc, w.hex()) for arc, w in x.arcs.items()] == [
+                (arc, w.hex()) for arc, w in base.arcs.items()
+            ], (kind, n, seed, k)
+            assert x.objective == math.ldexp(base.objective, k), (kind, n, seed, k)
+            assert iterations == base_iterations, (kind, n, seed, k)
+        for scale in (1e-12, 1e12):
+            x = heldkarp.solve_lp(instance.CostMatrix(m.c * scale))
+            assert x.objective == pytest.approx(base.objective * scale, rel=1e-9), (kind, n, seed, scale)
 
 
 # hostile families, written from the published descriptions of the DIMACS

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -482,28 +484,32 @@ def test_bland_takes_the_row_after_a_streak_of_30_degenerate_pivots(k, row, colu
 
 
 @pytest.mark.parametrize("costs, enter", [
-    # equal ratios: the wider pivot, |alpha| 2 against 1
-    ((1.0, 2.0), 1),
-    # ratios within _STEP_TOL of the least are ties
-    ((1.0, 2.0 + 1e-11), 1),
+    # equal ratios: the wider pivot, |alpha| 1 against 1/4
+    ((0.25, 1.0), 1),
+    # ratios within _TOL of the least are ties
+    ((0.25, 1.0 + 5e-10), 1),
     # and ratios beyond it are not
-    ((1.0, 2.0 + 1e-9), 0),
+    ((0.25, 1.0 + 2e-9), 0),
     # a reduced cost below 0 but within the start check's tolerance has
-    # ratio 0, not a negative one
-    ((-5e-10, 0.0), 1),
+    # ratio 0, which ties the wider column's 5e-10; unclamped, its ratio
+    # -2e-9 would be the least by more than _TOL
+    ((-5e-10, 5e-10), 1),
 ])
 def test_the_entering_column_is_the_widest_of_the_tied_ratios(costs, enter):
-    # min c @ x s.t. x0 + 2 x1 >= 1: one pivot, with ratios c0 / 1 and c1 / 2
-    lp, start = _slack_form(np.array(costs), -np.array([[1.0, 2.0]]), np.array([-1.0]), np.full(2, np.inf))
+    # min c @ x + x2 s.t. x0 / 4 + x1 >= 1: one pivot, with ratios 4 c0 and
+    # c1; x2, of cost 1 and outside the row, makes the largest |cost| 1, so
+    # the loop runs on these costs unscaled
+    lp, start = _slack_form(np.array([*costs, 1.0]), -np.array([[0.25, 1.0, 0.0]]), np.array([-1.0]),
+                            np.full(3, np.inf))
     res = _minimize(*lp, start)
     assert res.basis.tolist() == [enter]
-    assert res.x[enter] == (1.0, 0.5)[enter]
+    assert res.x[enter] == (4.0, 1.0)[enter]
 
 
 @pytest.mark.parametrize("entry", [1e-5, 1e-11])
 def test_a_pivot_entry_must_exceed_the_pivot_tolerance(entry):
     # min x0 s.t. entry * x0 >= 1: an entry of 1e-5 is pivoted on, one of
-    # 1e-11, below _PIVOT_TOL, is float noise, so the row is unrepairable
+    # 1e-11, below _TOL, is float noise, so the row is unrepairable
     lp, start = _slack_form(np.ones(1), -np.array([[entry]]), np.array([-1.0]), np.full(1, np.inf))
     if entry > 1e-10:
         res = _minimize(*lp, start)
@@ -514,13 +520,15 @@ def test_a_pivot_entry_must_exceed_the_pivot_tolerance(entry):
             _minimize(*lp, start)
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e6])
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e6])
 @pytest.mark.parametrize("factor", [0.5, 2.0])
 def test_the_start_check_tolerance_scales_with_the_largest_cost(scale, factor):
-    # costs (scale, -factor * tol) from a feasible slack start: tol is
-    # _REDUCED_TOL = 1e-9 times the largest |cost|, at least 1e-9, so half
-    # of it below 0 passes and twice it does not
-    tol = 1e-9 * scale
+    # costs (scale, -factor * tol) from a feasible slack start: the loop
+    # multiplies the costs by the power of two that puts scale in [1, 2)
+    # and checks against _TOL = 1e-9 there, so tol is 1e-9 times the
+    # largest power of two at most scale, and half of it below 0 passes
+    # and twice it does not
+    tol = 1e-9 * 2.0 ** (math.frexp(scale)[1] - 1)
     lp, start = _slack_form(np.array([scale, -factor * tol]), -np.ones((1, 2)), np.ones(1), np.full(2, np.inf))
     if factor < 1.0:
         assert _minimize(*lp, start).iterations == 1
