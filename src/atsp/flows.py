@@ -30,7 +30,7 @@ from .errors import (
     NotBalancedError,
     SlacknessError,
 )
-from .instance import CostMatrix
+from .instance import COST_TOL, CostMatrix, unit_shift
 
 _EPS = 1e-12
 
@@ -285,7 +285,7 @@ def min_cost_flow(g: IntegerMultiDigraph, costs: CostMatrix) -> IntegerMultiDigr
     exists.
 
     The search runs on the arcs' costs times one exact power of two that
-    puts the largest in [1, 2), so its tie tolerance _EPS and the 1e-9
+    puts the largest in [1, 2), so its tie tolerance _EPS and the COST_TOL
     slackness check mean the same at any unit of cost, and costs scaled by
     a power of two give the same w. A SlacknessError reports its reduced
     cost in the caller's units.
@@ -300,7 +300,7 @@ def min_cost_flow(g: IntegerMultiDigraph, costs: CostMatrix) -> IntegerMultiDigr
     heads, to, cap = network.heads, network.to, network.cap
     # the flow's unit: an exact power of two puts the largest price in [1, 2)
     prices = costs.c.take([v * n + w for v, w in arcs])
-    shift = 1 - math.frexp(float(prices.max()))[1]
+    shift = unit_shift(prices)
     cost = np.ldexp(np.column_stack([prices, -prices]), shift).ravel().tolist()
     cost += (0.0, -0.0) * (len(to) // 2 - len(arcs))
     inf = float("inf")
@@ -367,7 +367,7 @@ def _check_slackness(heads, to, cap, cost, potential, shift: int) -> None:
         for e in heads[u]:
             if cap[e] > 0:
                 reduced = cost[e] + potential[u] - potential[to[e]]
-                if reduced <= -1e-9:
+                if reduced <= -COST_TOL:
                     reduced = math.ldexp(reduced, -shift)
                     raise SlacknessError(
                         f"complementary slackness violated on residual arc "

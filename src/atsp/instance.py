@@ -1,9 +1,13 @@
 """Metric ATSP instances: representation, validation, generation, text IO.
 
-Costs are 64-bit floats. The triangle inequality is checked within an
-absolute tolerance of 1e-9 because metric-closure output carries float
-rounding of that order. Self-loops are forbidden throughout; diagonal
-entries are fixed at zero.
+Costs are 64-bit floats. Every cost comparison in the package allows
+one tolerance, COST_TOL, in the unit of the largest cost it compares:
+that unit is the power of two that unit_shift gives, so the slack is
+ldexp(COST_TOL, -unit_shift(values)). A power of two changes no rounding
+(Curtis & Reid 1972), so costs times 2^k are judged exactly as the costs
+themselves. The triangle inequality is checked that way because
+metric-closure output carries float rounding. Self-loops are forbidden
+throughout; diagonal entries are fixed at zero.
 """
 
 from __future__ import annotations
@@ -13,12 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TRIANGLE_TOL = 1e-9
+COST_TOL = 1e-9
 
 ASYMMETRIC_UNIFORM = "asymmetric-uniform"
 EUCLIDEAN_PERTURBED = "euclidean-perturbed"
 CYCLE_HEAVY = "cycle-heavy"
 KINDS = (ASYMMETRIC_UNIFORM, EUCLIDEAN_PERTURBED, CYCLE_HEAVY)
+
+
+def unit_shift(values) -> int:
+    """The k for which 2^k times the largest |entry| of values lies in
+    [1, 2); all zeros give 1."""
+    return 1 - math.frexp(float(np.abs(values).max(initial=0.0)))[1]
 
 
 @dataclass(frozen=True)
@@ -95,14 +105,15 @@ _BLOCK_ELEMENTS = 1 << 20
 # a path sum that overflows to inf is no shortcut, so it needs no warning
 @np.errstate(over="ignore")
 def validate(m: CostMatrix) -> ValidationReport:
-    """Count the violated triangles (i, k, j), beyond TRIANGLE_TOL, and the
-    negative and nonzero-diagonal entries, and report whether n times the
-    largest cost, which bounds every tour's cost, overflows. The triangles
-    are checked for a block of rows i at once, all (k, j) per row, with as
-    many rows per block as _BLOCK_ELEMENTS allows, and at least one. Never
-    raises."""
+    """Count the violated triangles (i, k, j), beyond COST_TOL in the unit
+    of the largest |cost|, and the negative and nonzero-diagonal entries,
+    and report whether n times the largest cost, which bounds every
+    tour's cost, overflows. The triangles are checked for a block of rows
+    i at once, all (k, j) per row, with as many rows per block as
+    _BLOCK_ELEMENTS allows, and at least one. Never raises."""
     c = m.c
     n = m.n
+    tol = math.ldexp(COST_TOL, -unit_shift(c))
     triangles = 0
     rows = max(1, _BLOCK_ELEMENTS // (n * n))
     v = np.arange(n)
@@ -111,7 +122,7 @@ def validate(m: CostMatrix) -> ValidationReport:
         i, b = v[lo : lo + rows], v[: block.shape[0]]
         # bad[b, k, j]: c[i][j] exceeds the path through k, for i = lo + b;
         # a triple with a repeated vertex is no triangle
-        bad = block[:, None, :] > block[:, :, None] + c + TRIANGLE_TOL
+        bad = block[:, None, :] > block[:, :, None] + c + tol
         bad[b, i, :] = bad[b, :, i] = bad[:, v, v] = False
         triangles += int(np.count_nonzero(bad))
     return ValidationReport(

@@ -21,7 +21,7 @@ from .errors import (
     ShortcutCostError,
 )
 from .flows import IntegerMultiDigraph, euler_circuit, min_cost_flow
-from .instance import CostMatrix
+from .instance import COST_TOL, CostMatrix, unit_shift
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,8 @@ def eulerian_tour(
     euler_circuit rejects an unbalanced or disconnected support, and a
     walk that misses a vertex raises DisconnectedError. The returned tour
     costs no more than the Euler walk, which is exactly the triangle
-    inequality in action; ShortcutCostError is raised if it does.
+    inequality in action; ShortcutCostError is raised if it does by more
+    than COST_TOL in the unit of the larger cost.
     """
     total = z + w
     walk_cost = total.total_cost(m)
@@ -93,7 +94,7 @@ def eulerian_tour(
     if len(order) < m.n:
         raise DisconnectedError("z + w does not connect all vertices")
     tour = make_tour(m, order)
-    if tour.cost > walk_cost + 1e-9:
+    if tour.cost > walk_cost + math.ldexp(COST_TOL, -unit_shift((tour.cost, walk_cost))):
         raise ShortcutCostError(
             f"shortcutting raised the cost from {walk_cost!r} to {tour.cost!r}",
             tour.cost, walk_cost,
@@ -120,18 +121,23 @@ class PipelineReport:
         return self.tour_cost / self.lp_objective if self.lp_objective else math.nan
 
     def sandwich_failure(self) -> str | None:
-        """The first broken link of
-        lp - 1e-6 <= tour <= cost_z + cost_w <= 2 cost_z, or None. A cost
+        """The first broken link of lp <= tour <= cost_z + cost_w, cost_w <=
+        cost_z and tour <= 2 cost_z, or None. Each link a <= b allows
+        COST_TOL in the unit of the larger of a and b, so the LP bound is
+        held in the unit of the tour, not of the K-fold sample. A cost
         that is not finite breaks the chain, since inf bounds anything."""
-        costs = (self.lp_objective, self.cost_z, self.cost_w, self.tour_cost)
-        if not all(map(math.isfinite, costs)):
+        lp, z, w, tour = self.lp_objective, self.cost_z, self.cost_w, self.tour_cost
+        if not all(map(math.isfinite, (lp, z, w, tour))):
             return "a cost is not finite"
-        if self.tour_cost < self.lp_objective - 1e-6:
-            return "tour beat the LP lower bound"
-        if self.tour_cost > self.cost_z + self.cost_w + 1e-9:
-            return "tour exceeded the walk cost"
-        if self.cost_w > self.cost_z + 1e-9:
-            return "patch cost exceeded sample cost"
+        links = (
+            (lp, tour, "tour beat the LP lower bound"),
+            (tour, z + w, "tour exceeded the walk cost"),
+            (w, z, "patch cost exceeded sample cost"),
+            (tour, 2.0 * z, "tour exceeded twice the sample cost"),
+        )
+        for a, b, failure in links:
+            if a > b + math.ldexp(COST_TOL, -unit_shift((a, b))):
+                return failure
         return None
 
     def key_value_lines(self) -> list[str]:
@@ -178,8 +184,10 @@ def run_from_lp(
     patch, Euler shortcut.
 
     Propagates RetriesExhaustedError. The report satisfies
-    lp - 1e-6 <= tour_cost <= cost_z + cost_w <= 2 cost_z, which is
-    checked on every run; CostSandwichError is raised if it fails.
+    lp <= tour_cost <= cost_z + cost_w <= 2 cost_z, each link within
+    COST_TOL in the unit of its larger side, which is checked on every
+    run (PipelineReport.sandwich_failure); CostSandwichError is raised if
+    it fails.
     """
     if cfg is None:
         cfg = rounding.RoundingConfig()

@@ -2,13 +2,14 @@
 a_eq @ x = b_eq and x >= 0.
 
 The loop runs in one unit. It first multiplies c and b by exact powers
-of two that put the largest |entry| of each in [1, 2) (a zero vector
-stays zero), and it scales x, the objective and every value it reports
-back, so a caller sees its own units. A power of two changes no rounding
-(Curtis & Reid 1972), so c and b scaled by 2^k give the same pivots, the
-same basis and inverse, and a point and objective exactly 2^k times as
-large, and one tolerance, _TOL, serves every test: reduced costs,
-basic values, pivot entries, ratio ties and the residual.
+of two that put the largest |entry| of each in [1, 2)
+(instance.unit_shift; a zero vector stays zero), and it scales x, the
+objective and every value it reports back, so a caller sees its own
+units. A power of two changes no rounding (Curtis & Reid 1972), so c and
+b scaled by 2^k give the same pivots, the same basis and inverse, and a
+point and objective exactly 2^k times as large, and one tolerance, _TOL,
+serves every test: reduced costs, basic values, pivot entries, ratio
+ties and the residual.
 
 A solve starts from a full basis that the caller names, the basic column
 of each row, and that basis must be dual feasible: no nonbasic reduced
@@ -53,6 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, IterationLimitError, SingularBasisError, SlacknessError
+from .instance import unit_shift
 
 MAX_ITERATIONS = 100_000
 
@@ -87,11 +89,6 @@ def _inverse(a: np.ndarray, basis: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def _unit_shift(v: np.ndarray) -> int:
-    """The k for which 2^k times the largest |entry| of v lies in [1, 2)."""
-    return 1 - math.frexp(float(np.abs(v).max(initial=0.0)))[1]
-
-
 def _reduced_costs(cost: np.ndarray, a: np.ndarray, basis: np.ndarray, binv: np.ndarray) -> np.ndarray:
     return cost - (cost[basis] @ binv) @ a
 
@@ -111,7 +108,7 @@ def minimize(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, start: np.ndarra
     a = np.asarray(a_eq, dtype=np.float64)
     b = np.asarray(b_eq, dtype=np.float64)
     # the loop's unit: exact powers of two, undone on the way out
-    cs, bs = _unit_shift(c), _unit_shift(b)
+    cs, bs = unit_shift(c), unit_shift(b)
     c, b = np.ldexp(c, cs), np.ldexp(b, bs)
     start = np.asarray(start)
     m, nv = a.shape

@@ -94,7 +94,7 @@ def _reference_minimize(c, a_eq, b_eq, start, binv):
     c = np.asarray(c, dtype=np.float64)
     a = np.asarray(a_eq, dtype=np.float64)
     b = np.asarray(b_eq, dtype=np.float64)
-    cs, bs = simplex._unit_shift(c), simplex._unit_shift(b)
+    cs, bs = instance.unit_shift(c), instance.unit_shift(b)
     c, b = np.ldexp(c, cs), np.ldexp(b, bs)
     start = np.asarray(start)
     m, nv = a.shape

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import inspect
 import io
+import math
 import re
 import tempfile
 import warnings
@@ -317,6 +318,32 @@ def test_solve_in_a_power_of_two_unit_prints_the_same_tour(tmp_path, capsys):
         assert orders[0] == orders[1], seed
 
 
+def test_lp_in_a_large_power_of_two_unit_prints_the_same_arcs(tmp_path, capsys):
+    # the metric closure's rounding, times 2^20, is judged in the unit of
+    # the largest cost, so validation accepts the scaled instance too
+    m = instance.generate(instance.ASYMMETRIC_UNIFORM, 20, 1)
+    instance.save(m, tmp_path / "unit.txt")
+    instance.save(instance.CostMatrix(np.ldexp(m.c, 20)), tmp_path / "large.txt")
+    arcs = []
+    for name in ("unit.txt", "large.txt"):
+        assert cli.main(["lp", str(tmp_path / name)]) == 0, name
+        arcs.append(capsys.readouterr().out.splitlines()[2:])
+    assert arcs[0] and arcs[0] == arcs[1]
+
+
+@pytest.mark.parametrize("command", ["solve", "lp", "verify"])
+def test_a_nonmetric_instance_in_a_tiny_unit_exits_3(command, tmp_path, capsys):
+    # 200 triangles break by whole units of cost, at any power of two
+    c = np.random.default_rng(1).uniform(1.0, 100.0, size=(12, 12))
+    np.fill_diagonal(c, 0.0)
+    path = tmp_path / "tiny.txt"
+    instance.save(instance.CostMatrix(np.ldexp(c, -40)), path)
+    assert cli.main([command, str(path)]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "200 triangle violations" in captured.err
+
+
 def test_exact_command(inst10, capsys):
     assert cli.main(["exact", inst10]) == 0
     out = capsys.readouterr().out
@@ -421,17 +448,21 @@ def test_verify_fails_a_run_that_breaks_the_sandwich(tmp_path, capsys, monkeypat
 def test_verify_holds_the_tour_within_1e_9_of_twice_the_sample_cost(
     tmp_path, capsys, monkeypatch
 ):
-    # each link of the chain holds within its 1e-9, but together they
-    # leave the tour 1.8e-9 above 2 costZ
+    # each link holds within its slack, COST_TOL in the unit of the larger
+    # side: the patch 0.9 slack above costZ, the tour within the walk; but
+    # together they leave the tour 1.2 slacks of 2 costZ above 2 costZ,
+    # which the last link of the chain catches
     run_from_lp = patchup.run_from_lp
 
     def doctored(m, x, cfg):
         run = run_from_lp(m, x, cfg)
         cost_z = run.report.cost_z
+        slack = math.ldexp(instance.COST_TOL, -instance.unit_shift([cost_z]))
         report = dataclasses.replace(
-            run.report, cost_w=cost_z + 0.9e-9, tour_cost=2.0 * cost_z + 1.8e-9
+            run.report, cost_w=cost_z + 0.9 * slack, tour_cost=2.0 * cost_z + 2.4 * slack
         )
-        assert report.sandwich_failure() is None
+        assert report.tour_cost <= report.cost_z + report.cost_w + 2.0 * slack
+        assert report.sandwich_failure() == "tour exceeded twice the sample cost"
         return dataclasses.replace(run, report=report)
 
     monkeypatch.setattr(patchup, "run_from_lp", doctored)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -37,9 +38,12 @@ def test_validate_reports_triangle_violation_with_slack():
     assert report.summary() == (
         "0 negative entries, 0 nonzero diagonal entries, 1 triangle violations"
     )
-    # a slack within TRIANGLE_TOL is no violation
-    c[0, 1] = 2.0 + instance.TRIANGLE_TOL / 2
+    # the largest cost, 2, sets the unit, so the slack is 2 COST_TOL: half
+    # a slack above the path through 2 is no violation, 1.5 slacks are
+    c[0, 1] = 2.0 + instance.COST_TOL
     assert instance.validate(instance.CostMatrix(c)).ok
+    c[0, 1] = 2.0 + 3.0 * instance.COST_TOL
+    assert instance.validate(instance.CostMatrix(c)) == report
 
 
 def test_validate_reports_negative_and_diagonal_entries():
@@ -74,6 +78,7 @@ def reference_validate(m: instance.CostMatrix) -> instance.ValidationReport:
     it counts what it finds."""
     c = m.c
     n = m.n
+    tol = math.ldexp(instance.COST_TOL, -instance.unit_shift(c))
     diagonal = negative = triangles = 0
     for i in range(n):
         if c[i, i] != 0.0:
@@ -86,7 +91,7 @@ def reference_validate(m: instance.CostMatrix) -> instance.ValidationReport:
             if k == i:
                 continue
             via = c[i, k] + c[k, :]
-            bad = np.nonzero(c[i, :] > via + instance.TRIANGLE_TOL)[0]
+            bad = np.nonzero(c[i, :] > via + tol)[0]
             for j in bad:
                 if j == i or j == k:
                     continue
@@ -95,12 +100,13 @@ def reference_validate(m: instance.CostMatrix) -> instance.ValidationReport:
 
 
 def near_boundary_matrix(n: int, seed: int) -> instance.CostMatrix:
-    """Costs in 0..3, so ties are everywhere, each nudged by a multiple of
-    TRIANGLE_TOL in -2..2 so many triangles sit at the tolerance; a few
-    entries are negative and a few diagonal entries nonzero."""
+    """Costs in 0..3, so ties are everywhere, each nudged by a multiple in
+    -2..2 of the slack in the unit of the largest cost, so many triangles
+    sit at the tolerance; a few entries are negative and a few diagonal
+    entries nonzero."""
     rng = np.random.default_rng(seed)
     c = rng.integers(0, 4, size=(n, n)).astype(np.float64)
-    c += rng.integers(-2, 3, size=(n, n)) * instance.TRIANGLE_TOL
+    c += rng.integers(-2, 3, size=(n, n)) * math.ldexp(instance.COST_TOL, -instance.unit_shift(c))
     np.fill_diagonal(c, 0.0)
     picks = rng.integers(0, n, size=(2, 3))
     c[picks[0], picks[1]] = -1.0
@@ -152,6 +158,42 @@ def test_validate_in_blocks_of_rows_matches_the_reference_loop(rows, monkeypatch
             reference = reference_validate(m)
         assert report == dataclasses.replace(reference, tour_cost_overflow=True)
         assert report.triangle_violations
+
+
+def nonmetric12() -> np.ndarray:
+    """Uniform costs in [1, 100) with no closure: 200 triangles break."""
+    c = np.random.default_rng(1).uniform(1.0, 100.0, size=(12, 12))
+    np.fill_diagonal(c, 0.0)
+    return c
+
+
+@pytest.mark.parametrize("values, shift", [
+    ([1.0], 0), ([1.5, -0.25], 0), ([2.0], -1), ([-3.0, 1.0], -1),
+    ([0.75], 1), ([100.0], -6), ([2.0**-40], 40), ([0.0, 0.0], 1), ([], 1),
+])
+def test_unit_shift_puts_the_largest_magnitude_in_one_to_two(values, shift):
+    assert instance.unit_shift(np.array(values)) == shift
+    if any(values):
+        assert 1.0 <= math.ldexp(max(map(abs, values)), shift) < 2.0
+
+
+def test_validate_does_not_depend_on_the_unit_of_the_costs():
+    # the metric closure leaves float rounding in every unit; a slack in
+    # the unit of the largest cost judges it the same at any power of two
+    cases = [instance.generate(kind, n, seed).c for kind in instance.KINDS
+             for n in (10, 15, 20) for seed in (1, 2, 3, 4)]
+    cases += [instance.generate(kind, 40, seed).c for kind in instance.KINDS for seed in (1, 2)]
+    cases.append(nonmetric12())
+    for c in cases:
+        report = instance.validate(instance.CostMatrix(c))
+        for k in (-40, 20, 40):
+            assert instance.validate(instance.CostMatrix(np.ldexp(c, k))) == report, (c.shape, k)
+
+
+def test_a_nonmetric_instance_in_a_tiny_unit_keeps_its_violations():
+    report = instance.ValidationReport(triangle_violations=200)
+    assert instance.validate(instance.CostMatrix(nonmetric12())) == report
+    assert instance.validate(instance.CostMatrix(np.ldexp(nonmetric12(), -40))) == report
 
 
 def test_closure_keeps_already_metric_matrix():

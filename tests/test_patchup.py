@@ -178,13 +178,15 @@ def test_patch_above_the_sample_raises_with_the_arc(monkeypatch):
 
 def test_shortcut_above_the_walk_raises_with_both_costs():
     # without the triangle inequality the skip 2 -> 3 costs more than the
-    # detour 2 -> 0 -> 3 it replaces
+    # detour 2 -> 0 -> 3 it replaces, in any power-of-two unit of cost
     c = np.ones((4, 4)) - np.eye(4)
     c[2, 3] = 100.0
     z = IntegerMultiDigraph(4, {(0, 1): 1, (1, 2): 1, (2, 0): 1, (0, 3): 1, (3, 0): 1})
-    with pytest.raises(ShortcutCostError) as caught:
-        patchup.eulerian_tour(z, IntegerMultiDigraph(4, {}), instance.CostMatrix(c))
-    assert (caught.value.tour_cost, caught.value.walk_cost) == (103.0, 5.0)
+    for k in (0, -40, 40):
+        with pytest.raises(ShortcutCostError) as caught:
+            patchup.eulerian_tour(z, IntegerMultiDigraph(4, {}), instance.CostMatrix(np.ldexp(c, k)))
+        err = caught.value
+        assert (err.tour_cost, err.walk_cost) == (math.ldexp(103.0, k), math.ldexp(5.0, k))
 
 
 def test_eulerian_tour_requires_all_vertices():
@@ -257,6 +259,68 @@ def test_a_cost_that_is_not_finite_breaks_the_sandwich(name, value):
     assert report.sandwich_failure() is None
     broken = dataclasses.replace(report, **{name: value})
     assert broken.sandwich_failure() == "a cost is not finite"
+
+
+def slack(cost: float) -> float:
+    """COST_TOL in the unit of cost."""
+    return math.ldexp(instance.COST_TOL, -instance.unit_shift([cost]))
+
+
+def sandwich_reports() -> list[patchup.PipelineReport]:
+    """Reports that hold or break each link a <= b of the sandwich by a
+    fraction or a multiple of the link's slack, plus the reports of real
+    runs."""
+    base = patchup.PipelineReport(
+        n=3, lp_objective=3.0, k=110, attempts=1, cost_z=3.5, cost_w=1.5, tour_cost=4.5
+    )
+    z, walk = base.cost_z, base.cost_z + base.cost_w
+    # the patch link is held in the unit of z, the last link in that of
+    # 2 z, twice as coarse: a tour 1.2 of the latter above 2 z stays within
+    # the walk link when the patch sits 0.9 of the former above z
+    w = z + 0.9 * slack(z)
+    edits = [
+        {}, {"tour_cost": 3.0 - 0.5 * slack(3.0)}, {"tour_cost": 3.0 - 2.0 * slack(3.0)},
+        {"tour_cost": walk + 0.5 * slack(walk)}, {"tour_cost": walk + 2.0 * slack(walk)},
+        {"cost_w": z + 0.5 * slack(z)}, {"cost_w": z + 2.0 * slack(z)},
+        {"cost_w": w, "tour_cost": 2.0 * z + 0.5 * slack(2.0 * z)},
+        {"cost_w": w, "tour_cost": 2.0 * z + 1.2 * slack(2.0 * z)},
+    ]
+    reports = [dataclasses.replace(base, **edit) for edit in edits]
+    for kind in instance.KINDS:
+        m = instance.generate(kind, 10, 1)
+        reports.append(patchup.run_pipeline(m, rounding.RoundingConfig(seed=3)).report)
+    return reports
+
+
+def test_the_sandwich_pins_each_link_at_its_slack():
+    failures = [report.sandwich_failure() for report in sandwich_reports()]
+    assert failures == [
+        None, None, "tour beat the LP lower bound",
+        None, "tour exceeded the walk cost",
+        None, "patch cost exceeded sample cost",
+        None, "tour exceeded twice the sample cost",
+        None, None, None,
+    ]
+
+
+@pytest.mark.parametrize("k", [-40, 40])
+def test_the_sandwich_does_not_depend_on_the_unit_of_the_costs(k):
+    for report in sandwich_reports():
+        scaled = dataclasses.replace(report, **{
+            name: math.ldexp(getattr(report, name), k)
+            for name in ("lp_objective", "cost_z", "cost_w", "tour_cost")
+        })
+        assert scaled.sandwich_failure() == report.sandwich_failure(), report
+
+
+def test_a_tour_two_slacks_below_a_tiny_lp_breaks_the_sandwich():
+    # costs near 2^-38: an absolute slack of 1e-6 would exceed them all
+    lp = math.ldexp(3.0, -40)
+    report = patchup.PipelineReport(
+        n=3, lp_objective=lp, k=110, attempts=1, cost_z=lp, cost_w=0.0,
+        tour_cost=lp - 2.0 * slack(lp),
+    )
+    assert report.sandwich_failure() == "tour beat the LP lower bound"
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
