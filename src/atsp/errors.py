@@ -81,8 +81,8 @@ class DisconnectedError(AtspError):
 
 class CostSandwichError(AtspError):
     """A pipeline run broke lp <= tour <= cost_z + cost_w <= 2 cost_z, each
-    link within COST_TOL in the unit of its larger side, or a sample cost
-    is not finite, which no such chain can bound.
+    link within instance.TOL in the unit of its larger side, or a sample
+    cost is not finite, which no such chain can bound.
 
     ``report`` carries the PipelineReport whose costs break it, or None
     when a connectivity sweep's mean sample cost is not finite.
@@ -109,7 +109,7 @@ class PatchExceedsSampleError(AtspError):
 
 class ShortcutCostError(AtspError):
     """Shortcutting an Euler walk gave a tour that costs more than the walk,
-    by more than COST_TOL in the unit of the larger cost, which the
+    by more than instance.TOL in the unit of the larger cost, which the
     triangle inequality rules out.
 
     ``tour_cost`` and ``walk_cost`` carry both costs.
@@ -125,9 +125,9 @@ class SlacknessError(AtspError):
     """An optimality check found a negative reduced cost, so the solution
     it checks is not optimal.
 
-    Both engines check against -1e-9 (the simplex's _TOL, the flow's
-    COST_TOL) at unit scale, on the costs times the power of two that
-    instance.unit_shift gives, which puts the largest |cost| in [1, 2).
+    Both engines check against -instance.TOL at unit scale, on the costs
+    times the power of two that instance.unit_shift gives, which puts the
+    largest |cost| in [1, 2).
     From a min-cost flow, ``arc`` is the residual arc ``(u, v)`` of the
     successive-shortest-path network (vertices n and n + 1 are its super
     source and sink). From the simplex, ``arc`` is the column that the

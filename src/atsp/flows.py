@@ -30,9 +30,7 @@ from .errors import (
     NotBalancedError,
     SlacknessError,
 )
-from .instance import COST_TOL, CostMatrix, unit_shift
-
-_EPS = 1e-12
+from .instance import TOL, CostMatrix, unit_shift
 
 
 @dataclass(frozen=True)
@@ -168,7 +166,7 @@ def _dinic(
             above = level[v] + 1
             for e in heads[v]:
                 u = to[e]
-                if level[u] < 0 and cap[e ^ 1] > _EPS:
+                if level[u] < 0 and cap[e ^ 1] > TOL:
                     level[u] = above
                     queue.append(u)
         if level[s] < 0:
@@ -184,7 +182,7 @@ def _dinic(
                     cap[e ^ 1] += pushed
                 value += pushed
                 first = 0
-                while cap[path[first]] > _EPS:
+                while cap[path[first]] > TOL:
                     first += 1
                 u = to[path[first] ^ 1]
                 del path[first:]
@@ -195,7 +193,7 @@ def _dinic(
             end = len(arcs)
             while i < end:
                 e = arcs[i]
-                if cap[e] > _EPS and level[to[e]] == below:
+                if cap[e] > TOL and level[to[e]] == below:
                     break
                 i += 1
             it[u] = i
@@ -224,7 +222,9 @@ def max_flow(
     the value. Neither depends on which maximum flow is found. When the
     capacities are balanced at every vertex, every vertex set has equal
     outgoing and incoming capacity, so W is then also the U of the flow
-    from t to s.
+    from t to s. A residual arc counts while its capacity exceeds
+    instance.TOL: the capacities are LP weights or integer
+    multiplicities, which have no unit.
     """
     if s == t:
         raise ValueError("source equals sink")
@@ -236,7 +236,7 @@ def max_flow(
     for u in queue:
         for e in heads[u]:
             v = to[e]
-            if cap[e] > _EPS and not reached[v]:
+            if cap[e] > TOL and not reached[v]:
                 reached[v] = True
                 queue.append(v)
     source_side = tuple(v for v, r in enumerate(reached) if r)
@@ -285,10 +285,10 @@ def min_cost_flow(g: IntegerMultiDigraph, costs: CostMatrix) -> IntegerMultiDigr
     exists.
 
     The search runs on the arcs' costs times one exact power of two that
-    puts the largest in [1, 2), so its tie tolerance _EPS and the COST_TOL
-    slackness check mean the same at any unit of cost, and costs scaled by
-    a power of two give the same w. A SlacknessError reports its reduced
-    cost in the caller's units.
+    puts the largest in [1, 2), so its Dijkstra ties and its slackness
+    check, both at instance.TOL, mean the same at any unit of cost, and
+    costs scaled by a power of two give the same w. A SlacknessError
+    reports its reduced cost in the caller's units.
     """
     n = g.n
     reduction = _transshipment_network(g)
@@ -314,7 +314,7 @@ def min_cost_flow(g: IntegerMultiDigraph, costs: CostMatrix) -> IntegerMultiDigr
         pq = [(0.0, source)]
         while pq:
             d, u = heappop(pq)
-            if d > dist[u] + _EPS:
+            if d > dist[u] + TOL:
                 continue
             if u == sink:
                 break
@@ -324,7 +324,7 @@ def min_cost_flow(g: IntegerMultiDigraph, costs: CostMatrix) -> IntegerMultiDigr
                     continue
                 v = to[e]
                 nd = d + cost[e] + pu - potential[v]
-                if nd < dist[v] - _EPS:
+                if nd < dist[v] - TOL:
                     dist[v] = nd
                     prev_edge[v] = e
                     heappush(pq, (nd, v))
@@ -367,7 +367,7 @@ def _check_slackness(heads, to, cap, cost, potential, shift: int) -> None:
         for e in heads[u]:
             if cap[e] > 0:
                 reduced = cost[e] + potential[u] - potential[to[e]]
-                if reduced <= -COST_TOL:
+                if reduced <= -TOL:
                     reduced = math.ldexp(reduced, -shift)
                     raise SlacknessError(
                         f"complementary slackness violated on residual arc "

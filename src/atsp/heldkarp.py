@@ -67,11 +67,10 @@ from . import simplex
 from .cuts import CutRecord, cut_record
 from .errors import IterationLimitError
 from .flows import components, max_flow, require_balanced, residual_network
-from .instance import CostMatrix
+from .instance import TOL, CostMatrix
 
 BALANCE_TOL = 1e-7
 SEPARATION_TOL = 1e-6
-SUPPORT_EPS = 1e-9
 
 # cutting-plane rounds allowed per vertex; generous at desk scale, and a
 # hard stop that surfaces pathologies instead of hanging
@@ -80,7 +79,7 @@ ROUNDS_PER_VERTEX = 50
 
 @dataclass(frozen=True)
 class FractionalCirculation:
-    """An LP point: balanced, out-degree-1 arc weights in (SUPPORT_EPS, 1]."""
+    """An LP point: balanced, out-degree-1 arc weights in (TOL, 1]."""
 
     n: int
     arcs: dict[tuple[int, int], float]
@@ -282,7 +281,8 @@ def separate(n: int, arcs: Mapping[tuple[int, int], float]) -> list[CutRecord]:
 
 def solve_lp(m: CostMatrix) -> FractionalCirculation:
     """Solve the subtour relaxation by cutting planes; the point keeps the
-    arcs above SUPPORT_EPS, the ones to_text writes.
+    arcs above instance.TOL, the simplex's accuracy; to_text writes
+    the same ones.
 
     The loop starts from _start: the assignment's cycles as cuts, unless
     it is one tour, and the tree basis of the cut-free master, whose
@@ -316,7 +316,7 @@ def solve_lp(m: CostMatrix) -> FractionalCirculation:
         ))
         violated = separate(n, arcs)
         if not violated:
-            support = {arc: value for arc, value in arcs.items() if value > SUPPORT_EPS}
+            support = {arc: value for arc, value in arcs.items() if value > TOL}
             return FractionalCirculation(n, support, result.objective)
         new = [cut.members for cut in violated if cut.members not in cuts]
         if not new:
@@ -333,10 +333,10 @@ def solve_lp(m: CostMatrix) -> FractionalCirculation:
 
 
 def to_text(x: FractionalCirculation) -> str:
-    """Header ``n objective`` then ``v w x_vw`` lines for arcs above 1e-9,
+    """Header ``n objective`` then ``v w x_vw`` lines for arcs above TOL,
     lexicographically sorted."""
     lines = [f"{x.n} {x.objective!r}"]
     for (v, w), value in sorted(x.arcs.items()):
-        if value > SUPPORT_EPS:
+        if value > TOL:
             lines.append(f"{v} {w} {value!r}")
     return "\n".join(lines) + "\n"

@@ -1,13 +1,18 @@
 """Metric ATSP instances: representation, validation, generation, text IO.
 
-Costs are 64-bit floats. Every cost comparison in the package allows
-one tolerance, COST_TOL, in the unit of the largest cost it compares:
-that unit is the power of two that unit_shift gives, so the slack is
-ldexp(COST_TOL, -unit_shift(values)). A power of two changes no rounding
+Costs are 64-bit floats. TOL = 1e-9 is the package's one accuracy
+constant, applied in the unit of what it compares. A cost comparison
+allows TOL in the unit of the largest cost it compares: that unit is
+the power of two that unit_shift gives, so the slack is
+ldexp(TOL, -unit_shift(values)). A power of two changes no rounding
 (Curtis & Reid 1972), so costs times 2^k are judged exactly as the costs
-themselves. The triangle inequality is checked that way because
-metric-closure output carries float rounding. Self-loops are forbidden
-throughout; diagonal entries are fixed at zero.
+themselves. The simplex and the min-cost flow compute in that unit, so
+they compare at TOL itself. LP weights and arc multiplicities have no
+unit: the max flows, the rounding, the LP support and the small-cut
+count compare them at TOL as they are. The triangle inequality is
+checked with a slack because metric-closure output carries float
+rounding. Self-loops are forbidden throughout; diagonal entries are
+fixed at zero.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-COST_TOL = 1e-9
+TOL = 1e-9
 
 ASYMMETRIC_UNIFORM = "asymmetric-uniform"
 EUCLIDEAN_PERTURBED = "euclidean-perturbed"
@@ -105,7 +110,7 @@ _BLOCK_ELEMENTS = 1 << 20
 # a path sum that overflows to inf is no shortcut, so it needs no warning
 @np.errstate(over="ignore")
 def validate(m: CostMatrix) -> ValidationReport:
-    """Count the violated triangles (i, k, j), beyond COST_TOL in the unit
+    """Count the violated triangles (i, k, j), beyond TOL in the unit
     of the largest |cost|, and the negative and nonzero-diagonal entries,
     and report whether n times the largest cost, which bounds every
     tour's cost, overflows. The triangles are checked for a block of rows
@@ -113,7 +118,7 @@ def validate(m: CostMatrix) -> ValidationReport:
     _BLOCK_ELEMENTS allows, and at least one. Never raises."""
     c = m.c
     n = m.n
-    tol = math.ldexp(COST_TOL, -unit_shift(c))
+    tol = math.ldexp(TOL, -unit_shift(c))
     triangles = 0
     rows = max(1, _BLOCK_ELEMENTS // (n * n))
     v = np.arange(n)

@@ -26,7 +26,7 @@ from .cuts import all_cut_values
 from .errors import CostSandwichError, TooLargeError
 from .flows import is_weakly_connected, transshipment_certificate
 from .heldkarp import FractionalCirculation
-from .instance import CostMatrix
+from .instance import TOL, CostMatrix
 from .patchup import Tour, make_tour
 
 EXACT_LIMIT = 15
@@ -78,13 +78,13 @@ def exact_atsp(m: CostMatrix) -> tuple[float, Tour]:
 
 
 def count_small_cuts(x: FractionalCirculation, alpha: float) -> int:
-    """Number of cuts whose outgoing weight is at most alpha (plus a hair
-    of tolerance); callers compare the count against n**(2 * alpha).
+    """Number of cuts whose outgoing weight is at most alpha plus
+    instance.TOL; callers compare the count against n**(2 * alpha).
     Raises TooLargeError beyond cuts.ENUMERATION_LIMIT vertices."""
     if alpha < 1.0:
         raise ValueError("alpha must be at least 1")
     _, out_w, _ = all_cut_values(x.n, x.arcs)
-    return int(np.count_nonzero(out_w <= alpha + 1e-9))
+    return int(np.count_nonzero(out_w <= alpha + TOL))
 
 
 def min_cut(n: int, arcs: Mapping[tuple[int, int], float]) -> tuple[float, tuple[int, ...]]:

@@ -21,7 +21,7 @@ from .errors import (
     ShortcutCostError,
 )
 from .flows import IntegerMultiDigraph, euler_circuit, min_cost_flow
-from .instance import COST_TOL, CostMatrix, unit_shift
+from .instance import TOL, CostMatrix, unit_shift
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def eulerian_tour(
     walk that misses a vertex raises DisconnectedError. The returned tour
     costs no more than the Euler walk, which is exactly the triangle
     inequality in action; ShortcutCostError is raised if it does by more
-    than COST_TOL in the unit of the larger cost.
+    than TOL in the unit of the larger cost.
     """
     total = z + w
     walk_cost = total.total_cost(m)
@@ -94,7 +94,7 @@ def eulerian_tour(
     if len(order) < m.n:
         raise DisconnectedError("z + w does not connect all vertices")
     tour = make_tour(m, order)
-    if tour.cost > walk_cost + math.ldexp(COST_TOL, -unit_shift((tour.cost, walk_cost))):
+    if tour.cost > walk_cost + math.ldexp(TOL, -unit_shift((tour.cost, walk_cost))):
         raise ShortcutCostError(
             f"shortcutting raised the cost from {walk_cost!r} to {tour.cost!r}",
             tour.cost, walk_cost,
@@ -123,7 +123,7 @@ class PipelineReport:
     def sandwich_failure(self) -> str | None:
         """The first broken link of lp <= tour <= cost_z + cost_w, cost_w <=
         cost_z and tour <= 2 cost_z, or None. Each link a <= b allows
-        COST_TOL in the unit of the larger of a and b, so the LP bound is
+        TOL in the unit of the larger of a and b, so the LP bound is
         held in the unit of the tour, not of the K-fold sample. A cost
         that is not finite breaks the chain, since inf bounds anything."""
         lp, z, w, tour = self.lp_objective, self.cost_z, self.cost_w, self.tour_cost
@@ -136,7 +136,7 @@ class PipelineReport:
             (tour, 2.0 * z, "tour exceeded twice the sample cost"),
         )
         for a, b, failure in links:
-            if a > b + math.ldexp(COST_TOL, -unit_shift((a, b))):
+            if a > b + math.ldexp(TOL, -unit_shift((a, b))):
                 return failure
         return None
 
@@ -185,7 +185,7 @@ def run_from_lp(
 
     Propagates RetriesExhaustedError. The report satisfies
     lp <= tour_cost <= cost_z + cost_w <= 2 cost_z, each link within
-    COST_TOL in the unit of its larger side, which is checked on every
+    TOL in the unit of its larger side, which is checked on every
     run (PipelineReport.sandwich_failure); CostSandwichError is raised if
     it fails.
     """

@@ -20,8 +20,8 @@ from .cuts import CutRecord, all_cut_values, cut_record, members_of
 from .errors import RetriesExhaustedError
 from .flows import IntegerMultiDigraph, components, transshipment_certificate
 from .heldkarp import FractionalCirculation
+from .instance import TOL
 
-WEIGHT_TOL = 1e-9
 BALANCE_RATIO_LIMIT = 2.0
 
 DEFAULT_K_CONSTANT = 100.0
@@ -50,13 +50,14 @@ class RoundingConfig:
 
 def scale_k(n: int, cfg: RoundingConfig) -> int:
     """Number of parallel copies: ceil(k_constant * ln n), at least 1, and
-    within the int64 counts the binomial sampler takes."""
+    within the int64 counts the binomial sampler takes. The product is
+    checked before ceil, which cannot take the inf it may overflow to."""
     if n < 3:
         raise ValueError("need at least 3 vertices")
-    k = max(1, math.ceil(cfg.k_constant * math.log(n)))
-    if k > np.iinfo(np.int64).max:
-        raise ValueError(f"K = {k} copies exceeds the sampler's int64 counts")
-    return k
+    k = cfg.k_constant * math.log(n)
+    if not k < np.iinfo(np.int64).max:
+        raise ValueError(f"K = {k!r} copies exceeds the sampler's int64 counts")
+    return max(1, math.ceil(k))
 
 
 def round_once(x: FractionalCirculation, k: int, seed: int) -> IntegerMultiDigraph:
@@ -64,12 +65,15 @@ def round_once(x: FractionalCirculation, k: int, seed: int) -> IntegerMultiDigra
 
     Arcs are sampled in lexicographic order from a generator seeded with
     ``seed``, so the draw is a pure function of (x, k, seed). One array
-    call draws the same stream as one call per arc in that order.
+    call draws the same stream as one call per arc in that order. A
+    weight is trusted to instance.TOL, the simplex's accuracy: one
+    outside [-TOL, 1 + TOL] raises ValueError, and the rest are clipped
+    to [0, 1].
     """
     arcs = sorted(x.arcs)
     weights = np.array([x.arcs[arc] for arc in arcs], dtype=float)
     # a NaN weight fails both comparisons
-    outside = np.flatnonzero(~((weights >= -WEIGHT_TOL) & (weights <= 1.0 + WEIGHT_TOL)))
+    outside = np.flatnonzero(~((weights >= -TOL) & (weights <= 1.0 + TOL)))
     if outside.size:
         arc = arcs[int(outside[0])]
         raise ValueError(f"arc {arc} has weight {x.arcs[arc]}, not in [0, 1]")

@@ -7,28 +7,28 @@ of two that put the largest |entry| of each in [1, 2)
 objective and every value it reports back, so a caller sees its own
 units. A power of two changes no rounding (Curtis & Reid 1972), so c and
 b scaled by 2^k give the same pivots, the same basis and inverse, and a
-point and objective exactly 2^k times as large, and one tolerance, _TOL,
-serves every test: reduced costs, basic values, pivot entries, ratio
-ties and the residual.
+point and objective exactly 2^k times as large, and the package's one
+accuracy constant, instance.TOL, serves every test at that scale:
+reduced costs, basic values, pivot entries, ratio ties and the residual.
 
 A solve starts from a full basis that the caller names, the basic column
 of each row, and that basis must be dual feasible: no nonbasic reduced
-cost below -_TOL at unit scale. A dual feasible basis bounds the
+cost below -TOL at unit scale. A dual feasible basis bounds the
 objective below, so the LP is never unbounded. An LP in slack form,
 [A | I](x, s) = s0 with c >= 0, starts from its slack basis; a box
 x_j <= u_j is the row x_j + t_j = u_j with its own slack t_j.
 
-The loop pivots until every basic value is >= -_TOL. It picks the most
+The loop pivots until every basic value is >= -TOL. It picks the most
 negative basic value (Dantzig's rule). After more than
 _DEGENERATE_STREAK degenerate pivots in a row it uses Bland's
 lowest-index rule until the next nondegenerate pivot, which rules out
 cycling while letting Dantzig pricing resume. The entering column has
-the least ratio of reduced cost, clamped at 0, to |alpha| > _TOL; ratios
-within _TOL of it tie, and the tie of widest |alpha| enters (under
+the least ratio of reduced cost, clamped at 0, to |alpha| > TOL; ratios
+within TOL of it tie, and the tie of widest |alpha| enters (under
 Bland's rule, the lowest-index tie). The caller hands in the inverse of
 the start basis, and the loop keeps it and the reduced costs by rank-one
 pivot updates. Drift is checked, not scheduled: once every basic value
-is >= -_TOL, the residual |B x_B - b| must be at most _TOL, else the
+is >= -TOL, the residual |B x_B - b| must be at most TOL, else the
 basis is refactorized and the loop goes on; it never refactorizes twice
 without a pivot between. The solve returns its last inverse, so a caller
 can carry it to the next LP. At exit the last basis is priced afresh:
@@ -41,7 +41,7 @@ per step would make, so every pivot, x and inverse is bitwise that of
 the reference loop in the tests.
 
 A solve returns an optimum or raises InfeasibleError (row multipliers),
-SlacknessError (a column the exit check prices below -_TOL) or, past
+SlacknessError (a column the exit check prices below -TOL) or, past
 MAX_ITERATIONS, IterationLimitError; errors.py states what each
 certificate proves.
 """
@@ -54,11 +54,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, IterationLimitError, SingularBasisError, SlacknessError
-from .instance import unit_shift
+from .instance import TOL, unit_shift
 
 MAX_ITERATIONS = 100_000
 
-_TOL = 1e-9
 _DEGENERATE_STREAK = 30
 
 
@@ -98,7 +97,7 @@ def minimize(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, start: np.ndarra
     """Minimize c @ x subject to a_eq @ x = b_eq and x >= 0.
 
     ``start`` is a full basis of this LP, the basic column of each row,
-    and must be dual feasible within _TOL at unit scale, else
+    and must be dual feasible within TOL at unit scale, else
     ValueError; ``binv`` is the inverse of its basis matrix. Raises the
     typed errors the module docstring names, and SingularBasisError when
     a failed residual check finds a basis that cannot be inverted. The
@@ -122,7 +121,7 @@ def minimize(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, start: np.ndarra
     # the nonbasic column of least reduced cost, ties to the lowest; a
     # basic column when none is below 0
     worst = int(np.argmin(np.where(nonbasic, reduced, 0.0)))
-    if reduced[worst] < -_TOL:
+    if reduced[worst] < -TOL:
         raise ValueError(
             f"start basis is not dual feasible: column {worst} has "
             f"reduced cost {math.ldexp(reduced[worst], -cs)!r}"
@@ -133,20 +132,20 @@ def minimize(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, start: np.ndarra
         # Dantzig's row: the most negative basic value, ties to the
         # lowest row, as argmin takes the first of equal minima
         pos = int(xb.argmin())
-        if xb[pos] >= -_TOL:
-            if fresh or np.abs(a[:, basis] @ xb - b).max() <= _TOL:
+        if xb[pos] >= -TOL:
+            if fresh or np.abs(a[:, basis] @ xb - b).max() <= TOL:
                 break
             binv, fresh = _inverse(a, basis), True
             reduced = _reduced_costs(c, a, basis, binv)
             continue
         bland = streak > _DEGENERATE_STREAK
         if bland:
-            rows = np.flatnonzero(xb < -_TOL)
+            rows = np.flatnonzero(xb < -TOL)
             pos = int(rows[np.argmin(basis[rows])])
         # a nonbasic column rising from zero moves x_B[pos] by -alpha
         # per unit, so only a negative alpha raises it
         alpha = binv[pos] @ a
-        mask = alpha < -_TOL
+        mask = alpha < -TOL
         mask &= nonbasic
         candidates = mask.nonzero()[0]
         if candidates.size == 0:
@@ -164,7 +163,7 @@ def minimize(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, start: np.ndarra
         np.maximum(ratios, 0.0, out=ratios)
         ratios /= width
         step = float(ratios.min())
-        ties = ratios <= step + _TOL
+        ties = ratios <= step + TOL
         if bland:
             # the first tie: argmax takes the first True
             enter = int(candidates[ties.argmax()])
@@ -182,14 +181,14 @@ def minimize(c: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray, start: np.ndarra
         binv -= d[:, None] * row
         binv[pos] = row
         reduced -= reduced[enter] / alpha[enter] * alpha
-        streak, fresh = streak + 1 if step <= _TOL else 0, False
+        streak, fresh = streak + 1 if step <= TOL else 0, False
     else:
         raise IterationLimitError(f"simplex stopped after {MAX_ITERATIONS} iterations")
     # the loop keeps its reduced costs by updates; only a fresh pricing
     # shows that the basis it ends at is optimal
     reduced = _reduced_costs(c, a, basis, binv)
     worst = int(np.argmin(np.where(nonbasic, reduced, 0.0)))
-    if reduced[worst] < -_TOL:
+    if reduced[worst] < -TOL:
         value = math.ldexp(reduced[worst], -cs)
         raise SlacknessError(
             f"the simplex ended at a basis where column {worst} has "

@@ -106,7 +106,7 @@ def _reference_minimize(c, a_eq, b_eq, start, binv):
     binv = np.array(binv, dtype=np.float64)
     reduced = simplex._reduced_costs(c, a, basis, binv)
     worst = int(np.argmin(np.where(basic, 0.0, reduced)))
-    if reduced[worst] < -simplex._TOL:
+    if reduced[worst] < -instance.TOL:
         raise ValueError(
             f"start basis is not dual feasible: column {worst} has "
             f"reduced cost {math.ldexp(reduced[worst], -cs)!r}"
@@ -115,18 +115,18 @@ def _reference_minimize(c, a_eq, b_eq, start, binv):
     for iterations in range(1, simplex.MAX_ITERATIONS + 1):
         xb = binv @ b
         pos = int(xb.argmin())
-        if xb[pos] >= -simplex._TOL:
-            if fresh or np.abs(a[:, basis] @ xb - b).max() <= simplex._TOL:
+        if xb[pos] >= -instance.TOL:
+            if fresh or np.abs(a[:, basis] @ xb - b).max() <= instance.TOL:
                 break
             binv, fresh = simplex._inverse(a, basis), True
             reduced = simplex._reduced_costs(c, a, basis, binv)
             continue
         bland = streak > simplex._DEGENERATE_STREAK
         if bland:
-            rows = np.flatnonzero(xb < -simplex._TOL)
+            rows = np.flatnonzero(xb < -instance.TOL)
             pos = int(rows[np.argmin(basis[rows])])
         alpha = binv[pos] @ a
-        candidates = np.flatnonzero((alpha < -simplex._TOL) & ~basic)
+        candidates = np.flatnonzero((alpha < -instance.TOL) & ~basic)
         if candidates.size == 0:
             raise InfeasibleError(
                 f"row {pos} cannot be repaired: basic column "
@@ -135,7 +135,7 @@ def _reference_minimize(c, a_eq, b_eq, start, binv):
             )
         ratios = np.maximum(reduced[candidates], 0.0) / -alpha[candidates]
         step = float(ratios.min())
-        ties = ratios <= step + simplex._TOL
+        ties = ratios <= step + instance.TOL
         if bland:
             enter = int(candidates[ties.argmax()])
         else:
@@ -149,12 +149,12 @@ def _reference_minimize(c, a_eq, b_eq, start, binv):
         binv -= np.outer(d, row)
         binv[pos] = row
         reduced -= reduced[enter] / alpha[enter] * alpha
-        streak, fresh = streak + 1 if step <= simplex._TOL else 0, False
+        streak, fresh = streak + 1 if step <= instance.TOL else 0, False
     else:
         raise IterationLimitError(f"simplex stopped after {simplex.MAX_ITERATIONS} iterations")
     reduced = simplex._reduced_costs(c, a, basis, binv)
     worst = int(np.argmin(np.where(basic, 0.0, reduced)))
-    if reduced[worst] < -simplex._TOL:
+    if reduced[worst] < -instance.TOL:
         value = math.ldexp(reduced[worst], -cs)
         raise SlacknessError(
             f"the simplex ended at a basis where column {worst} has "

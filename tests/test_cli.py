@@ -139,6 +139,11 @@ def test_a_bad_scaling_constant_exits_3(argv, inst10, capsys):
     (["solve", "{inst}", "--seed", "-1"], "seed must be non-negative, got -1"),
     (["verify", "{inst}", "--seed", "-1"], "seed must be non-negative, got -1"),
     (["sweep", "{inst}", "--seed", "-1"], "seed must be non-negative, got -1"),
+    (["sweep", "{inst}", "--k-consts", ","], "need at least one scaling constant"),
+    # 1e308 ln 10 overflows to inf, which is no int64 count either
+    (["solve", "{inst}", "--k-const", "1e308"], "int64"),
+    (["verify", "{inst}", "--k-const", "1e308"], "int64"),
+    (["sweep", "{inst}", "--k-consts", "1,1e308"], "int64"),
 ])
 def test_a_scaling_constant_is_checked_before_the_lp(argv, inst10, monkeypatch, capsys):
     def unreachable(m):
@@ -395,6 +400,16 @@ def test_simplex_iteration_cap_exits_2(tmp_path, capsys, monkeypatch):
     assert captured.err == "error: simplex stopped after 1 iterations\n"
 
 
+def test_cutting_plane_rounds_cap_exits_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "c12.txt"
+    instance.save(instance.generate("cycle-heavy", 12, 1), path)
+    monkeypatch.setattr(heldkarp, "ROUNDS_PER_VERTEX", 0)
+    assert cli.main(["lp", str(path)]) == cli.EXIT_ALGORITHMIC == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cutting-plane loop exceeded 0 rounds\n"
+
+
 VERIFY_CHECKS = [
     "lp vertex balance within 1e-7",
     "lp out-degree one within 1e-7",
@@ -448,7 +463,7 @@ def test_verify_fails_a_run_that_breaks_the_sandwich(tmp_path, capsys, monkeypat
 def test_verify_holds_the_tour_within_1e_9_of_twice_the_sample_cost(
     tmp_path, capsys, monkeypatch
 ):
-    # each link holds within its slack, COST_TOL in the unit of the larger
+    # each link holds within its slack, TOL in the unit of the larger
     # side: the patch 0.9 slack above costZ, the tour within the walk; but
     # together they leave the tour 1.2 slacks of 2 costZ above 2 costZ,
     # which the last link of the chain catches
@@ -457,7 +472,7 @@ def test_verify_holds_the_tour_within_1e_9_of_twice_the_sample_cost(
     def doctored(m, x, cfg):
         run = run_from_lp(m, x, cfg)
         cost_z = run.report.cost_z
-        slack = math.ldexp(instance.COST_TOL, -instance.unit_shift([cost_z]))
+        slack = math.ldexp(instance.TOL, -instance.unit_shift([cost_z]))
         report = dataclasses.replace(
             run.report, cost_w=cost_z + 0.9 * slack, tour_cost=2.0 * cost_z + 2.4 * slack
         )
@@ -544,6 +559,15 @@ def test_verify_fails_every_typed_pipeline_error(error, tmp_path, capsys, monkey
         f"FAIL pipeline produced a tour ({type(error).__name__})",
         "verify FAILED",
     ]
+
+
+def test_an_instance_of_only_comments_exits_3(tmp_path, capsys):
+    path = tmp_path / "comments.txt"
+    path.write_text("# atsp instance\n\n# no rows\n")
+    assert cli.main(["lp", str(path)]) == cli.EXIT_INPUT == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: empty instance text\n"
 
 
 def test_verify_corrupted_instance_exits_3(tmp_path):

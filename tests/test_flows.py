@@ -116,6 +116,12 @@ def test_max_flow_two_disjoint_paths():
     assert value == pytest.approx(3.0)
 
 
+def test_max_flow_rejects_a_source_that_is_the_sink():
+    network = flows.residual_network(3, {(0, 1): 1.0, (1, 2): 1.0})
+    with pytest.raises(ValueError, match="source equals sink"):
+        flows.max_flow(network, 1, 1)
+
+
 def brute_force_min_cut(n, caps, s, t):
     others = [v for v in range(n) if v not in (s, t)]
     best = float("inf")
@@ -647,6 +653,11 @@ def test_euler_circuit_rejects_disconnected_support():
     )
     with pytest.raises(DisconnectedError):
         flows.euler_circuit(g)
+
+
+def test_euler_circuit_rejects_an_empty_multigraph():
+    with pytest.raises(DisconnectedError, match="empty multigraph has no circuit"):
+        flows.euler_circuit(IntegerMultiDigraph(3, {}))
 
 
 # -------------------------------------------------------------- connectivity

@@ -118,6 +118,13 @@ def test_stall_when_every_violated_cut_is_pooled(monkeypatch):
         heldkarp.solve_lp(instance.generate("cycle-heavy", 6, 1))
 
 
+def test_the_rounds_cap_raises(monkeypatch):
+    # ROUNDS_PER_VERTEX is read at each call; at 0 the loop runs no round
+    monkeypatch.setattr(heldkarp, "ROUNDS_PER_VERTEX", 0)
+    with pytest.raises(IterationLimitError, match="cutting-plane loop exceeded 0 rounds"):
+        heldkarp.solve_lp(instance.generate("cycle-heavy", 6, 1))
+
+
 # ------------------------------------------------------------------ separate
 
 
@@ -457,11 +464,11 @@ CRASH_CASES = {
 
 
 def assert_arcs_in_support_range(x: heldkarp.FractionalCirculation) -> None:
-    """Every returned arc lies in (SUPPORT_EPS, 1 + 1e-9]: the master has
+    """Every returned arc lies in (instance.TOL, 1 + 1e-9]: the master has
     no column bound x <= 1, so this checks that its rows imply it."""
     assert x.arcs
     for value in x.arcs.values():
-        assert heldkarp.SUPPORT_EPS < value <= 1.0 + 1e-9
+        assert instance.TOL < value <= 1.0 + 1e-9
 
 
 def barred_assignment_cost(c: np.ndarray) -> float:

@@ -38,11 +38,11 @@ def test_validate_reports_triangle_violation_with_slack():
     assert report.summary() == (
         "0 negative entries, 0 nonzero diagonal entries, 1 triangle violations"
     )
-    # the largest cost, 2, sets the unit, so the slack is 2 COST_TOL: half
+    # the largest cost, 2, sets the unit, so the slack is 2 TOL: half
     # a slack above the path through 2 is no violation, 1.5 slacks are
-    c[0, 1] = 2.0 + instance.COST_TOL
+    c[0, 1] = 2.0 + instance.TOL
     assert instance.validate(instance.CostMatrix(c)).ok
-    c[0, 1] = 2.0 + 3.0 * instance.COST_TOL
+    c[0, 1] = 2.0 + 3.0 * instance.TOL
     assert instance.validate(instance.CostMatrix(c)) == report
 
 
@@ -78,7 +78,7 @@ def reference_validate(m: instance.CostMatrix) -> instance.ValidationReport:
     it counts what it finds."""
     c = m.c
     n = m.n
-    tol = math.ldexp(instance.COST_TOL, -instance.unit_shift(c))
+    tol = math.ldexp(instance.TOL, -instance.unit_shift(c))
     diagonal = negative = triangles = 0
     for i in range(n):
         if c[i, i] != 0.0:
@@ -106,7 +106,7 @@ def near_boundary_matrix(n: int, seed: int) -> instance.CostMatrix:
     entries nonzero."""
     rng = np.random.default_rng(seed)
     c = rng.integers(0, 4, size=(n, n)).astype(np.float64)
-    c += rng.integers(-2, 3, size=(n, n)) * math.ldexp(instance.COST_TOL, -instance.unit_shift(c))
+    c += rng.integers(-2, 3, size=(n, n)) * math.ldexp(instance.TOL, -instance.unit_shift(c))
     np.fill_diagonal(c, 0.0)
     picks = rng.integers(0, n, size=(2, 3))
     c[picks[0], picks[1]] = -1.0

@@ -262,8 +262,8 @@ def test_a_cost_that_is_not_finite_breaks_the_sandwich(name, value):
 
 
 def slack(cost: float) -> float:
-    """COST_TOL in the unit of cost."""
-    return math.ldexp(instance.COST_TOL, -instance.unit_shift([cost]))
+    """TOL in the unit of cost."""
+    return math.ldexp(instance.TOL, -instance.unit_shift([cost]))
 
 
 def sandwich_reports() -> list[patchup.PipelineReport]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -44,6 +45,9 @@ def test_config_defaults_match_analysis_constants():
         {"k_constant": math.inf},
         # K = ceil(5e18 ln 12) exceeds the int64 counts of the sampler
         {"k_constant": 5e18},
+        # 1e308 ln 12 overflows to inf, which has no ceil and no int64 count
+        {"k_constant": 1e308},
+        {"k_constant": sys.float_info.max},
     ],
 )
 def test_config_rejects_bad_parameters(kwargs):
@@ -58,6 +62,19 @@ def test_scale_k_values():
     assert rounding.scale_k(3, rounding.RoundingConfig(k_constant=0.01)) == 1
     # the largest constants whose K the sampler still takes
     assert rounding.scale_k(12, rounding.RoundingConfig(k_constant=1e18)) < 2**63
+
+
+def test_scale_k_takes_every_product_below_the_int64_maximum():
+    # the largest constant whose product with ln 12 is below 2^63, the
+    # next float above int64's maximum, and the one float after it
+    ln12 = math.log(12)
+    k_constant = 2.0**63 / ln12
+    while k_constant * ln12 >= 2.0**63:
+        k_constant = math.nextafter(k_constant, 0.0)
+    k = rounding.scale_k(12, rounding.RoundingConfig(k_constant=k_constant))
+    assert k == math.ceil(k_constant * ln12) <= np.iinfo(np.int64).max
+    with pytest.raises(ValueError, match="int64 counts"):
+        rounding.scale_k(12, rounding.RoundingConfig(k_constant=math.nextafter(k_constant, math.inf)))
 
 
 # ---------------------------------------------------------------- round_once

@@ -319,6 +319,14 @@ def test_start_that_is_not_dual_feasible_raises():
             )
 
 
+def test_start_of_the_wrong_length_raises():
+    # one row needs one basic column; two, or none, is no basis
+    for start in ([0, 1], []):
+        with pytest.raises(ValueError, match=f"names {len(start)} basic columns for 1 rows"):
+            simplex.minimize(np.ones(3), np.ones((1, 3)), np.ones(1), np.array(start, dtype=int),
+                             np.ones((1, 1)))
+
+
 def test_exit_pricing_catches_reduced_costs_gone_wrong(monkeypatch):
     # the loop's first pricing is corrupted to hide x0's reduced cost of -2
     # at the start x2 = 1, which is feasible, so the loop makes no pivot;
@@ -486,13 +494,13 @@ def test_bland_takes_the_row_after_a_streak_of_30_degenerate_pivots(k, row, colu
 @pytest.mark.parametrize("costs, enter", [
     # equal ratios: the wider pivot, |alpha| 1 against 1/4
     ((0.25, 1.0), 1),
-    # ratios within _TOL of the least are ties
+    # ratios within TOL of the least are ties
     ((0.25, 1.0 + 5e-10), 1),
     # and ratios beyond it are not
     ((0.25, 1.0 + 2e-9), 0),
     # a reduced cost below 0 but within the start check's tolerance has
     # ratio 0, which ties the wider column's 5e-10; unclamped, its ratio
-    # -2e-9 would be the least by more than _TOL
+    # -2e-9 would be the least by more than TOL
     ((-5e-10, 5e-10), 1),
 ])
 def test_the_entering_column_is_the_widest_of_the_tied_ratios(costs, enter):
@@ -509,7 +517,7 @@ def test_the_entering_column_is_the_widest_of_the_tied_ratios(costs, enter):
 @pytest.mark.parametrize("entry", [1e-5, 1e-11])
 def test_a_pivot_entry_must_exceed_the_pivot_tolerance(entry):
     # min x0 s.t. entry * x0 >= 1: an entry of 1e-5 is pivoted on, one of
-    # 1e-11, below _TOL, is float noise, so the row is unrepairable
+    # 1e-11, below TOL, is float noise, so the row is unrepairable
     lp, start = _slack_form(np.ones(1), -np.array([[entry]]), np.array([-1.0]), np.full(1, np.inf))
     if entry > 1e-10:
         res = _minimize(*lp, start)
@@ -525,7 +533,7 @@ def test_a_pivot_entry_must_exceed_the_pivot_tolerance(entry):
 def test_the_start_check_tolerance_scales_with_the_largest_cost(scale, factor):
     # costs (scale, -factor * tol) from a feasible slack start: the loop
     # multiplies the costs by the power of two that puts scale in [1, 2)
-    # and checks against _TOL = 1e-9 there, so tol is 1e-9 times the
+    # and checks against instance.TOL = 1e-9 there, so tol is 1e-9 times the
     # largest power of two at most scale, and half of it below 0 passes
     # and twice it does not
     tol = 1e-9 * 2.0 ** (math.frexp(scale)[1] - 1)
