@@ -46,8 +46,8 @@ def exit_code(exc: Exception) -> int:
     return EXIT_INPUT
 
 
-def _header(command: str, args: argparse.Namespace) -> str:
-    parts = [f"atsp v{__version__}", f"command={command}"]
+def _header(args: argparse.Namespace) -> str:
+    parts = [f"atsp v{__version__}", f"command={args.command}"]
     for key in ("seed", "k_const", "retries", "trials", "k_consts"):
         if hasattr(args, key):
             parts.append(f"{key.replace('_', '-')}={getattr(args, key)}")
@@ -88,7 +88,7 @@ def _config(args: argparse.Namespace, n: int) -> rounding.RoundingConfig:
 def cmd_solve(args: argparse.Namespace) -> int:
     m = _load_instance(args.instance)
     run = patchup.run_pipeline(m, _config(args, m.n))
-    header = _header("solve", args)
+    header = _header(args)
     report_text = f"# {header}\n" + "\n".join(run.report.key_value_lines()) + "\n"
     tour_text = f"# {header}\n" + patchup.tour_to_text(run.tour)
     files = [(f"{args.out}.report", report_text), (args.out, tour_text)] if args.out else []
@@ -102,13 +102,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_lp(args: argparse.Namespace) -> int:
     x = heldkarp.solve_lp(_load_instance(args.instance))
-    _emit(f"# {_header('lp', args)}\n" + heldkarp.to_text(x), args.out)
+    _emit(f"# {_header(args)}\n" + heldkarp.to_text(x), args.out)
     return EXIT_OK
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
     _, tour = oracle.exact_atsp(_load_instance(args.instance))
-    _emit(f"# {_header('exact', args)}\n" + patchup.tour_to_text(tour), args.out)
+    _emit(f"# {_header(args)}\n" + patchup.tour_to_text(tour), args.out)
     return EXIT_OK
 
 
@@ -123,7 +123,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     x = heldkarp.solve_lp(m)
     rows = oracle.connectivity_sweep(m, k_constants, args.trials, args.seed, x)
-    _emit(f"# {_header('sweep', args)}\n" + oracle.sweep_to_text(rows), args.out)
+    _emit(f"# {_header(args)}\n" + oracle.sweep_to_text(rows), args.out)
     return EXIT_OK
 
 

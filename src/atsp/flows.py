@@ -35,14 +35,16 @@ from .instance import TOL, CostMatrix, unit_shift
 
 @dataclass(frozen=True)
 class IntegerMultiDigraph:
-    """Integer arc multiplicities over vertices 0..n-1; no self-loops. A
-    multiplicity must be a nonnegative Python or numpy integer, not a
-    float or a string, else ValueError."""
+    """Integer arc multiplicities over vertices 0..n-1, n >= 0; no
+    self-loops. A multiplicity must be a nonnegative Python or numpy
+    integer, not a float or a string, else ValueError."""
 
     n: int
     mult: dict[tuple[int, int], int]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"vertex count {self.n} is negative")
         clean: dict[tuple[int, int], int] = {}
         for (v, w), k in self.mult.items():
             # int first: the check against the abstract class alone costs
@@ -56,9 +58,6 @@ class IntegerMultiDigraph:
             if k > 0:
                 clean[(v, w)] = int(k)
         object.__setattr__(self, "mult", clean)
-
-    def arcs(self) -> list[tuple[int, int, int]]:
-        return [(v, w, k) for (v, w), k in sorted(self.mult.items())]
 
     def total_arcs(self) -> int:
         return sum(self.mult.values())
@@ -521,8 +520,8 @@ def is_weakly_connected(g: IntegerMultiDigraph) -> bool:
 
 
 def to_text(g: IntegerMultiDigraph) -> str:
-    """Header ``n m`` then m lines ``v w mult`` in lexicographic order."""
-    arcs = g.arcs()
-    lines = [f"{g.n} {len(arcs)}"]
-    lines.extend(f"{v} {w} {k}" for v, w, k in arcs)
+    """Header ``n m``, m the number of distinct arcs, then one line ``v w
+    mult`` per arc in lexicographic order."""
+    lines = [f"{g.n} {len(g.mult)}"]
+    lines.extend(f"{v} {w} {k}" for (v, w), k in sorted(g.mult.items()))
     return "\n".join(lines) + "\n"

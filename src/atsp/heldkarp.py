@@ -245,7 +245,8 @@ def separate(n: int, arcs: Mapping[tuple[int, int], float]) -> list[CutRecord]:
     super-vertex, so both sides are the ones the uncontracted flow from 0
     to any vertex of t finds, and a vertex in 0's own super-vertex has
     none. When everything merges into one super-vertex, as at an integral
-    tour, no cut is violated and no network is built.
+    tour, the flow loop over the other super-vertices runs no flow, and no
+    cut is violated.
 
     Every proper nonempty subset either contains vertex 0 or excludes it,
     so the first element is a most violated cut, ties broken toward the
@@ -257,8 +258,6 @@ def separate(n: int, arcs: Mapping[tuple[int, int], float]) -> list[CutRecord]:
     members = components(n, [
         arc for arc, x in capacities.items() if x - 2.0 * slack > 1.0 - SEPARATION_TOL
     ])
-    if len(members) == 1:
-        return []
     label = [0] * n
     for i, part in enumerate(members):
         for v in part:

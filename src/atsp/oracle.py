@@ -4,11 +4,11 @@ minimum cut by maximum-adjacency phases, and the empirical connectivity
 sweep over scaling factors.
 
 The first three are the oracles the pipeline is tested against. min_cut
-uses numpy alone. exact_atsp shares only the containers and
-patchup.make_tour, which prices its tour, and count_small_cuts enumerates
-with cuts.all_cut_values, which rounding's near-balance check also calls.
-connectivity_sweep is no oracle: it runs the algorithm's own
-rounding.round_once, flows.is_weakly_connected and
+uses numpy alone. exact_atsp shares only the containers: its tour's cost
+is the DP's own sum, formed in the order of patchup.tour_cost.
+count_small_cuts enumerates with cuts.all_cut_values, which rounding's
+near-balance check also calls. connectivity_sweep is no oracle: it runs
+the algorithm's own rounding.round_once, flows.is_weakly_connected and
 flows.transshipment_certificate, so it measures the rounding across
 scaling constants rather than checking it.
 """
@@ -27,7 +27,7 @@ from .errors import CostSandwichError, TooLargeError
 from .flows import is_weakly_connected, transshipment_certificate
 from .heldkarp import FractionalCirculation
 from .instance import TOL, CostMatrix
-from .patchup import Tour, make_tour
+from .patchup import Tour
 
 EXACT_LIMIT = 15
 
@@ -39,7 +39,8 @@ def exact_atsp(m: CostMatrix) -> tuple[float, Tour]:
     2^n * n doubles, so the cap n <= 15 is generous for runtime rather
     than memory. dp[S, j] = min_i dp[S - j, i] + c[i, j] is filled one
     subset size at a time, for every set of that size at once; ties go to
-    the lowest i.
+    the lowest i. The tour's cost is the DP's: the costs of its arcs
+    added from vertex 0 in tour order, the sum patchup.tour_cost forms.
     """
     n = m.n
     if n > EXACT_LIMIT:
@@ -73,8 +74,7 @@ def exact_atsp(m: CostMatrix) -> tuple[float, Tour]:
         mask ^= 1 << v
         v = prev
     order.reverse()
-    tour = make_tour(m, order)
-    return best_cost, tour
+    return best_cost, Tour(tuple(order), best_cost)
 
 
 def count_small_cuts(x: FractionalCirculation, alpha: float) -> int:

@@ -347,7 +347,7 @@ def test_negative_reduced_cost_raises_with_the_residual_arc():
 
 def brute_force_transshipment(g, costs, b):
     """Exhaustive search over all integral sub-multigraphs meeting demands."""
-    arcs = g.arcs()
+    arcs = [(v, w, k) for (v, w), k in sorted(g.mult.items())]
     best = None
     ranges = [range(k + 1) for (_, _, k) in arcs]
     for combo in itertools.product(*ranges):

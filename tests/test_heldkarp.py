@@ -762,10 +762,11 @@ def test_every_separation_round_equals_the_reference(case, monkeypatch, master_o
     monkeypatch.setattr(heldkarp, "residual_network", built)
     monkeypatch.setattr(heldkarp, "max_flow", counted)
     heldkarp.solve_lp(m)
-    # per round, one network over the super-vertices, unless there is only
-    # one, and one flow from 0's to each other; the last round finds no cut
+    # per round, one network over the super-vertices, and one flow from 0's
+    # to each other, so none when there is only one; the last round finds
+    # no cut
     assert len(rounds) == len(master_objectives)
-    assert [args[0] for args in builds] == [k for k in sizes if k > 1]
+    assert [args[0] for args in builds] == sizes
     assert flow_calls == [(0, t) for k in sizes for t in range(1, k)]
     assert rounds[-1] == 0
 

@@ -54,7 +54,19 @@ def test_exact_matches_full_permutation_enumeration():
     )
     cost, tour = oracle.exact_atsp(m)
     assert cost == pytest.approx(best, abs=1e-9)
-    assert tour.cost == pytest.approx(cost, abs=1e-9)
+    assert patchup.tour_cost(m, tour.order) == tour.cost == cost
+
+
+@pytest.mark.parametrize("kind", instance.KINDS)
+def test_the_exact_tour_costs_what_the_pipeline_prices_it_at(kind):
+    # the DP adds the tour's arc costs from vertex 0 in tour order, as
+    # patchup.tour_cost does, so the two agree to the last bit
+    for n in range(3, 13):
+        for seed in range(1, 6):
+            m = instance.generate(kind, n, seed)
+            cost, tour = oracle.exact_atsp(m)
+            assert tour == patchup.make_tour(m, tour.order)
+            assert tour.cost == cost
 
 
 def test_exact_beats_random_permutation_sampling():
