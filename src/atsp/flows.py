@@ -1,8 +1,8 @@
 """Graph engine: multigraphs, max flows (Dinic's, on levels measured from
 the sink, giving both minimal sides of a minimum cut, on a residual network
-that flows between many pairs share), the integral min-cost flow within a
-multigraph that balances it, Eulerian circuits, and weak components (the
-package's one union-find).
+(heads, to, cap) that flows between many pairs share), the integral
+min-cost flow within a multigraph that balances it, Eulerian circuits, and
+weak components (the package's one union-find).
 
 Flows return vertex sets, not weighed cuts: callers weigh the cuts they
 need with cuts.cut_record. Transshipment feasibility and the min-cost
@@ -104,24 +104,14 @@ def require_balanced(n: int, arcs: Mapping[tuple[int, int], float], tol: float) 
     return net
 
 
-@dataclass(frozen=True)
-class ResidualNetwork:
-    """Capacities laid out for Dinic once, so that flows between many
-    vertex pairs share one build: arc e and its reverse e ^ 1, heads[u]
-    listing the arcs that leave u, and cap their starting residual
-    capacities. Every flow runs on a copy of cap."""
-
-    heads: list[list[int]]
-    to: list[int]
-    cap: list[float]
-
-
-def residual_network(n: int, capacities: Mapping[tuple[int, int], float]) -> ResidualNetwork:
-    """The residual network of the capacities over vertices 0..n-1 in the
-    mapping's order: arc 2i is its i-th arc and 2i + 1 the reverse, which
-    starts at a zero of the capacity's type, so integers stay integers.
-    Flows take the lowest-index usable arc; pass capacities sorted for
-    sorted-order paths."""
+def residual_network(n: int, capacities: Mapping[tuple[int, int], float]) -> tuple[list, list, list]:
+    """The residual network (heads, to, cap) of the capacities over
+    vertices 0..n-1 in the mapping's order: arc 2i is its i-th arc and
+    2i + 1 the reverse e ^ 1, to[e] is the head of arc e, heads[u] lists
+    the arcs that leave u, and cap holds their starting residual
+    capacities; a reverse starts at a zero of the capacity's type, so
+    integers stay integers. Flows take the lowest-index usable arc; pass
+    capacities sorted for sorted-order paths."""
     heads: list[list[int]] = [[] for _ in range(n)]
     to: list[int] = []
     cap: list[float] = []
@@ -130,7 +120,7 @@ def residual_network(n: int, capacities: Mapping[tuple[int, int], float]) -> Res
         heads[v].append(len(to) + 1)
         to += (v, u)
         cap += (c, type(c)())
-    return ResidualNetwork(heads, to, cap)
+    return heads, to, cap
 
 
 def _dinic(
@@ -150,8 +140,10 @@ def _dinic(
     arc of the current vertex; levels from s admit the same shortest
     paths and push them in the same order. The search keeps the path as
     an explicit arc stack, so its depth is not bounded by the recursion
-    limit; after a push it resumes at the tail of the first arc the push
-    emptied, which is where a fresh search from s would get to.
+    limit. After a push it clears the path and starts again from s:
+    until a push empties it, each vertex's it pointer names the arc the
+    path leaves it by, so the new search retraces the path to the first
+    emptied arc and goes on from that arc's tail.
     """
     n = len(heads)
     value = 0.0
@@ -180,11 +172,8 @@ def _dinic(
                     cap[e] -= pushed
                     cap[e ^ 1] += pushed
                 value += pushed
-                first = 0
-                while cap[path[first]] > TOL:
-                    first += 1
-                u = to[path[first] ^ 1]
-                del path[first:]
+                path.clear()
+                u = s
                 continue
             arcs = heads[u]
             below = level[u] - 1
@@ -207,10 +196,11 @@ def _dinic(
 
 
 def max_flow(
-    network: ResidualNetwork, s: int, t: int
+    network: tuple[list, list, list], s: int, t: int
 ) -> tuple[float, tuple[int, ...], tuple[int, ...]]:
-    """Dinic's blocking-flow algorithm on a copy of the network's
-    capacities, so that flows between many pairs share one network.
+    """Dinic's blocking-flow algorithm on the residual network (heads, to,
+    cap) of residual_network, run on a copy of cap, so that flows between
+    many pairs share one network.
 
     Returns (value, U, W), two minimum s-t cuts as sorted vertex tuples.
     U is the minimal source side, the vertices s reaches in the final
@@ -227,7 +217,8 @@ def max_flow(
     """
     if s == t:
         raise ValueError("source equals sink")
-    heads, to, cap = network.heads, network.to, network.cap.copy()
+    heads, to, cap = network
+    cap = cap.copy()
     value, level = _dinic(heads, to, cap, s, t)
     reached = [False] * len(heads)
     reached[s] = True
@@ -244,7 +235,7 @@ def max_flow(
 
 def _transshipment_network(
     g: IntegerMultiDigraph,
-) -> tuple[list[tuple[int, int]], ResidualNetwork, int] | None:
+) -> tuple[list[tuple[int, int]], tuple[list, list, list], int] | None:
     """The super-source/super-sink reduction of the w <= g with net inflow
     b = vertex_imbalances(g), which balances g + w; None if g is balanced.
 
@@ -281,7 +272,7 @@ def min_cost_flow(g: IntegerMultiDigraph, costs: CostMatrix) -> IntegerMultiDigr
     the potentials keeps every residual reduced cost nonnegative, which
     is checked on every flow it ships; a balanced g gets the empty w.
     Raises InfeasibleError carrying a violated cut exactly when no such w
-    exists.
+    exists, and ValueError when g and costs have different vertex counts.
 
     The search runs on the arcs' costs times one exact power of two that
     puts the largest in [1, 2), so its Dijkstra ties and its slackness
@@ -290,13 +281,14 @@ def min_cost_flow(g: IntegerMultiDigraph, costs: CostMatrix) -> IntegerMultiDigr
     reports its reduced cost in the caller's units.
     """
     n = g.n
+    if n != costs.n:
+        raise ValueError(f"multigraph has {n} vertices, the costs {costs.n}")
     reduction = _transshipment_network(g)
     if reduction is None:
         return IntegerMultiDigraph(n, {})
-    arcs, network, demand = reduction
+    arcs, (heads, to, cap), demand = reduction
     size = n + 2
     source, sink = n, n + 1
-    heads, to, cap = network.heads, network.to, network.cap
     # the flow's unit: an exact power of two puts the largest price in [1, 2)
     prices = costs.c.take([v * n + w for v, w in arcs])
     shift = unit_shift(prices)

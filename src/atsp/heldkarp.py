@@ -220,10 +220,11 @@ def separate(n: int, arcs: Mapping[tuple[int, int], float]) -> list[CutRecord]:
     find, sorted by (out_weight, members); empty when all cuts weigh >=
     1 - SEPARATION_TOL.
 
-    Balance is checked, not assumed: NotBalancedError names the worst
-    vertex when its imbalance exceeds BALANCE_TOL. Let slack be the sum of
-    the absolute imbalances; a set's outgoing and incoming weights differ
-    by at most slack.
+    An arc endpoint outside 0..n-1 is a ValueError. Balance is checked,
+    not assumed: NotBalancedError names the worst vertex when its
+    imbalance exceeds BALANCE_TOL. Let slack be the sum of the absolute
+    imbalances; a set's outgoing and incoming weights differ by at most
+    slack.
 
     First the point shrinks (Padberg & Rinaldi, Math. Programming 1990):
     the endpoints of every arc (u, v) with x_uv - 2 slack > 1 -
@@ -252,6 +253,9 @@ def separate(n: int, arcs: Mapping[tuple[int, int], float]) -> list[CutRecord]:
     so the first element is a most violated cut, ties broken toward the
     lexicographically smallest vertex set.
     """
+    for v, w in arcs:
+        if not (0 <= v < n and 0 <= w < n):
+            raise ValueError(f"arc {(v, w)} has an endpoint outside 0..{n - 1}")
     capacities = dict(sorted((arc, x) for arc, x in arcs.items() if x > 0.0))
     slack = sum(map(abs, require_balanced(n, capacities, BALANCE_TOL)))
     # super-vertices in the order of their smallest vertex: 0's is 0

@@ -80,8 +80,9 @@ def exact_atsp(m: CostMatrix) -> tuple[float, Tour]:
 def count_small_cuts(x: FractionalCirculation, alpha: float) -> int:
     """Number of cuts whose outgoing weight is at most alpha plus
     instance.TOL; callers compare the count against n**(2 * alpha).
-    Raises TooLargeError beyond cuts.ENUMERATION_LIMIT vertices."""
-    if alpha < 1.0:
+    Raises ValueError unless alpha >= 1, so also at NaN, and TooLargeError
+    beyond cuts.ENUMERATION_LIMIT vertices."""
+    if not alpha >= 1.0:
         raise ValueError("alpha must be at least 1")
     _, out_w, _ = all_cut_values(x.n, x.arcs)
     return int(np.count_nonzero(out_w <= alpha + TOL))
@@ -99,7 +100,10 @@ def min_cut(n: int, arcs: Mapping[tuple[int, int], float]) -> tuple[float, tuple
     two merge; some phase meets a global minimum cut. Between phase cuts of
     equal weight, the lexicographically smaller side wins. Uses numpy alone,
     so it shares no code with the separation and the flows it checks.
+    Raises ValueError below two vertices.
     """
+    if n < 2:
+        raise ValueError("need at least two vertices to have a proper cut")
     y = np.zeros((n, n))
     for (v, w), value in arcs.items():
         y[v, w] += value

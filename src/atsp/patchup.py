@@ -47,10 +47,6 @@ def tour_cost(m: CostMatrix, order) -> float:
     return float(sum(m.c[order[i], order[(i + 1) % n]] for i in range(n)))
 
 
-def make_tour(m: CostMatrix, order) -> Tour:
-    return Tour(tuple(order), tour_cost(m, order))
-
-
 def patch(z: IntegerMultiDigraph, m: CostMatrix) -> IntegerMultiDigraph:
     """Min-cost integral w with 0 <= w <= z making z + w balanced.
 
@@ -74,14 +70,17 @@ def eulerian_tour(
 ) -> Tour:
     """Euler circuit of z + w, shortcut to first occurrences.
 
-    Requires z + w balanced and weakly connected over all n vertices:
-    euler_circuit rejects an unbalanced or disconnected support, and a
-    walk that misses a vertex raises DisconnectedError. The returned tour
-    costs no more than the Euler walk, which is exactly the triangle
-    inequality in action; ShortcutCostError is raised if it does by more
-    than TOL in the unit of the larger cost.
+    Requires z + w over m's n vertices, else ValueError, and balanced and
+    weakly connected over all of them: euler_circuit rejects an unbalanced
+    or disconnected support, and a walk that misses a vertex raises
+    DisconnectedError. The returned tour costs no more than the Euler
+    walk, which is exactly the triangle inequality in action;
+    ShortcutCostError is raised if it does by more than TOL in the unit
+    of the larger cost.
     """
     total = z + w
+    if total.n != m.n:
+        raise ValueError(f"z + w has {total.n} vertices, the costs {m.n}")
     walk_cost = total.total_cost(m)
     seen = set()
     order = []
@@ -93,7 +92,7 @@ def eulerian_tour(
                 order.append(v)
     if len(order) < m.n:
         raise DisconnectedError("z + w does not connect all vertices")
-    tour = make_tour(m, order)
+    tour = Tour(tuple(order), tour_cost(m, order))
     if tour.cost > walk_cost + math.ldexp(TOL, -unit_shift((tour.cost, walk_cost))):
         raise ShortcutCostError(
             f"shortcutting raised the cost from {walk_cost!r} to {tour.cost!r}",

@@ -209,8 +209,8 @@ def test_max_flow_takes_the_augmenting_paths_of_the_recursive_search():
             caps[(u, v)] = float(rng.uniform(0.0, 3.0)) if trial % 2 else float(rng.integers(0, 4))
         s, t = (int(x) for x in rng.choice(n, 2, replace=False))
         network = flows.residual_network(n, dict(sorted(caps.items())))
-        cap = network.cap.copy()
-        value, level = flows._dinic(network.heads, network.to, cap, s, t)
+        heads, to, cap = network
+        value, level = flows._dinic(heads, to, cap, s, t)
         assert (value, level, cap) == recursive_dinic(n, caps, s, t)
 
 
@@ -276,9 +276,9 @@ def test_max_flow_on_a_shared_network_leaves_it_unchanged():
     rng = np.random.default_rng(53)
     caps = random_circulation(8, rng)
     network = flows.residual_network(8, dict(sorted(caps.items())))
-    start = list(network.cap)
+    start = list(network[2])
     first = flows.max_flow(network, 0, 5)
-    assert network.cap == start
+    assert network[2] == start
     assert flows.max_flow(network, 0, 5) == first
     assert flows.max_flow(flows.residual_network(8, dict(sorted(caps.items()))), 0, 5) == first
 

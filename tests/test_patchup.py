@@ -161,7 +161,7 @@ def test_eulerian_tour_is_the_first_visit_shortcut_of_the_per_copy_walk(
             for v in per_copy_walk(z + w):
                 if v not in order:
                     order.append(v)
-            assert patchup.eulerian_tour(z, w, m) == patchup.make_tour(m, order)
+            assert patchup.eulerian_tour(z, w, m) == patchup.Tour(tuple(order), patchup.tour_cost(m, order))
 
 
 def test_patch_above_the_sample_raises_with_the_arc(monkeypatch):
