@@ -14,7 +14,6 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .cuts import CutRecord
 from .errors import (
     AtspError,
     CostSandwichError,
@@ -29,7 +28,7 @@ from .errors import (
     SlacknessError,
     TooLargeError,
 )
-from .flows import IntegerMultiDigraph
+from .flows import CutRecord, IntegerMultiDigraph
 from .heldkarp import FractionalCirculation
 from .instance import CostMatrix, ValidationReport
 from .patchup import PipelineReport, Tour

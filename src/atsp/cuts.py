@@ -1,8 +1,10 @@
-"""Vertex cuts: the CutRecord currency and exhaustive cut-value enumeration.
+"""Exhaustive cut enumeration, a desk-scale oracle: the outgoing and
+incoming weight of every proper nonempty vertex subset, each encoded as a
+bitmask over vertices 0..n-1.
 
-A cut is a proper nonempty vertex subset U. Its outgoing weight sums the
-arc weights leaving U, its incoming weight the arcs entering U. Subsets are
-encoded as bitmasks over vertices 0..n-1 wherever arrays are involved.
+It shares no code with the pipeline, which weighs the cuts it needs one
+at a time with flows.cut_record; the oracles and rounding's near-balance
+check read its arrays directly.
 
 Enumeration doubles the subsets one vertex at a time: a cut value of T | {k},
 for T below k, is T's plus k's degree less the arc weight between k and T in
@@ -11,56 +13,21 @@ either direction, so all 2^n subsets cost O(2^n) adds whatever the arc count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .errors import TooLargeError
 
-ArcWeights = Mapping[tuple[int, int], float]
-
 # all_cut_values refuses larger n; its three 2^n arrays take ~400 MB at 24
 ENUMERATION_LIMIT = 24
-
-
-@dataclass(frozen=True)
-class CutRecord:
-    """A vertex subset with its outgoing and incoming arc weight."""
-
-    members: tuple[int, ...]
-    out_weight: float
-    in_weight: float
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("cut must be a nonempty proper subset")
-        object.__setattr__(self, "members", tuple(sorted(self.members)))
 
 
 def members_of(mask: int, n: int) -> tuple[int, ...]:
     return tuple(v for v in range(n) if mask >> v & 1)
 
 
-def cut_weights(arcs: ArcWeights, members) -> tuple[float, float]:
-    """Outgoing and incoming weight of one subset, summed directly."""
-    inside = set(members)
-    out_w = 0.0
-    in_w = 0.0
-    for (v, w), weight in arcs.items():
-        if v in inside and w not in inside:
-            out_w += weight
-        elif w in inside and v not in inside:
-            in_w += weight
-    return out_w, in_w
-
-
-def cut_record(arcs: ArcWeights, members) -> CutRecord:
-    out_w, in_w = cut_weights(arcs, members)
-    return CutRecord(tuple(members), out_w, in_w)
-
-
-def all_cut_values(n: int, arcs: ArcWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def all_cut_values(n: int, arcs: Mapping[tuple[int, int], float]) -> tuple[np.ndarray, ...]:
     """(masks, out_weights, in_weights) of every proper nonempty subset, in ascending
     mask order. Self-loops cross no cut; an endpoint outside 0..n-1 is a ValueError."""
     if n < 2:

@@ -1,13 +1,16 @@
-"""Graph engine: multigraphs, max flows (Dinic's, on levels measured from
-the sink, giving both minimal sides of a minimum cut, on a residual network
-(heads, to, cap) that flows between many pairs share), the integral
-min-cost flow within a multigraph that balances it, Eulerian circuits, and
-weak components (the package's one union-find).
+"""Graph engine: multigraphs, vertex cuts, max flows (Dinic's, on levels
+measured from the sink, giving both minimal sides of a minimum cut, on a
+residual network (heads, to, cap) that flows between many pairs share),
+the integral min-cost flow within a multigraph that balances it, Eulerian
+circuits, and weak components (the package's one union-find).
 
-Flows return vertex sets, not weighed cuts: callers weigh the cuts they
-need with cuts.cut_record. Transshipment feasibility and the min-cost
-transshipment read their demands from the multigraph itself, on one
-super-source/super-sink network layout.
+A cut is a proper nonempty vertex subset U, carried as a CutRecord with
+the arc weight leaving U and the weight entering it. Flows return vertex
+sets, not weighed cuts: callers weigh the cuts they need with cut_record,
+the pipeline's one cut evaluator, as this module's own certificates do.
+Transshipment feasibility and the min-cost transshipment read their
+demands from the multigraph itself, on one super-source/super-sink
+network layout.
 
 All operations are pure functions with documented lowest-index-first
 tie-breaking, so identical inputs give identical outputs.
@@ -23,7 +26,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .cuts import CutRecord, cut_record
 from .errors import (
     DisconnectedError,
     InfeasibleError,
@@ -74,6 +76,36 @@ class IntegerMultiDigraph:
         for arc, k in other.mult.items():
             merged[arc] = merged.get(arc, 0) + k
         return IntegerMultiDigraph(self.n, merged)
+
+
+@dataclass(frozen=True)
+class CutRecord:
+    """A vertex subset with its outgoing and incoming arc weight."""
+
+    members: tuple[int, ...]
+    out_weight: float
+    in_weight: float
+
+    def __post_init__(self):
+        if not self.members:
+            raise ValueError("cut must be a nonempty proper subset")
+        object.__setattr__(self, "members", tuple(sorted(self.members)))
+
+
+def cut_record(arcs: Mapping[tuple[int, int], float], members) -> CutRecord:
+    """The cut of members, weighed on arcs: the weights of the arcs that
+    leave it and of those that enter it, each summed directly in the
+    mapping's order. An arc with both ends on one side, a self-loop
+    included, counts in neither."""
+    inside = set(members)
+    out_w = 0.0
+    in_w = 0.0
+    for (v, w), weight in arcs.items():
+        if v in inside and w not in inside:
+            out_w += weight
+        elif w in inside and v not in inside:
+            in_w += weight
+    return CutRecord(tuple(members), out_w, in_w)
 
 
 def _net(n: int, arcs: Mapping[tuple[int, int], float]) -> list:

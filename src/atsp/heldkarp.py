@@ -64,9 +64,8 @@ from typing import Mapping
 import numpy as np
 
 from . import simplex
-from .cuts import CutRecord, cut_record
 from .errors import IterationLimitError
-from .flows import components, max_flow, require_balanced, residual_network
+from .flows import CutRecord, components, cut_record, max_flow, require_balanced, residual_network
 from .instance import TOL, CostMatrix
 
 BALANCE_TOL = 1e-7
@@ -236,7 +235,7 @@ def separate(n: int, arcs: Mapping[tuple[int, int], float]) -> list[CutRecord]:
     Then one max-flow runs from 0's super-vertex to each other
     super-vertex t, all on one residual network over the contracted arcs.
     Each side is expanded back to its vertices, and each distinct one is
-    weighed once with cuts.cut_record on the original weights. The minimal
+    weighed once with flows.cut_record on the original weights. The minimal
     source side is a minimum cut by outgoing weight among the sets that
     hold 0 and not t; the minimal sink side W is one by incoming weight
     among the sets that hold t and not 0, the very cut a max-flow from t

@@ -100,12 +100,17 @@ def min_cut(n: int, arcs: Mapping[tuple[int, int], float]) -> tuple[float, tuple
     two merge; some phase meets a global minimum cut. Between phase cuts of
     equal weight, the lexicographically smaller side wins. Uses numpy alone,
     so it shares no code with the separation and the flows it checks.
-    Raises ValueError below two vertices.
+    Raises ValueError below two vertices, for an arc endpoint outside
+    0..n-1 and for a weight that is not finite.
     """
     if n < 2:
         raise ValueError("need at least two vertices to have a proper cut")
     y = np.zeros((n, n))
     for (v, w), value in arcs.items():
+        if not (0 <= v < n and 0 <= w < n):
+            raise ValueError(f"arc {(v, w)} has an endpoint outside 0..{n - 1}")
+        if not math.isfinite(value):
+            raise ValueError(f"arc {(v, w)} has weight {value!r}, which is not finite")
         y[v, w] += value
         y[w, v] += value
     sides = [(v,) for v in range(n)]
@@ -151,10 +156,13 @@ def connectivity_sweep(
 
     Per-trial seeds are seed + block * trials + trial, one block per
     constant, so the whole table is a pure function of (m, inputs).
-    Raises CostSandwichError when a row's mean sample cost is not finite.
+    Raises ValueError when x and m have different vertex counts, and
+    CostSandwichError when a row's mean sample cost is not finite.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if x.n != m.n:
+        raise ValueError(f"LP point has {x.n} vertices, the costs {m.n}")
     rows = []
     for block, k_constant in enumerate(k_constants):
         cfg = rounding.RoundingConfig(k_constant=k_constant, seed=seed)

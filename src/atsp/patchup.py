@@ -33,13 +33,16 @@ class Tour:
 
     def __post_init__(self):
         n = len(self.order)
+        if not n:
+            raise ValueError("tour must visit at least one vertex")
         if sorted(self.order) != list(range(n)):
             raise ValueError("tour must visit every vertex exactly once")
         if self.order[0] != 0:
             i = self.order.index(0)
             object.__setattr__(self, "order", self.order[i:] + self.order[:i])
-        if self.cost < 0:
-            raise ValueError("tour cost must be nonnegative")
+        # a NaN cost fails the comparison
+        if not self.cost >= 0:
+            raise ValueError(f"tour cost {self.cost!r} is not nonnegative")
 
 
 def tour_cost(m: CostMatrix, order) -> float:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cuts import CutRecord, all_cut_values, cut_record, members_of
+from .cuts import all_cut_values, members_of
 from .errors import RetriesExhaustedError
-from .flows import IntegerMultiDigraph, components, transshipment_certificate
+from .flows import CutRecord, IntegerMultiDigraph, components, transshipment_certificate
 from .heldkarp import FractionalCirculation
 from .instance import TOL
 
@@ -96,21 +96,23 @@ def check_near_balance(z: IntegerMultiDigraph) -> BalanceCheck:
 
     A cut with a zero side counts as unbalanced (ratio infinity), which
     covers disconnected samples; a ratio of exactly 2 is still balanced.
-    Raises TooLargeError beyond cuts.ENUMERATION_LIMIT vertices.
+    The verdict and the worst cut, members and both weights, are read off
+    cuts.all_cut_values alone, so the check shares no cut evaluator with
+    the pipeline; the weights are exact, as integer multiplicities sum
+    exactly. Raises TooLargeError beyond cuts.ENUMERATION_LIMIT vertices.
     """
     masks, out_w, in_w = all_cut_values(z.n, z.mult)
-    # one fresh 2^n array, the smaller side, then in place the ratio of the
-    # larger to it; the larger overwrites out_w, so the worst cut is
-    # weighed again on z, exactly, as its weights are integers
+    # the smaller side, then in place the ratio of the larger to it; both
+    # weight arrays stay intact for the worst cut
     ratio = np.minimum(out_w, in_w)
     worst = int(np.argmin(ratio))
     if ratio[worst] <= 0:
         worst_ratio = float("inf")
     else:
-        np.divide(np.maximum(out_w, in_w, out=out_w), ratio, out=ratio)
+        np.divide(np.maximum(out_w, in_w), ratio, out=ratio)
         worst = int(np.argmax(ratio))
         worst_ratio = float(ratio[worst])
-    cut = cut_record(z.mult, members_of(int(masks[worst]), z.n))
+    cut = CutRecord(members_of(int(masks[worst]), z.n), float(out_w[worst]), float(in_w[worst]))
     return BalanceCheck(worst_ratio <= BALANCE_RATIO_LIMIT, worst_ratio, cut)
 
 
@@ -125,7 +127,8 @@ def acceptance_certificate(z: IntegerMultiDigraph) -> CutRecord | None:
     """
     parts = components(z.n, z.mult)
     if len(parts) > 1:
-        return cut_record(z.mult, parts[0])
+        # no arc leaves or enters a weak component
+        return CutRecord(tuple(parts[0]), 0.0, 0.0)
     return transshipment_certificate(z)
 
 

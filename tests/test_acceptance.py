@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from atsp import cli, flows, heldkarp, instance, oracle, patchup, rounding
-from atsp.cuts import all_cut_values, cut_weights
-from atsp.flows import IntegerMultiDigraph
+from atsp.cuts import all_cut_values
+from atsp.flows import IntegerMultiDigraph, cut_record
 
 from conftest import BATTERY_A, BATTERY_B
 
@@ -85,7 +85,8 @@ def test_criterion_03_symmetrization_preserves_cuts(battery_a_results):
             _, out_w, in_w = all_cut_values(n, x.arcs)
             assert abs(weight - float((out_w + in_w).min())) <= 1e-9
             assert abs(weight / 2.0 - float(out_w.min())) <= 1e-9
-            assert abs(weight - sum(cut_weights(x.arcs, members))) <= 1e-9
+            cut = cut_record(x.arcs, members)
+            assert abs(weight - (cut.out_weight + cut.in_weight)) <= 1e-9
 
 
 def test_criterion_04_cut_counting_growth_bound(lp_cache):

@@ -16,6 +16,12 @@ def sweep_with_no_trials():
     oracle.connectivity_sweep(m, [1.0], 0, 0, heldkarp.solve_lp(m))
 
 
+def sweep_over_fewer_vertices_than_its_costs():
+    # the 5-vertex point's samples would be priced on the 8-vertex matrix
+    x = heldkarp.solve_lp(instance.generate("cycle-heavy", 5, 1))
+    oracle.connectivity_sweep(instance.generate("cycle-heavy", 8, 1), [1.0], 5, 0, x)
+
+
 # an unbalanced multigraph over 5 vertices, for costs over 8: arc (v, w)
 # priced at entry 5v + w of the flat matrix reads another arc's cost
 FIVE_VERTEX_SAMPLE = {
@@ -49,8 +55,14 @@ BAD_ARGUMENTS = {
     "generate with negative n": (
         lambda: instance.generate("cycle-heavy", -1, 1), "at least 3 vertices"),
     "sweep with no trials": (sweep_with_no_trials, "at least one trial"),
+    "sweep over fewer vertices than its costs": (
+        sweep_over_fewer_vertices_than_its_costs, "LP point has 5 vertices, the costs 8"),
     "tour of negative cost": (
         lambda: patchup.Tour((0, 1, 2), -1.0), "nonnegative"),
+    "tour of NaN cost": (
+        lambda: patchup.Tour((0, 1, 2), float("nan")), "tour cost nan is not nonnegative"),
+    "tour over no vertices": (
+        lambda: patchup.Tour((), 0.0), "at least one vertex"),
     "scale_k below three vertices": (
         lambda: rounding.scale_k(2, rounding.RoundingConfig()), "at least 3 vertices"),
     "min-cost flow over fewer vertices than its costs": (
@@ -71,6 +83,15 @@ BAD_ARGUMENTS = {
         lambda: oracle.min_cut(1, {}), "at least two vertices"),
     "global minimum cut over no vertices": (
         lambda: oracle.min_cut(0, {}), "at least two vertices"),
+    "global minimum cut of an arc endpoint below 0": (
+        lambda: oracle.min_cut(3, {(0, 1): 1.0, (1, 2): 1.0, (2, -1): 1.0}),
+        r"arc \(2, -1\) has an endpoint outside 0..2"),
+    "global minimum cut of an arc endpoint at n": (
+        lambda: oracle.min_cut(3, {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0}),
+        r"arc \(2, 3\) has an endpoint outside 0..2"),
+    "global minimum cut of a NaN weight": (
+        lambda: oracle.min_cut(3, {(0, 1): 1.0, (1, 2): float("nan"), (2, 0): 1.0}),
+        r"arc \(1, 2\) has weight nan, which is not finite"),
     "separation of an arc endpoint below 0": (
         lambda: heldkarp.separate(4, {(0, 1): 1.0, (1, -1): 1.0, (-1, 0): 1.0, **TWO_CYCLES}),
         r"arc \(1, -1\) has an endpoint outside 0..3"),

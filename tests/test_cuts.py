@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atsp import cuts
+from atsp import cuts, flows
 
 
 def test_members_of_lists_the_set_bits():
@@ -19,10 +19,10 @@ def test_members_of_lists_the_set_bits():
 
 
 def test_cut_record_sorts_members_and_rejects_empty():
-    record = cuts.CutRecord((3, 1), 1.0, 2.0)
+    record = flows.CutRecord((3, 1), 1.0, 2.0)
     assert record.members == (1, 3)
     with pytest.raises(ValueError):
-        cuts.CutRecord((), 0.0, 0.0)
+        flows.CutRecord((), 0.0, 0.0)
 
 
 def test_all_cut_values_matches_direct_sums():
@@ -36,9 +36,9 @@ def test_all_cut_values_matches_direct_sums():
     assert masks.size == 2**6 - 2
     for idx in rng.integers(0, masks.size, 10):
         members = cuts.members_of(int(masks[idx]), 6)
-        o, i = cuts.cut_weights(arcs, members)
-        assert out_w[idx] == pytest.approx(o, abs=1e-12)
-        assert in_w[idx] == pytest.approx(i, abs=1e-12)
+        cut = flows.cut_record(arcs, members)
+        assert out_w[idx] == pytest.approx(cut.out_weight, abs=1e-12)
+        assert in_w[idx] == pytest.approx(cut.in_weight, abs=1e-12)
 
 
 def random_arcs(rng, n, weight):
@@ -95,9 +95,9 @@ def test_all_cut_values_agrees_with_cut_weights_on_random_masks(graph, data):
     for mask in data.draw(st.lists(st.integers(1, (1 << n) - 2), min_size=1, max_size=8)):
         # masks are 1..2^n - 2 in order, so mask m sits at index m - 1
         assert masks[mask - 1] == mask
-        o, i = cuts.cut_weights(arcs, cuts.members_of(mask, n))
-        assert abs(out_w[mask - 1] - o) <= tol
-        assert abs(in_w[mask - 1] - i) <= tol
+        cut = flows.cut_record(arcs, cuts.members_of(mask, n))
+        assert abs(out_w[mask - 1] - cut.out_weight) <= tol
+        assert abs(in_w[mask - 1] - cut.in_weight) <= tol
 
 
 @pytest.mark.parametrize("arc", [(2, -1), (-1, 0), (0, 3), (3, 3)])

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from atsp import flows, heldkarp, instance, oracle, simplex
-from atsp.cuts import CutRecord, all_cut_values, cut_record
+from atsp.cuts import all_cut_values
 from atsp.errors import IterationLimitError, NotBalancedError
+from atsp.flows import CutRecord, cut_record
 from atsp.patchup import tour_cost
 
 

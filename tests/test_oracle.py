@@ -11,8 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atsp import cli, heldkarp, instance, oracle, patchup, rounding
-from atsp.cuts import ENUMERATION_LIMIT, all_cut_values, cut_weights, members_of
+from atsp.cuts import ENUMERATION_LIMIT, all_cut_values, members_of
 from atsp.errors import TooLargeError
+from atsp.flows import cut_record
 from atsp.heldkarp import FractionalCirculation
 
 from conftest import BATTERY_B
@@ -261,7 +262,8 @@ def assert_min_cut_is_exhaustive(n, arcs):
     assert abs(weight - float((out_w + in_w).min())) <= 1e-9
     assert 0 not in members and 0 < len(members) < n
     assert list(members) == sorted(set(members))
-    assert abs(weight - sum(cut_weights(arcs, members))) <= 1e-9
+    cut = cut_record(arcs, members)
+    assert abs(weight - (cut.out_weight + cut.in_weight)) <= 1e-9
 
 
 @st.composite
@@ -308,7 +310,8 @@ def test_min_cut_matches_networkx_stoer_wagner(kind, n, lp_cache):
     reference, _ = nx.stoer_wagner(g)
     weight, members = oracle.min_cut(n, x.arcs)
     assert weight == pytest.approx(reference, abs=1e-9)
-    assert abs(weight - sum(cut_weights(x.arcs, members))) <= 1e-9
+    cut = cut_record(x.arcs, members)
+    assert abs(weight - (cut.out_weight + cut.in_weight)) <= 1e-9
 
 
 def test_min_cut_breaks_ties_toward_the_smaller_side():
@@ -336,7 +339,7 @@ def test_verify_fails_an_lp_whose_separation_is_broken(tmp_path, capsys, monkeyp
     members = tuple(int(v) for v in lines[at + 1].split("on vertices ")[1].split())
     x = heldkarp.solve_lp(m)
     assert members == oracle.min_cut(m.n, x.arcs)[1]
-    assert cut_weights(x.arcs, members)[0] < 1.0 - 1e-6
+    assert cut_record(x.arcs, members).out_weight < 1.0 - 1e-6
 
 
 # the pipeline's modules, which no oracle may serve
@@ -359,6 +362,48 @@ def imported_names(module: str) -> set[str]:
 @pytest.mark.parametrize("module", PIPELINE)
 def test_the_pipeline_imports_nothing_from_the_oracles(module):
     assert "oracle" not in imported_names(module)
+
+
+def package_imports(module: str) -> dict[str, set[str]]:
+    """The names a module takes from each module of the package; names
+    taken by ``from . import`` sit under the key ""."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    taken: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            taken.setdefault(node.module or "", set()).update(a.name for a in node.names)
+    return taken
+
+
+def test_cuts_is_the_enumeration_alone():
+    tree = ast.parse((PACKAGE / "cuts.py").read_text())
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    assert defined == {"ENUMERATION_LIMIT", "members_of", "all_cut_values"}
+    assert set(package_imports("cuts")) == {"errors"}
+
+
+@pytest.mark.parametrize("module", ["heldkarp", "flows", "patchup"])
+def test_the_pipeline_weighs_its_cuts_without_the_enumeration(module):
+    taken = package_imports(module)
+    assert "cuts" not in taken and "cuts" not in taken.get("", set())
+
+
+def test_rounding_takes_only_the_enumeration_from_cuts():
+    assert package_imports("rounding")["cuts"] == {"all_cut_values", "members_of"}
+    # the near-balance oracle reads its worst cut off the enumeration
+    assert "cut_record" not in rounding.check_near_balance.__code__.co_names
+
+
+def test_no_second_cut_evaluator_is_left():
+    for path in PACKAGE.glob("*.py"):
+        text = path.read_text()
+        assert "cut_weights" not in text and "ArcWeights" not in text, path.name
 
 
 def test_verify_checks_cuts_without_the_code_under_test():

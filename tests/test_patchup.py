@@ -113,10 +113,10 @@ def test_patch_feasibility_matches_hoffman_condition():
             got = False
             cut = exc.certificate
             arcs = {a: float(k) for a, k in z.mult.items()}
-            from atsp.cuts import cut_weights
+            from atsp.flows import cut_record
 
-            out_w, in_w = cut_weights(arcs, cut.members)
-            assert in_w < out_w - in_w
+            weighed = cut_record(arcs, cut.members)
+            assert weighed.in_weight < weighed.out_weight - weighed.in_weight
         assert got == expected
         feasible += got
         infeasible += not got

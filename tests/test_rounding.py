@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from atsp import flows, instance, rounding
-from atsp.cuts import CutRecord, members_of
+from atsp.cuts import members_of
 from atsp.errors import RetriesExhaustedError, TooLargeError
-from atsp.flows import IntegerMultiDigraph
+from atsp.flows import CutRecord, IntegerMultiDigraph
 from atsp.heldkarp import FractionalCirculation, solve_lp
 
 from conftest import BATTERY_B
