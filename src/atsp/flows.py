@@ -245,14 +245,19 @@ def max_flow(
     outgoing and incoming capacity, so W is then also the U of the flow
     from t to s. A residual arc counts while its capacity exceeds
     instance.TOL: the capacities are LP weights or integer
-    multiplicities, which have no unit.
+    multiplicities, which have no unit. A source or sink that is not a
+    vertex 0..n-1 of the network, or a source equal to the sink, is a
+    ValueError.
     """
+    heads, to, cap = network
+    n = len(heads)
+    if not (0 <= s < n and 0 <= t < n):
+        raise ValueError(f"source {s} or sink {t} is outside 0..{n - 1}")
     if s == t:
         raise ValueError("source equals sink")
-    heads, to, cap = network
     cap = cap.copy()
     value, level = _dinic(heads, to, cap, s, t)
-    reached = [False] * len(heads)
+    reached = [False] * n
     reached[s] = True
     queue = [s]
     for u in queue:

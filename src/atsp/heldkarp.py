@@ -17,15 +17,16 @@ The master is a function of the cut list, rebuilt by _master each round:
 the degree and balance rows, then one row x(delta_out(U)) - s_U = 1 per
 cut U, in list order, with its own surplus column s_U. The cut-free
 master is the assignment LP, the classic ATSP bound (Carpaneto,
-Dell'Amico & Toth, ACM TOMS 21, 1995). _assignment solves it by shortest
-augmenting paths, and one more shortest-path search gives n - 1 arcs
-that join the assignment into a spanning tree; the search's duals are
-feasible and tight on all 2n - 1 arcs. That tree basis is primal
-feasible at the assignment and dual feasible, so the cut-free master is
-optimal at it, and separating its integral point finds exactly the
-assignment's cycles. So the loop starts where that first round would
-end: from the tree basis, with the cycles as its cut list when there are
-two or more, and with none when the assignment is one tour.
+Dell'Amico & Toth, ACM TOMS 21, 1995). _assignment solves it by the
+Hungarian method, one shortest augmenting path search from each row,
+and one more search gives n - 1 arcs that join the assignment into a
+spanning tree; its duals are feasible and tight on all 2n - 1 arcs.
+That tree basis is primal feasible at the assignment and dual feasible,
+so the cut-free master is optimal at it, and separating its integral
+point finds exactly the assignment's cycles. So the loop starts where
+that first round would end: from the tree basis, with the cycles as its
+cut list when there are two or more, and with none when the assignment
+is one tour.
 
 Each round opens with one growth step: the cut rows that the last basis
 does not cover, the cycles in the first round and the violated cuts in
@@ -108,13 +109,17 @@ def _master(c: np.ndarray, tails: np.ndarray, heads: np.ndarray, cuts: list[tupl
     return a, b, np.concatenate([c[tails, heads], np.zeros(k)])
 
 
-def _search(rows: list[list[float]], u: list[float], v: list[float],
-            succ: list[int], owner: list[int], start: int) -> list[int]:
-    """One shortest-path search over the columns from row ``start``:
-    Dijkstra on the reduced costs rows[i][k] - u[i] - v[k], ties to the
-    lowest column (Jonker & Volgenant, Computing 38, 1987). Returns via,
-    the row from which the search reached each column.
+def _assignment(c: np.ndarray) -> tuple[list[int], list[tuple[int, int]], list[float], list[float]]:
+    """A minimum-cost assignment with no fixed points, n - 1 arcs that
+    join it into a spanning tree, and duals tight on all 2n - 1 arcs:
+    (succ, tree, u, v) with c[i, j] >= u[i] + v[j] for every i != j.
 
+    The Hungarian method by shortest augmenting paths (Kuhn, Naval Res.
+    Logist. Quart. 2, 1955), from the feasible duals u = 0 and v[j] = min
+    c[i, j] over i != j, with every row free. One search runs from each
+    row in turn, then one more from row 0: Dijkstra over the columns on
+    the reduced costs rows[i][k] - u[i] - v[k], ties to the lowest
+    column, recording in via the row from which it reached each column.
     Each settled column reaches its owner row by the owner's tight
     assignment arc. The search stops at the first free column or, when
     no column is free, once every column is settled; delta is the
@@ -124,46 +129,11 @@ def _search(rows: list[list[float]], u: list[float], v: list[float],
     arc (via[j], j) into a settled column becomes tight. A free start row
     then augments: each row on the path to the free column takes the
     column that the search reached from it.
-    """
-    n = len(rows)
-    dist = [d - u[start] for d in map(sub, rows[start], v)]
-    via = [start] * n
-    todo = list(range(n))
-    settled = []
-    while todo:
-        j = min(todo, key=dist.__getitem__)
-        delta = dist[j]
-        todo.remove(j)
-        if owner[j] < 0:
-            break
-        settled.append(j)
-        i = owner[j]
-        row, base = rows[i], delta - u[i]
-        for k in todo:
-            d = base + row[k] - v[k]
-            if d < dist[k]:
-                dist[k], via[k] = d, i
-    for k in settled:
-        v[k] -= delta - dist[k]
-        u[owner[k]] += delta - dist[k]
-    if succ[start] < 0:
-        u[start] += delta
-        while j >= 0:
-            i = via[j]
-            owner[j], succ[i], j = i, j, succ[i]
-    return via
 
-
-def _assignment(c: np.ndarray) -> tuple[list[int], list[tuple[int, int]], list[float], list[float]]:
-    """A minimum-cost assignment with no fixed points, n - 1 arcs that
-    join it into a spanning tree, and duals tight on all 2n - 1 arcs:
-    (succ, tree, u, v) with c[i, j] >= u[i] + v[j] for every i != j.
-
-    Column reduction sets v[j] = min c[i, j] over i != j and u[i] = min
-    c[i, j] - v[j]; each row then takes its first free tight column. Each
-    row still free augments along one _search. A last _search from row 0,
-    with no column free, settles every column: the arcs (via[h], h), h !=
-    succ[0], join the assignment arcs into a spanning tree of the
+    The n searches from the rows assign every row, optimally, as the
+    duals are feasible and tight on the assignment. The last search, from
+    row 0 with no column free, settles every column: the arcs (via[h], h),
+    h != succ[0], join the assignment arcs into a spanning tree of the
     bipartite row/column graph, as each column hangs from the row that
     reached it and each row from its own column.
     """
@@ -172,20 +142,35 @@ def _assignment(c: np.ndarray) -> tuple[list[int], list[tuple[int, int]], list[f
     for i in range(n):
         rows[i][i] = math.inf
     v = [min(column) for column in zip(*rows)]
-    u = []
+    u = [0.0] * n
     succ = [-1] * n
     owner = [-1] * n
-    for i, row in enumerate(rows):
-        reduced = list(map(sub, row, v))
-        u.append(min(reduced))
-        j = reduced.index(u[i])
-        while owner[j] >= 0 and u[i] in reduced[j + 1 :]:
-            j = reduced.index(u[i], j + 1)
-        if owner[j] < 0:
-            succ[i], owner[j] = j, i
-    for free in [i for i in range(n) if succ[i] < 0]:
-        _search(rows, u, v, succ, owner, free)
-    via = _search(rows, u, v, succ, owner, 0)
+    for start in [*range(n), 0]:
+        dist = [d - u[start] for d in map(sub, rows[start], v)]
+        via = [start] * n
+        todo = list(range(n))
+        settled = []
+        while todo:
+            j = min(todo, key=dist.__getitem__)
+            delta = dist[j]
+            todo.remove(j)
+            if owner[j] < 0:
+                break
+            settled.append(j)
+            i = owner[j]
+            row, base = rows[i], delta - u[i]
+            for k in todo:
+                d = base + row[k] - v[k]
+                if d < dist[k]:
+                    dist[k], via[k] = d, i
+        for k in settled:
+            v[k] -= delta - dist[k]
+            u[owner[k]] += delta - dist[k]
+        if succ[start] < 0:
+            u[start] += delta
+            while j >= 0:
+                i = via[j]
+                owner[j], succ[i], j = i, j, succ[i]
     tree = [(via[h], h) for h in range(n) if h != succ[0]]
     return succ, tree, u, v
 
@@ -194,7 +179,8 @@ def _start(c: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """The cutting-plane loop's start: the cycles of the optimal
     assignment, when there are two or more, else none, and the sorted
     columns of an optimal basis of the cut-free master, the assignment's n
-    arcs, basic at 1, and the n - 1 tree arcs of _assignment, basic at 0.
+    arcs, basic at 1, and the n - 1 tree arcs of _assignment's last
+    search, basic at 0.
 
     A spanning tree of the bipartite out-vertex/in-vertex graph is a
     nonsingular basis of the degree and balance rows, and its point is the

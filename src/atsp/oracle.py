@@ -16,6 +16,7 @@ scaling constants rather than checking it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -156,11 +157,12 @@ def connectivity_sweep(
 
     Per-trial seeds are seed + block * trials + trial, one block per
     constant, so the whole table is a pure function of (m, inputs).
-    Raises ValueError when x and m have different vertex counts, and
-    CostSandwichError when a row's mean sample cost is not finite.
+    Raises ValueError when trials is not a positive integer or x and m
+    have different vertex counts, and CostSandwichError when a row's
+    mean sample cost is not finite.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ValueError(f"need at least one trial, a whole number, got {trials!r}")
     if x.n != m.n:
         raise ValueError(f"LP point has {x.n} vertices, the costs {m.n}")
     rows = []

@@ -12,6 +12,7 @@ exhaustive cut-ratio checking is the desk-scale certification oracle.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,9 @@ class RoundingConfig:
     def __post_init__(self):
         if not 0 < self.k_constant < math.inf:
             raise ValueError("k_constant must be positive and finite")
+        for name in ("max_retries", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.max_retries < 1:
             raise ValueError("max_retries must be at least 1")
         if self.seed < 0:
@@ -68,8 +72,11 @@ def round_once(x: FractionalCirculation, k: int, seed: int) -> IntegerMultiDigra
     call draws the same stream as one call per arc in that order. A
     weight is trusted to instance.TOL, the simplex's accuracy: one
     outside [-TOL, 1 + TOL] raises ValueError, and the rest are clipped
-    to [0, 1].
+    to [0, 1]. A count k or seed that is not an integer raises
+    ValueError, as the sampler would truncate a fractional count.
     """
+    if not (isinstance(k, numbers.Integral) and isinstance(seed, numbers.Integral)):
+        raise ValueError(f"the count {k!r} and the seed {seed!r} must be integers")
     arcs = sorted(x.arcs)
     weights = np.array([x.arcs[arc] for arc in arcs], dtype=float)
     # a NaN weight fails both comparisons

@@ -16,6 +16,16 @@ def sweep_with_no_trials():
     oracle.connectivity_sweep(m, [1.0], 0, 0, heldkarp.solve_lp(m))
 
 
+def sweep_of_fractional_trials():
+    m = instance.generate("cycle-heavy", 6, 1)
+    oracle.connectivity_sweep(m, [1.0], 2.5, 0, heldkarp.solve_lp(m))
+
+
+def round_once_with(k, seed):
+    x = heldkarp.FractionalCirculation(3, {(0, 1): 0.5, (1, 2): 0.5, (2, 0): 0.5}, 1.5)
+    rounding.round_once(x, k, seed)
+
+
 def sweep_over_fewer_vertices_than_its_costs():
     # the 5-vertex point's samples would be priced on the 8-vertex matrix
     x = heldkarp.solve_lp(instance.generate("cycle-heavy", 5, 1))
@@ -55,6 +65,8 @@ BAD_ARGUMENTS = {
     "generate with negative n": (
         lambda: instance.generate("cycle-heavy", -1, 1), "at least 3 vertices"),
     "sweep with no trials": (sweep_with_no_trials, "at least one trial"),
+    "sweep of fractional trials": (
+        sweep_of_fractional_trials, "at least one trial, a whole number, got 2.5"),
     "sweep over fewer vertices than its costs": (
         sweep_over_fewer_vertices_than_its_costs, "LP point has 5 vertices, the costs 8"),
     "tour of negative cost": (
@@ -63,6 +75,14 @@ BAD_ARGUMENTS = {
         lambda: patchup.Tour((0, 1, 2), float("nan")), "tour cost nan is not nonnegative"),
     "tour over no vertices": (
         lambda: patchup.Tour((), 0.0), "at least one vertex"),
+    "sample of a fractional count": (
+        lambda: round_once_with(2.5, 0), "the count 2.5 and the seed 0 must be integers"),
+    "sample of a fractional seed": (
+        lambda: round_once_with(2, 1.5), "the count 2 and the seed 1.5 must be integers"),
+    "rounding config of a fractional seed": (
+        lambda: rounding.RoundingConfig(seed=1.5), "seed must be an integer, got 1.5"),
+    "rounding config of a fractional retry limit": (
+        lambda: rounding.RoundingConfig(max_retries=2.5), "max_retries must be an integer, got 2.5"),
     "scale_k below three vertices": (
         lambda: rounding.scale_k(2, rounding.RoundingConfig()), "at least 3 vertices"),
     "min-cost flow over fewer vertices than its costs": (
@@ -92,6 +112,12 @@ BAD_ARGUMENTS = {
     "global minimum cut of a NaN weight": (
         lambda: oracle.min_cut(3, {(0, 1): 1.0, (1, 2): float("nan"), (2, 0): 1.0}),
         r"arc \(1, 2\) has weight nan, which is not finite"),
+    "max-flow to a sink below 0": (
+        lambda: flows.max_flow(flows.residual_network(3, {(0, 1): 1.0, (1, 2): 1.0}), 0, -1),
+        r"source 0 or sink -1 is outside 0..2"),
+    "max-flow to a sink at n": (
+        lambda: flows.max_flow(flows.residual_network(3, {(0, 1): 1.0, (1, 2): 1.0}), 0, 3),
+        r"source 0 or sink 3 is outside 0..2"),
     "separation of an arc endpoint below 0": (
         lambda: heldkarp.separate(4, {(0, 1): 1.0, (1, -1): 1.0, (-1, 0): 1.0, **TWO_CYCLES}),
         r"arc \(1, -1\) has an endpoint outside 0..3"),

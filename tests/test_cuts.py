@@ -88,7 +88,7 @@ def weighted_arcs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(weighted_arcs(), st.data())
-def test_all_cut_values_agrees_with_cut_weights_on_random_masks(graph, data):
+def test_all_cut_values_agrees_with_cut_record_on_random_masks(graph, data):
     n, arcs = graph
     masks, out_w, in_w = cuts.all_cut_values(n, arcs)
     tol = 1e-12 * (1.0 + sum(arcs.values()))
